@@ -375,7 +375,9 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
     def descent_lemma():
         obj = build_landscape(hyperbola_spec)
         sched = rs_schedule(0.01, 0.2, obj.lipschitz_grad_hint, budget_cap=2000)
-        traj = run_algorithm(obj, "RS", np.array([1.5, 1 / 1.5]), sched, RngStream(seed), log_cadence=1)
+        # The check reads no trace column; a cadence of the whole budget leaves 2 trace solves of 201.
+        x0 = np.array([1.5, 1 / 1.5])
+        traj = run_algorithm(obj, "RS", x0, sched, RngStream(seed), log_cadence=1, tr_cadence=sched.steps)
         return oracle.check_descent_lemma(traj, obj.lipschitz_grad_hint)
 
     def pl_constants():

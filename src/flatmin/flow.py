@@ -109,7 +109,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> 
     x = np.array(x0, dtype=float)
     g = obj.grad(x)
     gn = math.sqrt(float(g @ g))
-    if not np.isfinite(gn):
+    if not math.isfinite(gn):
         raise FlowConvergenceError("non-finite gradient at start", x, gn, 0)
     if gn <= cfg.grad_tol:
         return x
@@ -134,7 +134,7 @@ def _flow_loop(obj, x, g, gn, h, adaptive, fx, cfg):
             fx = f_new
         else:
             x_new = x - h * g
-        if np.array_equal(x_new, x):
+        if (x_new == x).all():
             # Step underflows at this resolution; nothing further can move.
             raise FlowConvergenceError(
                 f"flow stalled at grad norm {gn:.3e} > tol {cfg.grad_tol:.3e}", x, gn, step
@@ -142,7 +142,7 @@ def _flow_loop(obj, x, g, gn, h, adaptive, fx, cfg):
         x = x_new
         g = obj.grad(x)
         gn = math.sqrt(float(g @ g))
-        if not np.isfinite(gn):
+        if not math.isfinite(gn):
             raise FlowConvergenceError("non-finite gradient during flow", x, gn, step)
         if gn <= cfg.grad_tol:
             return x

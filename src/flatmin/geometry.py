@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -11,6 +11,9 @@ import numpy as np
 # projection becomes the identity (the operator is undefined at exact
 # stationary points; identity preserves the perturbation estimator there).
 U_TOL = 1e-12
+
+#: Gaussian rows drawn per generator call by :func:`sphere_directions`.
+SPHERE_BLOCK = 512
 
 
 class NonFiniteValueError(ValueError):
@@ -70,6 +73,16 @@ def proj_out(u: np.ndarray, v: np.ndarray, u_tol: float = U_TOL) -> np.ndarray:
     nu = float(np.linalg.norm(u))
     if nu <= u_tol:
         return v.copy()
+    return proj_out_normed(u, nu, v, u_tol)
+
+
+def proj_out_normed(u: np.ndarray, nu: float, v: np.ndarray, u_tol: float = U_TOL) -> np.ndarray:
+    """``proj_out(u, v)`` given ``nu = norm(u)``, without input checks.
+
+    Returns ``v`` itself, not a copy, when ``nu <= u_tol``.
+    """
+    if nu <= u_tol:
+        return v
     uhat = u / nu
     return v - np.dot(uhat, v) * uhat
 
@@ -97,17 +110,39 @@ def sample_sphere(d: int, rng: RngStream) -> np.ndarray:
 
 
 def sample_sphere_batch(d: int, m: int, rng: RngStream) -> np.ndarray:
-    """(m, d) array of independent uniform unit vectors."""
+    """(m, d) array of independent uniform unit vectors.
+
+    Row k is the k-th of m successive ``sample_sphere(d, rng)`` draws, and
+    ``rng`` ends in the same state.
+    """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    G = rng.normal((m, d))
-    norms = np.linalg.norm(G, axis=1, keepdims=True)
-    # A zero Gaussian row has probability zero; redraw defensively.
-    bad = np.nonzero(norms[:, 0] == 0.0)[0]
-    for i in bad:
-        G[i] = sample_sphere(d, rng)
-        norms[i, 0] = 1.0
-    return G / norms
+    U = _unit_rows(rng.normal((m, d)))
+    while len(U) < m:
+        U = np.concatenate([U, _unit_rows(rng.normal((m - len(U), d)))])
+    return U
+
+
+def sphere_directions(d: int, rng: RngStream) -> Iterator[np.ndarray]:
+    """Endless uniform unit vectors in R^d, drawn ``SPHERE_BLOCK`` at a time.
+
+    Yields the vectors of successive ``sample_sphere(d, rng)`` calls, but
+    advances ``rng`` by whole blocks.
+    """
+    while True:
+        yield from _unit_rows(rng.normal((SPHERE_BLOCK, d)))
+
+
+def _unit_rows(G: np.ndarray) -> np.ndarray:
+    """Rows of ``G`` scaled to unit norm, zero rows dropped as ``sample_sphere`` redraws them.
+
+    Each norm is ``sqrt(vecdot)``, which tests check equals ``np.linalg.norm``
+    of the row bit for bit (``norm(axis=1)`` differs in the last bit).
+    """
+    n = np.sqrt(np.vecdot(G, G))
+    if not n.all():
+        G, n = G[n > 0.0], n[n > 0.0]
+    return G / n[:, None]
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .geometry import RngStream, proj_out, sample_sphere
+from .geometry import RngStream, proj_out_normed, sample_sphere, sphere_directions
 from .objectives import Objective, SampleSumObjective, base_of
 from .flow import FlowConfig, DEFAULT_FLOW, gradient_flow_limit, trace_at_flow_limit
 
@@ -176,31 +176,36 @@ class PerturbationDiagnostics:
 
 
 def _rs_perturbation(
-    base: Objective, x: np.ndarray, grad_x: np.ndarray, rho: float, rng: RngStream
-) -> PerturbationDiagnostics:
-    g = sample_sphere(base.dim, rng)
-    v = proj_out(grad_x, base.grad(x + rho * g))
-    return PerturbationDiagnostics(v=v, v_norm=float(np.linalg.norm(v)), g=g)
+    base: Objective, x: np.ndarray, g: np.ndarray, gn: float, rho: float, u: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """RS perturbation ``(v, |v|)`` along the unit vector ``u``.
+
+    ``v`` is the gradient at ``x + rho*u`` projected off ``g = grad(x)``,
+    whose norm ``gn`` the caller has already computed.
+    """
+    v = proj_out_normed(g, gn, base.grad(x + rho * u))
+    return v, math.sqrt(float(v @ v))
 
 
 def _sa_perturbation(
     obj: SampleSumObjective,
     x: np.ndarray,
-    grad_x: np.ndarray,
+    g: np.ndarray,
+    gn: float,
     rho: float,
     jitter: float,
     rng: RngStream,
     retries: int = 8,
-) -> PerturbationDiagnostics:
+) -> tuple[np.ndarray, float, int, float, np.ndarray]:
+    """SA perturbation and its draws ``(v, |v|, sample_index, sigma, direction)``; ``gn = |g|``."""
     i = rng.integers(0, obj.n)
     sigma = rng.sign()
     gi = obj.sample_grad(i, x)
-    ngi = float(np.linalg.norm(gi))
+    ngi = math.sqrt(float(gi @ gi))
     if ngi <= SAMPLE_GRAD_TOL:
         for _ in range(retries):
-            xi = jitter * sample_sphere(obj.dim, rng)
-            gi = obj.sample_grad(i, x + xi)
-            ngi = float(np.linalg.norm(gi))
+            gi = obj.sample_grad(i, x + jitter * sample_sphere(obj.dim, rng))
+            ngi = math.sqrt(float(gi @ gi))
             if ngi > SAMPLE_GRAD_TOL:
                 break
         else:
@@ -208,14 +213,16 @@ def _sa_perturbation(
                 f"sample {i} gradient vanished after {retries} jittered probes (jitter={jitter})"
             )
     direction = gi / ngi
-    v = proj_out(grad_x, obj.sample_grad(i, x + rho * sigma * direction))
-    return PerturbationDiagnostics(
-        v=v,
-        v_norm=float(np.linalg.norm(v)),
-        sample_index=i,
-        sigma=sigma,
-        direction=direction,
-    )
+    v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
+    return v, math.sqrt(float(v @ v)), i, sigma, direction
+
+
+def _checked_step(x: np.ndarray, eta: float, grad_x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The perturbed step ``x - eta*(grad_x + v)``; raises DivergenceError if not finite."""
+    x_next = x - eta * (grad_x + v)
+    if not np.isfinite(x_next).all():
+        raise DivergenceError(f"non-finite iterate after perturbed step at {x.tolist()}")
+    return x_next
 
 
 def rs_step(
@@ -232,11 +239,9 @@ def rs_step(
     base = base_of(obj)
     x = np.asarray(x, dtype=float)
     grad_x = base.grad(x)
-    diag = _rs_perturbation(base, x, grad_x, rho, rng)
-    x_next = x - eta * (grad_x + diag.v)
-    if not np.all(np.isfinite(x_next)):
-        raise DivergenceError(f"non-finite iterate after perturbed step at {x.tolist()}")
-    return x_next, diag
+    u = sample_sphere(base.dim, rng)
+    v, v_norm = _rs_perturbation(base, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, u)
+    return _checked_step(x, eta, grad_x, v), PerturbationDiagnostics(v=v, v_norm=v_norm, g=u)
 
 
 def sa_step(
@@ -260,11 +265,11 @@ def sa_step(
         raise TypeError("sharpness-aware step needs a SampleSumObjective")
     x = np.asarray(x, dtype=float)
     grad_x = obj.base.grad(x)
-    diag = _sa_perturbation(obj, x, grad_x, rho, jitter, rng)
-    x_next = x - eta * (grad_x + diag.v)
-    if not np.all(np.isfinite(x_next)):
-        raise DivergenceError(f"non-finite iterate after perturbed step at {x.tolist()}")
-    return x_next, diag
+    v, v_norm, i, sigma, direction = _sa_perturbation(
+        obj, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, jitter, rng
+    )
+    diag = PerturbationDiagnostics(v=v, v_norm=v_norm, sample_index=i, sigma=sigma, direction=direction)
+    return _checked_step(x, eta, grad_x, v), diag
 
 
 @dataclass(frozen=True)
@@ -373,6 +378,10 @@ def run(
     trace-at-flow-limit column filled every ``tr_cadence`` steps, plus a
     terminal record. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
+
+    RS takes its sphere directions from ``rng`` in blocks (the same vectors
+    as per-step ``sample_sphere`` calls), so the state of ``rng`` after
+    ``run`` returns is unspecified.
     """
     algorithm = algorithm.upper()
     if algorithm not in ALGORITHMS:
@@ -399,6 +408,11 @@ def run(
     n_perturbed = n_gd = 0
     violations = 0
     max_slack = -math.inf
+    perturbs = algorithm != "GD"
+    directions = sphere_directions(base.dim, rng) if algorithm == "RS" else None
+    eta, eta_prime, rho, eps0 = sched.eta, sched.eta_prime, sched.rho, sched.eps0
+    half_eta = 0.5 * eta
+    half_beta_eta_sq = 0.5 * sched.beta_hat * eta**2
 
     fval = float(base.value(x))
     g = base.grad(x)
@@ -407,33 +421,28 @@ def run(
         snapshot = None
         if t % log_cadence == 0:
             snapshot = (fval, gn)
-        perturbed = algorithm != "GD" and gn <= sched.eps0
+        perturbed = perturbs and gn <= eps0
         if perturbed:
-            if algorithm == "RS":
-                diag = _rs_perturbation(base, x, g, sched.rho, rng)
+            if directions is not None:
+                v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
             else:
-                diag = _sa_perturbation(ss, x, g, sched.rho, jitter, rng)
-            v_norm = diag.v_norm
-            x_next = x - sched.eta * (g + diag.v)
+                v, v_norm, *_ = _sa_perturbation(ss, x, g, gn, rho, jitter, rng)
+            x_next = x - eta * (g + v)
             n_perturbed += 1
             branch = "perturbed"
         else:
-            x_next = x - sched.eta_prime * g
+            x_next = x - eta_prime * g
             v_norm = None
             n_gd += 1
             branch = "gd"
         f_next = float(base.value(x_next))
-        if not (np.all(np.isfinite(x_next)) and math.isfinite(f_next)):
+        if not (math.isfinite(f_next) and np.isfinite(x_next).all()):
             raise DivergenceError(
                 f"divergence at step {t}",
                 IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
             )
         if perturbed:
-            slack = f_next - (
-                fval
-                - 0.5 * sched.eta * gn * gn
-                + 0.5 * sched.beta_hat * sched.eta**2 * v_norm * v_norm
-            )
+            slack = f_next - (fval - half_eta * gn * gn + half_beta_eta_sq * v_norm * v_norm)
             if slack > max_slack:
                 max_slack = slack
             if slack > DESCENT_SLACK:

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+import numpy as np
+
+from flatmin import RngStream, build_hyperbola, check_descent_lemma, rs_schedule, run
 from flatmin.cli import (
     EXIT_CERT_FAIL,
     EXIT_NUMERICAL,
@@ -11,6 +14,7 @@ from flatmin.cli import (
     EXIT_USAGE,
     ExperimentConfig,
     ConfigError,
+    _verify_checks,
     main,
 )
 
@@ -234,6 +238,16 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "nonexistent-check"])
         assert code == EXIT_USAGE
         assert "unknown checks" in capsys.readouterr().err
+
+    def test_descent_report_equals_default_trace_cadence_report(self):
+        # The check reads no trace column, so skipping those flow solves
+        # leaves every report field as the default cadence gives it.
+        hyp = build_hyperbola()
+        sched = rs_schedule(0.01, 0.2, hyp.lipschitz_grad_hint, budget_cap=2000)
+        traj = run(hyp, "RS", np.array([1.5, 1 / 1.5]), sched, RngStream(3), log_cadence=1)
+        assert any(r.tr_phi is not None for r in traj.records[1:-1])
+        expected = check_descent_lemma(traj, hyp.lipschitz_grad_hint).to_dict()
+        assert _verify_checks(10_000, 3)["descent-lemma"]().to_dict() == expected
 
 
 class TestSweepCommand:

@@ -13,7 +13,7 @@ from flatmin import (
     sample_sphere,
     sample_sphere_batch,
 )
-from flatmin.geometry import NonFiniteValueError, proj_out_rows
+from flatmin.geometry import SPHERE_BLOCK, NonFiniteValueError, proj_out_rows, sphere_directions
 
 from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
 
@@ -88,6 +88,51 @@ class TestSphereSampling:
         assert np.max(np.abs(np.linalg.norm(G, axis=1) - 1.0)) <= 1e-12
         # CLT: per-coordinate mean std = 1/sqrt(d*N)
         assert np.max(np.abs(G.mean(axis=0))) <= 5.0 / np.sqrt(3 * 20000)
+
+
+class _ScriptedStream:
+    """Serves normal draws from a fixed sequence in request order, like ``RngStream.normal``."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.pos = 0
+
+    def normal(self, size) -> np.ndarray:
+        n = int(np.prod(size))
+        out = self.values[self.pos : self.pos + n].reshape(size)
+        self.pos += n
+        return out.copy()
+
+
+class TestBlockSphereDraws:
+    """Block-drawn unit vectors equal successive ``sample_sphere`` draws bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 64])
+    def test_rows_equal_sequential_draws(self, d):
+        n = SPHERE_BLOCK + 37  # crosses a block boundary
+        rng = RngStream(11)
+        sequential = [sample_sphere(d, rng) for _ in range(n)]
+        batch_rng = RngStream(11)
+        batch = sample_sphere_batch(d, n, batch_rng)
+        assert batch.tobytes() == np.array(sequential).tobytes()
+        assert batch_rng.normal(3).tobytes() == rng.normal(3).tobytes()
+        directions = sphere_directions(d, RngStream(11))
+        streamed = [next(directions) for _ in range(n)]
+        assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_zero_row_is_skipped_like_a_redraw(self, d):
+        values = np.random.Generator(np.random.PCG64(12)).standard_normal(3 * SPHERE_BLOCK * d)
+        values[5 * d : 6 * d] = 0.0
+        sequential_stream = _ScriptedStream(values)
+        sequential = [sample_sphere(d, sequential_stream) for _ in range(SPHERE_BLOCK)]
+        batch_stream = _ScriptedStream(values)
+        batch = sample_sphere_batch(d, SPHERE_BLOCK, batch_stream)
+        assert batch.tobytes() == np.array(sequential).tobytes()
+        assert batch_stream.pos == sequential_stream.pos == (SPHERE_BLOCK + 1) * d
+        directions = sphere_directions(d, _ScriptedStream(values))
+        streamed = [next(directions) for _ in range(SPHERE_BLOCK)]
+        assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
 
 
 class TestRngStream:

@@ -27,6 +27,7 @@ from flatmin import (
     trace_at_flow_limit,
     trajectory_csv,
 )
+from flatmin.geometry import SPHERE_BLOCK
 from flatmin.objectives import LandscapeSpec
 
 from conftest import hyperbola_manifold_point
@@ -353,6 +354,71 @@ class TestRun:
             elif gap <= threshold:
                 entered = True
         assert entered
+
+
+def _hand_loop(obj, x0, sched: Schedule, seed: int, step):
+    """Iterates, branches and v norms of ``run``'s gating with ``step`` on perturbed steps."""
+    base = obj.base if isinstance(obj, SampleSumObjective) else obj
+    rng = RngStream(seed)
+    rng.integers(1, sched.steps + 1)  # the returned-index draw run makes first
+    x = np.array(x0, dtype=float)
+    xs, branches, v_norms = [], [], []
+    for _ in range(sched.steps):
+        xs.append(x)
+        g = base.grad(x)
+        if math.sqrt(float(g @ g)) <= sched.eps0:
+            x, diag = step(x, rng)
+            branches.append("perturbed")
+            v_norms.append(diag.v_norm)
+        else:
+            x = x - sched.eta_prime * g
+            branches.append("gd")
+            v_norms.append(None)
+    xs.append(x)
+    return xs, branches, v_norms
+
+
+def _bits(points) -> bytes:
+    return np.array(points, dtype=float).tobytes()
+
+
+class TestRunMatchesPublicSteps:
+    """``run`` with block-drawn RS directions and the public one-step API take identical steps."""
+
+    def _assert_same(self, traj, expected):
+        xs, branches, v_norms = expected
+        steps = traj.records[:-1]
+        assert _bits([r.x for r in traj.records]) == _bits(xs)
+        assert [r.branch for r in steps] == branches
+        assert [r.v_norm for r in steps] == v_norms
+
+    def test_rs_run_equals_rs_step_loop(self):
+        obj = build_hyperbola()
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / 56, rho=0.05, eps0=2e-3, steps=1500, beta_hat=56.0)
+        x0 = np.array([1.5, 1 / 1.5])
+        traj = run(obj, "RS", x0, sched, RngStream(2), log_cadence=1, keep_x=True)
+        # Crosses a block boundary and mixes both branches.
+        assert traj.n_perturbed > SPHERE_BLOCK and traj.n_gd > 0
+        expected = _hand_loop(
+            obj, x0, sched, 2, lambda x, rng: rs_step(obj, x, sched.eta, sched.rho, rng)
+        )
+        self._assert_same(traj, expected)
+
+    def test_sa_run_equals_sa_step_loop(self):
+        # Starting at an interpolating minimum, every per-sample gradient
+        # vanishes, so the first steps take the jittered-direction path.
+        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
+        ss = build_landscape(spec)
+        sched = Schedule(
+            eta=5e-3, eta_prime=0.05, rho=0.1, eps0=1e-3, steps=1500, beta_hat=6.5, jitter=1e-9
+        )
+        x0 = canonical_minimum(spec)
+        traj = run(ss, "SA", x0, sched, RngStream(0), log_cadence=1, keep_x=True)
+        assert traj.n_perturbed > 0 and traj.n_gd > 0
+        expected = _hand_loop(
+            ss, x0, sched, 0, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, sched.jitter, rng)
+        )
+        self._assert_same(traj, expected)
 
 
 class TestRefine:
