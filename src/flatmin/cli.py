@@ -14,17 +14,20 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
+import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import RngStream
-from .objectives import LandscapeSpec, SampleSumObjective, build_landscape, canonical_minimum
+from .objectives import LandscapeSpec, SampleSumObjective, base_of, build_landscape, canonical_minimum
 from .flow import FlowConvergenceError, certify_flat
 from .optimizers import (
     ALGORITHMS,
@@ -49,104 +52,172 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def read_json(path: str):
+    """Parsed JSON of the file at ``path``; a syntax error is reported as ``path:line:col``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+# Field parsers: each takes the key (for messages) and the JSON value, and
+# returns the parsed value or raises ConfigError naming the key. JSON's
+# true/false are bools, never numbers.
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _rule(test, expected: str, convert):
+    def parse(key: str, value):
+        if not test(value):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+        return convert(value)
+
+    return parse
+
+
+_object = _rule(lambda v: isinstance(v, dict), "a JSON object", dict)
+_text = _rule(lambda v: isinstance(v, str), "a string", str)
+_positive = _rule(lambda v: _real(v) and 0.0 < v < math.inf, "a positive finite number", float)
+_unit_interval = _rule(lambda v: _real(v) and 0.0 < v < 1.0, "a number in (0, 1)", float)
+_count = _rule(lambda v: _integer(v) and v >= 1, "an integer >= 1", int)
+_point = _rule(
+    lambda v: isinstance(v, list) and v and all(_real(c) and math.isfinite(c) for c in v),
+    "a nonempty list of finite numbers",
+    lambda v: [float(c) for c in v],
+)
+_seeds = _rule(
+    lambda v: isinstance(v, list) and v and all(_integer(s) and s >= 0 for s in v),
+    "a nonempty list of integers >= 0",
+    lambda v: [int(s) for s in v],
+)
+
+
+def _algorithm(key: str, value) -> str:
+    if not (isinstance(value, str) and value.upper() in ALGORITHMS):
+        raise ConfigError(f"unknown {key} {value!r}; known: {list(ALGORITHMS)}")
+    return value.upper()
+
+
+def _landscape(key: str, value) -> LandscapeSpec:
+    data = _object(key, value)
+    try:
+        return LandscapeSpec.from_dict(data)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _constants(key: str, value) -> ScheduleConstants:
+    data = {k: _positive(f"{key}.{k}", v) for k, v in _object(key, value).items()}
+    try:
+        return ScheduleConstants.from_dict(data)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _certify(key: str, value) -> dict:
+    """The ``eps``/``eps_prime`` thresholds of a flatness certificate."""
+    data = _object(key, value)
+    if set(data) != {"eps", "eps_prime"}:
+        raise ConfigError(f"{key} needs the keys 'eps' and 'eps_prime' and no others, got {sorted(data)}")
+    return {k: _positive(f"{key}.{k}", data[k]) for k in ("eps", "eps_prime")}
+
+
 @dataclass
 class ExperimentConfig:
-    """One batch of seeded runs: landscape, algorithm, schedule inputs, seeds."""
+    """One batch of seeded runs: landscape, algorithm, schedule inputs, seeds.
 
-    landscape: LandscapeSpec
-    algorithm: str
-    x0: list
-    eps: float
-    delta: float
-    seeds: list
-    constants: ScheduleConstants = field(default_factory=ScheduleConstants)
-    budget_cap: int = DEFAULT_BUDGET_CAP
-    log_cadence: int | None = None
-    tr_cadence: int | None = None
-    certify: dict | None = None
-    out: str | None = None
+    The fields are the config's JSON keys, in the order ``to_dict`` writes
+    them; each field's metadata names its parser and, where the JSON form
+    differs from the value, its serializer. A field defaulting to None is
+    optional and left out of ``to_dict`` when unset.
+    """
+
+    landscape: LandscapeSpec = field(metadata={"parse": _landscape, "dump": LandscapeSpec.to_dict})
+    algorithm: str = field(metadata={"parse": _algorithm})
+    x0: list = field(metadata={"parse": _point})
+    eps: float = field(metadata={"parse": _positive})
+    delta: float = field(metadata={"parse": _unit_interval})
+    seeds: list = field(metadata={"parse": _seeds})
+    constants: ScheduleConstants = field(
+        default_factory=ScheduleConstants, metadata={"parse": _constants, "dump": asdict}
+    )
+    budget_cap: int = field(default=DEFAULT_BUDGET_CAP, metadata={"parse": _count})
+    log_cadence: int | None = field(default=None, metadata={"parse": _count})
+    tr_cadence: int | None = field(default=None, metadata={"parse": _count})
+    certify: dict | None = field(default=None, metadata={"parse": _certify})
+    out: str | None = field(default=None, metadata={"parse": _text})
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        required = ["landscape", "algorithm", "x0", "eps", "delta", "seeds"]
+        data = _object("config", data)
+        schema = fields(ExperimentConfig)
+        required = [f.name for f in schema if f.default is MISSING and f.default_factory is MISSING]
         missing = [k for k in required if k not in data]
         if missing:
             raise ConfigError(f"config missing required fields: {missing}")
-        algorithm = str(data["algorithm"]).upper()
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {data['algorithm']!r}; known: {list(ALGORITHMS)}")
-        eps = float(data["eps"])
-        delta = float(data["delta"])
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
-        if not (0.0 < delta < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-        seeds = [int(s) for s in data["seeds"]]
-        if not seeds:
-            raise ConfigError("seeds must be a nonempty list")
-        x0 = [float(v) for v in data["x0"]]
-        if not all(np.isfinite(x0)):
-            raise ConfigError(f"x0 must be finite, got {x0}")
-        certify = data.get("certify")
-        if certify is not None:
-            if not {"eps", "eps_prime"} <= set(certify):
-                raise ConfigError("certify block needs 'eps' and 'eps_prime'")
-            certify = {"eps": float(certify["eps"]), "eps_prime": float(certify["eps_prime"])}
-        try:
-            spec = LandscapeSpec.from_dict(data["landscape"])
-            constants = ScheduleConstants.from_dict(data.get("constants"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        unknown = sorted(set(data) - {f.name for f in schema})
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; known: {[f.name for f in schema]}")
         return ExperimentConfig(
-            landscape=spec,
-            algorithm=algorithm,
-            x0=x0,
-            eps=eps,
-            delta=delta,
-            seeds=seeds,
-            constants=constants,
-            budget_cap=int(data.get("budget_cap", DEFAULT_BUDGET_CAP)),
-            log_cadence=data.get("log_cadence"),
-            tr_cadence=data.get("tr_cadence"),
-            certify=certify,
-            out=data.get("out"),
+            **{
+                f.name: f.metadata["parse"](f.name, data[f.name])
+                for f in schema
+                if f.name in data and not (data[f.name] is None and f.default is None)
+            }
         )
 
+    def to_dict(self) -> dict:
+        """JSON form of the config, which ``from_dict`` parses back to an equal config."""
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                data[f.name] = f.metadata.get("dump", copy.copy)(value)
+        return data
 
-def load_config(path: str) -> ExperimentConfig:
+
+def _build(spec: LandscapeSpec, point: list, key: str):
+    """The landscape of ``spec``, checked to have the dimension of ``point``."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return ExperimentConfig.from_dict(data)
+        obj = build_landscape(spec)
+    except ValueError as exc:
+        raise ConfigError(f"landscape: {exc}") from None
+    dim = base_of(obj).dim
+    if len(point) != dim:
+        raise ConfigError(f"{key} has {len(point)} coordinates, landscape has dimension {dim}")
+    return obj
 
 
 def build_schedule(cfg: ExperimentConfig):
-    obj = build_landscape(cfg.landscape)
-    base = obj.base if isinstance(obj, SampleSumObjective) else obj
-    beta = base.lipschitz_grad_hint
-    if cfg.algorithm == "SA":
-        if not isinstance(obj, SampleSumObjective):
-            raise ConfigError(f"algorithm SA needs a sample-sum landscape, got {cfg.landscape.kind!r}")
-        sched = sa_schedule(cfg.eps, cfg.delta, base.dim, beta, cfg.constants, cfg.budget_cap)
-    else:
-        sched = rs_schedule(cfg.eps, cfg.delta, beta, cfg.constants, cfg.budget_cap)
+    obj = _build(cfg.landscape, cfg.x0, "x0")
+    base = base_of(obj)
+    if cfg.algorithm == "SA" and not isinstance(obj, SampleSumObjective):
+        raise ConfigError(f"algorithm SA needs a sample-sum landscape, got {cfg.landscape.kind!r}")
+    try:
+        if cfg.algorithm == "SA":
+            sched = sa_schedule(cfg.eps, cfg.delta, base.dim, base.lipschitz_grad_hint, cfg.constants, cfg.budget_cap)
+        else:
+            sched = rs_schedule(cfg.eps, cfg.delta, base.lipschitz_grad_hint, cfg.constants, cfg.budget_cap)
+    except (ValueError, OverflowError) as exc:
+        # A power of a tiny eps or delta overflows, or a step size underflows to 0.
+        raise ConfigError(f"eps, delta and constants give no schedule: {exc}") from None
     return obj, sched
 
 
-def _run_one_seed(cfg_data: dict, seed: int, out_dir: str) -> dict:
+def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     """Execute one seed and write its artifacts; safe to call in a worker process."""
-    cfg = ExperimentConfig.from_dict(cfg_data)
-    out = Path(out_dir)
     entry: dict = {"seed": seed}
+    obj, sched = build_schedule(cfg)
     try:
-        obj, sched = build_schedule(cfg)
         traj = run_algorithm(
             obj,
             cfg.algorithm,
@@ -160,8 +231,8 @@ def _run_one_seed(cfg_data: dict, seed: int, out_dir: str) -> dict:
         entry["status"] = "numerical-failure"
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
-    (out / f"seed_{seed}.csv").write_text(trajectory_csv(traj))
-    (out / f"seed_{seed}.json").write_text(json.dumps(traj.to_dict(), indent=2))
+    (out_dir / f"seed_{seed}.csv").write_text(trajectory_csv(traj))
+    (out_dir / f"seed_{seed}.json").write_text(json.dumps(traj.to_dict(), indent=2))
     entry.update(
         {
             "status": "ok",
@@ -179,11 +250,8 @@ def _run_one_seed(cfg_data: dict, seed: int, out_dir: str) -> dict:
         }
     )
     if cfg.certify is not None:
-        obj2 = build_landscape(cfg.landscape)
         try:
-            cert = certify_flat(
-                obj2, np.array(traj.returned_x), cfg.certify["eps"], cfg.certify["eps_prime"]
-            )
+            cert = certify_flat(obj, np.array(traj.returned_x), cfg.certify["eps"], cfg.certify["eps_prime"])
             entry["certificate"] = json.loads(cert.to_json())
         except FlowConvergenceError as exc:
             entry["status"] = "numerical-failure"
@@ -194,16 +262,15 @@ def _run_one_seed(cfg_data: dict, seed: int, out_dir: str) -> dict:
 def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     """Fan the config's seeds out to workers and write the joined summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_data = config_to_dict(cfg)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one_seed, cfg_data, s, str(out_dir)) for s in cfg.seeds]
+            futures = [pool.submit(_run_one_seed, cfg, s, out_dir) for s in cfg.seeds]
             entries = [f.result() for f in futures]
     else:
-        entries = [_run_one_seed(cfg_data, s, str(out_dir)) for s in cfg.seeds]
+        entries = [_run_one_seed(cfg, s, out_dir) for s in cfg.seeds]
     finals = [e["final_tr_phi"] for e in entries if e.get("status") == "ok" and e.get("final_tr_phi") is not None]
     summary = {
-        "config": cfg_data,
+        "config": cfg.to_dict(),
         "seeds": entries,
         "median_final_tr_phi": float(np.median(finals)) if finals else None,
     }
@@ -213,55 +280,28 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = {
-        "landscape": cfg.landscape.to_dict(),
-        "algorithm": cfg.algorithm,
-        "x0": list(cfg.x0),
-        "eps": cfg.eps,
-        "delta": cfg.delta,
-        "seeds": list(cfg.seeds),
-        "constants": {
-            "c_eta": cfg.constants.c_eta,
-            "c_rho": cfg.constants.c_rho,
-            "c_eps0": cfg.constants.c_eps0,
-            "c_T": cfg.constants.c_T,
-        },
-        "budget_cap": cfg.budget_cap,
-    }
-    if cfg.log_cadence is not None:
-        data["log_cadence"] = cfg.log_cadence
-    if cfg.tr_cadence is not None:
-        data["tr_cadence"] = cfg.tr_cadence
-    if cfg.certify is not None:
-        data["certify"] = dict(cfg.certify)
-    if cfg.out is not None:
-        data["out"] = cfg.out
-    return data
+def _usage_error(exc: ConfigError) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
-    out_dir = Path(args.out or cfg.out or "flatmin_out")
-    try:
+        cfg = ExperimentConfig.from_dict(read_json(args.config))
+        if args.seed is not None:
+            cfg.seeds = _seeds("--seed", [args.seed])
+        out_dir = Path(args.out or cfg.out or "flatmin_out")
         code = execute_run(cfg, out_dir, threads=args.threads)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     print(f"wrote artifacts to {out_dir}")
     return code
 
 
 def _expand_sweep(data: dict) -> list[dict]:
-    sweep = data.pop("sweep", None)
-    if not sweep:
-        return [data]
+    sweep = data.pop("sweep")
+    if not (isinstance(sweep, dict) and sweep and all(isinstance(v, list) and v for v in sweep.values())):
+        raise ConfigError(f"sweep must map keys to nonempty lists of values, got {sweep!r}")
     keys = sorted(sweep)
     combos = []
     for values in itertools.product(*(sweep[k] for k in keys)):
@@ -272,6 +312,8 @@ def _expand_sweep(data: dict) -> list[dict]:
             parts = key.split(".")
             for part in parts[:-1]:
                 target = target.setdefault(part, {})
+                if not isinstance(target, dict):
+                    raise ConfigError(f"sweep key {key!r}: {part!r} is not a JSON object")
             target[parts[-1]] = value
             label.append(f"{parts[-1]}={value}")
         combo["_label"] = "_".join(label)
@@ -281,30 +323,27 @@ def _expand_sweep(data: dict) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     try:
-        text = Path(args.config).read_text()
-        data = json.loads(text)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
-    if "sweep" not in data:
-        print("config error: sweep command needs a 'sweep' block", file=sys.stderr)
-        return EXIT_USAGE
-    combos = _expand_sweep(data)
-    out_root = Path(args.out or data.get("out") or "flatmin_sweep")
+        data = _object("config", read_json(args.config))
+        if "sweep" not in data:
+            raise ConfigError("sweep command needs a 'sweep' block")
+        combos = []
+        for combo in _expand_sweep(data):
+            label = combo.pop("_label")
+            try:
+                combos.append((label, ExperimentConfig.from_dict(combo)))
+            except ConfigError as exc:
+                raise ConfigError(f"in combo {label}: {exc}") from None
+    except ConfigError as exc:
+        return _usage_error(exc)
+    out_root = Path(args.out or combos[0][1].out or "flatmin_sweep")
     worst = EXIT_OK
     index = []
-    for k, combo in enumerate(combos):
-        label = combo.pop("_label")
-        try:
-            cfg = ExperimentConfig.from_dict(combo)
-        except ConfigError as exc:
-            print(f"config error in combo {label}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for k, (label, cfg) in enumerate(combos):
         sub = out_root / f"combo_{k:03d}_{label}"
-        code = execute_run(cfg, sub, threads=args.threads)
+        try:
+            code = execute_run(cfg, sub, threads=args.threads)
+        except ConfigError as exc:
+            return _usage_error(ConfigError(f"in combo {label}: {exc}"))
         worst = max(worst, code)
         index.append({"combo": label, "dir": sub.name, "exit": code})
         print(f"[{k + 1}/{len(combos)}] {label}: exit {code}")
@@ -313,33 +352,33 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-def cmd_certify(args) -> int:
+def _certify_flags(args) -> dict:
+    """The certify config given by --landscape/--x/--eps/--eps-prime."""
     try:
-        if args.config:
-            data = json.loads(Path(args.config).read_text())
-        else:
-            if not (args.landscape and args.x and args.eps is not None and args.eps_prime is not None):
-                print("certify needs --config or all of --landscape/--x/--eps/--eps-prime", file=sys.stderr)
-                return EXIT_USAGE
-            data = {
-                "landscape": json.loads(args.landscape),
-                "x": [float(v) for v in args.x.split(",")],
-                "eps": args.eps,
-                "eps_prime": args.eps_prime,
-            }
-        spec = LandscapeSpec.from_dict(data["landscape"])
-        x = np.array([float(v) for v in data["x"]])
-        eps = float(data["eps"])
-        eps_prime = float(data["eps_prime"])
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        landscape = json.loads(args.landscape)
     except json.JSONDecodeError as exc:
-        print(f"config error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
-    obj = build_landscape(spec)
+        raise ConfigError(f"--landscape: {exc}") from None
     try:
-        cert = certify_flat(obj, x, eps, eps_prime)
+        x = [float(v) for v in args.x.split(",")]
+    except ValueError:
+        raise ConfigError(f"--x must be comma-separated numbers, got {args.x!r}") from None
+    return {"landscape": landscape, "x": x, "eps": args.eps, "eps_prime": args.eps_prime}
+
+
+def cmd_certify(args) -> int:
+    if not (args.config or (args.landscape and args.x and args.eps is not None and args.eps_prime is not None)):
+        print("certify needs --config or all of --landscape/--x/--eps/--eps-prime", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        data = _object("config", read_json(args.config) if args.config else _certify_flags(args))
+        spec = _landscape("landscape", data.pop("landscape", None))
+        x = _point("x", data.pop("x", None))
+        bounds = _certify("certify", data)
+        obj = _build(spec, x, "x")
+    except ConfigError as exc:
+        return _usage_error(exc)
+    try:
+        cert = certify_flat(obj, np.array(x), bounds["eps"], bounds["eps_prime"])
     except FlowConvergenceError as exc:
         print(f"flow failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

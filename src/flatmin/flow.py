@@ -34,13 +34,11 @@ class FlowConfig:
     """Discretization of the gradient flow.
 
     ``step_size`` overrides the default fixed step
-    ``step_fraction / lipschitz_grad_hint``. The ``adaptive`` rule backtracks
-    (halving) whenever a step fails to decrease f.
+    ``step_fraction / lipschitz_grad_hint``.
     """
 
     grad_tol: float = 1e-10
     max_steps: int = 10_000_000
-    step_rule: str = "fixed"
     step_size: float | None = None
     step_fraction: float = 0.5
 
@@ -49,8 +47,6 @@ class FlowConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.step_rule not in ("fixed", "adaptive"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
     def resolve_step(self, obj: Objective) -> float:
         if self.step_size is not None:
@@ -114,26 +110,14 @@ def gradient_flow_limit(obj, x0: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> 
     if gn <= cfg.grad_tol:
         return x
     h = cfg.resolve_step(obj)
-    adaptive = cfg.step_rule == "adaptive"
-    fx = obj.value(x) if adaptive else 0.0
     # Overflow during a diverging run is detected and reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _flow_loop(obj, x, g, gn, h, adaptive, fx, cfg)
+        return _flow_loop(obj, x, g, gn, h, cfg)
 
 
-def _flow_loop(obj, x, g, gn, h, adaptive, fx, cfg):
+def _flow_loop(obj, x, g, gn, h, cfg):
     for step in range(1, cfg.max_steps + 1):
-        if adaptive:
-            hs = h
-            while True:
-                x_new = x - hs * g
-                f_new = obj.value(x_new)
-                if f_new <= fx or hs < 1e-18:
-                    break
-                hs *= 0.5
-            fx = f_new
-        else:
-            x_new = x - h * g
+        x_new = x - h * g
         if (x_new == x).all():
             # Step underflows at this resolution; nothing further can move.
             raise FlowConvergenceError(

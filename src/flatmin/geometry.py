@@ -87,17 +87,6 @@ def proj_out_normed(u: np.ndarray, nu: float, v: np.ndarray, u_tol: float = U_TO
     return v - np.dot(uhat, v) * uhat
 
 
-def proj_out_rows(u: np.ndarray, V: np.ndarray, u_tol: float = U_TOL) -> np.ndarray:
-    """Row-wise ``proj_out`` for a batch ``V`` of shape (m, d)."""
-    u = np.asarray(u, dtype=float)
-    V = np.asarray(V, dtype=float)
-    nu = float(np.linalg.norm(u))
-    if nu <= u_tol:
-        return V.copy()
-    uhat = u / nu
-    return V - np.outer(V @ uhat, uhat)
-
-
 def sample_sphere(d: int, rng: RngStream) -> np.ndarray:
     """Uniform draw from the unit sphere in R^d (normalized Gaussian)."""
     if d < 1:

@@ -6,7 +6,7 @@ batch evaluators; finite differences are used only for cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -91,7 +91,7 @@ class LandscapeSpec:
             kind = data.pop("kind")
         except KeyError:
             raise ValueError("landscape config requires a 'kind' field") from None
-        if kind not in _BUILDERS:
+        if not isinstance(kind, str) or kind not in _BUILDERS:
             raise ValueError(f"unknown landscape kind {kind!r}; known: {sorted(_BUILDERS)}")
         return LandscapeSpec(kind=kind, params=data)
 
@@ -112,46 +112,12 @@ def _grid_spectral_sup(hess: Callable[[Vector], Matrix], dim: int, half_width: f
 def build_hyperbola() -> Objective:
     """Two-dimensional product landscape f(x1, x2) = (x1*x2 - 1)^2.
 
-    Minima form the hyperbola {x1*x2 = 1}; the normalized Hessian trace is
-    x1^2 + x2^2 everywhere, minimized on the manifold at (1, 1) and (-1, -1).
+    The full loss of the one-sample factorization (a = (1,), c = 1) as a plain
+    Objective. Minima form the hyperbola {x1*x2 = 1}; the normalized Hessian
+    trace is x1^2 + x2^2 everywhere, minimized on the manifold at (1, 1) and
+    (-1, -1).
     """
-
-    def value(x):
-        return float((x[0] * x[1] - 1.0) ** 2)
-
-    def grad(x):
-        r = x[0] * x[1] - 1.0
-        return np.array([2.0 * r * x[1], 2.0 * r * x[0]])
-
-    def hess(x):
-        off = 4.0 * x[0] * x[1] - 2.0
-        return np.array([[2.0 * x[1] ** 2, off], [off, 2.0 * x[0] ** 2]])
-
-    def value_many(X):
-        r = X[:, 0] * X[:, 1] - 1.0
-        return r**2
-
-    def grad_many(X):
-        r = 2.0 * (X[:, 0] * X[:, 1] - 1.0)
-        return np.stack([r * X[:, 1], r * X[:, 0]], axis=1)
-
-    def trace_grad(x):
-        return np.array([2.0 * x[0], 2.0 * x[1]])
-
-    key = ("hyperbola",)
-    if key not in _BETA_HINT_CACHE:
-        _BETA_HINT_CACHE[key] = _grid_spectral_sup(hess, 2, TEST_REGION_HALF_WIDTH)
-    return Objective(
-        dim=2,
-        value=value,
-        grad=grad,
-        hess=hess,
-        lipschitz_grad_hint=_BETA_HINT_CACHE[key],
-        value_many=value_many,
-        grad_many=grad_many,
-        normalized_trace_grad=trace_grad,
-        name="hyperbola",
-    )
+    return replace(build_scalar_factorization([1.0], 1.0).base, name="hyperbola")
 
 
 def build_convex_quadratic(eigenvalues) -> Objective:
@@ -381,16 +347,16 @@ def build_landscape(spec: LandscapeSpec):
         return _BUILDERS[spec.kind](spec.params)
     except KeyError as exc:
         raise ValueError(f"landscape {spec.kind!r} missing parameter {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"landscape {spec.kind!r} has a parameter of the wrong type: {exc}") from None
 
 
 def canonical_minimum(spec: LandscapeSpec) -> np.ndarray:
     """An analytically-known global minimum of the landscape (ground truth)."""
-    if spec.kind == "hyperbola":
-        return np.array([1.0, 1.0])
     if spec.kind == "convex_quadratic":
         return np.zeros(len(spec.params["eigenvalues"]))
-    if spec.kind == "scalar_factorization":
-        c = float(spec.params["c"])
+    if spec.kind in ("hyperbola", "scalar_factorization"):
+        c = float(spec.params["c"]) if spec.kind == "scalar_factorization" else 1.0
         s = np.sqrt(abs(c)) if c != 0 else 1.0
         return np.array([s, c / s])
     if spec.kind == "orthogonal_quadratic_model":

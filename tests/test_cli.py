@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flatmin import RngStream, build_hyperbola, check_descent_lemma, rs_schedule, run
 from flatmin.cli import (
@@ -64,6 +68,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(tiny_run_config(seeds=[]))
 
+    @pytest.mark.parametrize(
+        "key,overrides",
+        [
+            ("log_cadence", {"log_cadence": 0}),
+            ("tr_cadence", {"tr_cadence": -3}),
+            ("budget_cap", {"budget_cap": 0}),
+            ("budget_capp", {"budget_capp": 500}),
+            ("eps", {"eps": "abc"}),
+            ("seeds", {"seeds": 3}),
+            ("x0", {"x0": [1.0, 1.0, 1.0]}),
+            ("certify", {"certify": {"eps": -1, "eps_prime": 0.5}}),
+            ("constants.c_eta", {"constants": {"c_eta": -1.0}}),
+            ("eps", {"eps": 1e-200}),
+        ],
+        ids=["log_cadence-0", "tr_cadence-negative", "budget_cap-0", "unknown-key", "eps-string",
+             "seeds-scalar", "x0-dimension", "certify-eps-negative", "c_eta-negative", "eps-overflows-budget"],
+    )
+    def test_bad_run_config_is_usage_error_naming_key(self, tmp_path, capsys, key, overrides):
+        path = write_config(tmp_path, tiny_run_config(**overrides))
+        out = tmp_path / "out"
+        code = main(["run", "--config", path, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+        assert not list(out.glob("seed_*"))
+
     def test_malformed_json_exit_code_and_line_anchor(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"landscape": {"kind": "hyperbola",\n  BROKEN\n}')
@@ -72,6 +103,96 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert ":2:" in err
         assert not (tmp_path / "out").exists()
+
+
+VALID_LANDSCAPES = [
+    ({"kind": "hyperbola"}, 2),
+    ({"kind": "convex_quadratic", "eigenvalues": [1.0, 2.0]}, 2),
+    ({"kind": "scalar_factorization", "a": [1.0, 2.0], "c": 1.0}, 2),
+    ({"kind": "orthogonal_quadratic_model", "d": 3, "n": 2, "y": [0.5, 1.0]}, 3),
+]
+
+positive = st.floats(min_value=1e-6, max_value=1e6) | st.integers(1, 1000)
+counts = st.integers(1, 10**6)
+
+
+@st.composite
+def valid_configs(draw, max_budget=10**6):
+    """JSON objects that ExperimentConfig.from_dict accepts."""
+    landscape, dim = draw(st.sampled_from(VALID_LANDSCAPES))
+    data = {
+        "landscape": landscape,
+        "algorithm": draw(st.sampled_from(["RS", "GD", "rs"] + (["SA"] if "a" in landscape or "y" in landscape else []))),
+        "x0": draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)),
+        "eps": draw(st.floats(1e-3, 0.5)),
+        "delta": draw(st.floats(0.01, 0.99)),
+        "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2)),
+        "budget_cap": draw(st.integers(1, max_budget)),
+    }
+    optional = {
+        "constants": st.dictionaries(st.sampled_from(["c_eta", "c_rho", "c_eps0", "c_T"]), positive, max_size=4),
+        "log_cadence": counts,
+        "tr_cadence": counts,
+        "certify": st.fixed_dictionaries({"eps": positive, "eps_prime": positive}),
+        "out": st.text(max_size=8),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        data[key] = draw(optional[key])
+    return data
+
+
+json_junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 10)
+    | st.sampled_from([0.0, -1.0, 2.5, 1e308, float("inf"), float("-inf"), float("nan")])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Valid small configs with up to three keys replaced, dropped or added (budget_cap <= 50)."""
+    data = draw(valid_configs(max_budget=50))
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(["replace", "drop", "add", "landscape"]))
+        key = draw(st.sampled_from(sorted(data)))
+        if action == "replace" or (action == "drop" and key == "budget_cap"):
+            data[key] = draw(json_junk)
+        elif action == "drop":
+            del data[key]
+        elif action == "add":
+            data[draw(st.text(min_size=1, max_size=6))] = draw(json_junk)
+        elif isinstance(data.get("landscape"), dict):
+            data["landscape"] = dict(data["landscape"])
+            data["landscape"][draw(st.sampled_from(["kind", "eigenvalues", "a", "c", "d", "n", "y"]))] = draw(json_junk)
+    return data
+
+
+class TestConfigProperties:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(valid_configs())
+    def test_to_dict_round_trips(self, data):
+        cfg = ExperimentConfig.from_dict(data)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(fuzzed_configs())
+    def test_run_exit_code_on_fuzzed_configs(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(data))
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_CERT_FAIL)
 
 
 class TestRunCommand:
@@ -117,6 +238,12 @@ class TestRunCommand:
         assert not (out / "seed_1.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert [e["seed"] for e in summary["seeds"]] == [7]
+
+    def test_negative_seed_flag_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_run_config())
+        code = main(["run", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         path = write_config(tmp_path, tiny_run_config())
@@ -219,6 +346,32 @@ class TestCertifyCommand:
         code = main(["certify", "--landscape", '{"kind": "hyperbola"}'])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "landscape,x,eps,message",
+        [
+            ('{"kind": "scalar_factorization", "a": [1.0]}', "1,1", "0.01", "missing parameter"),
+            ('{"kind": "hyperbola"}', "1,1", "-1", "eps"),
+            ('{"kind": "hyperbola"}', "1,1,1", "0.01", "3 coordinates, landscape has dimension 2"),
+            ('{"kind": "hyperbola"}', "nan,1", "0.01", "finite"),
+        ],
+        ids=["missing-parameter", "eps-negative", "x-dimension", "x-nan"],
+    )
+    def test_bad_certify_flags_usage_error(self, capsys, landscape, x, eps, message):
+        code = main(
+            ["certify", "--landscape", landscape, "--x", x, "--eps", eps, "--eps-prime", "0.1"]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+
+    def test_malformed_config_line_anchor(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text('{"landscape": {"kind": "hyperbola"},\n  "x": [1, 1\n}')
+        code = main(["certify", "--config", str(path)])
+        assert code == EXIT_USAGE
+        assert f"{path}:3:" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -267,10 +420,24 @@ class TestSweepCommand:
             assert summary["seeds"][0]["status"] == "ok"
         capsys.readouterr()
 
+    def test_bad_combo_is_usage_error_before_any_run(self, tmp_path, capsys):
+        cfg = tiny_run_config(budget_cap=100, seeds=[1])
+        cfg["sweep"] = {"eps": [0.01, -1.0]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", path, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "in combo eps=-1.0: eps must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_run_config())
         code = main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
         assert code == EXIT_USAGE
+        for sweep in ({}, {"eps": 0.01}):
+            path = write_config(tmp_path, dict(tiny_run_config(), sweep=sweep))
+            assert main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == EXIT_USAGE
+            assert "sweep must map keys" in capsys.readouterr().err
 
 
 class TestConsoleScript:

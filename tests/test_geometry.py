@@ -13,7 +13,7 @@ from flatmin import (
     sample_sphere,
     sample_sphere_batch,
 )
-from flatmin.geometry import SPHERE_BLOCK, NonFiniteValueError, proj_out_rows, sphere_directions
+from flatmin.geometry import SPHERE_BLOCK, NonFiniteValueError, sphere_directions
 
 from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
 
@@ -53,14 +53,6 @@ class TestProjOut:
             assert np.linalg.norm(proj_out(u, p) - p) <= 1e-12
             assert np.linalg.norm(p) <= np.linalg.norm(v) * (1 + 1e-15)
             assert abs(np.dot(p, u)) <= 1e-12 * np.linalg.norm(u) * max(np.linalg.norm(v), 1e-30)
-
-    def test_row_batch_matches_scalar_path(self):
-        gen = np.random.Generator(np.random.PCG64(1))
-        u = gen.normal(size=3)
-        V = gen.normal(size=(40, 3))
-        W = proj_out_rows(u, V)
-        for row_w, row_v in zip(W, V):
-            assert np.allclose(row_w, proj_out(u, row_v), atol=1e-14)
 
 
 class TestSphereSampling:

@@ -3,6 +3,7 @@ import pytest
 
 from flatmin import (
     LandscapeSpec,
+    Objective,
     SampleSumObjective,
     build_convex_quadratic,
     build_hyperbola,
@@ -33,6 +34,23 @@ class TestHyperbola:
         for x in random_points(2, 50, seed=1):
             tr = np.trace(obj.hess(x)) / 2.0
             assert tr == pytest.approx(x[0] ** 2 + x[1] ** 2, rel=1e-14)
+
+    def test_closed_forms_bit_for_bit(self):
+        # The factorization preset must keep the hyperbola's own arithmetic
+        # exactly, or seeded escape artifacts change.
+        obj = build_hyperbola()
+        assert isinstance(obj, Objective) and obj.name == "hyperbola"
+        for scale in (1e-3, 1.0, 1e3):
+            X = random_points(2, 200, seed=5) * scale
+            for u, v in X:
+                r = u * v - 1.0
+                x = np.array([u, v])
+                assert obj.value(x) == float(r**2)
+                assert np.array_equal(obj.grad(x), [2.0 * r * v, 2.0 * r * u])
+                off = 4.0 * u * v - 2.0
+                assert np.array_equal(obj.hess(x), [[2.0 * v**2, off], [off, 2.0 * u**2]])
+                assert np.array_equal(obj.normalized_trace_grad(x), [2.0 * u, 2.0 * v])
+            assert np.array_equal(obj.value_many(X), (X[:, 0] * X[:, 1] - 1.0) ** 2)
 
     def test_lipschitz_hint_is_region_spectral_sup(self):
         obj = build_hyperbola()
@@ -203,10 +221,16 @@ class TestLandscapeSpec:
             LandscapeSpec.from_dict({"kind": "rosenbrock"})
         with pytest.raises(ValueError, match="kind"):
             LandscapeSpec.from_dict({})
+        with pytest.raises(ValueError, match="unknown landscape kind"):
+            LandscapeSpec.from_dict({"kind": ["hyperbola"]})
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError, match="missing parameter"):
             build_landscape(LandscapeSpec("convex_quadratic", {}))
+
+    def test_mistyped_parameter_rejected(self):
+        with pytest.raises(ValueError, match="wrong type"):
+            build_landscape(LandscapeSpec("scalar_factorization", {"a": [1.0], "c": [1.0]}))
 
     @pytest.mark.parametrize("spec", ALL_LANDSCAPE_SPECS, ids=str)
     def test_canonical_minimum_is_global_minimum(self, spec):
