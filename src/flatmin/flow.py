@@ -31,15 +31,13 @@ class FlowConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Discretization of the gradient flow.
-
-    ``step_size`` overrides the default fixed step
-    ``step_fraction / lipschitz_grad_hint``.
+    """Discretization of the gradient flow: fixed steps of
+    ``step_fraction / lipschitz_grad_hint`` until the gradient norm is at
+    most ``grad_tol``.
     """
 
     grad_tol: float = 1e-10
     max_steps: int = 10_000_000
-    step_size: float | None = None
     step_fraction: float = 0.5
 
     def __post_init__(self):
@@ -49,12 +47,7 @@ class FlowConfig:
             raise ValueError("max_steps must be positive")
 
     def resolve_step(self, obj: Objective) -> float:
-        if self.step_size is not None:
-            return float(self.step_size)
-        beta = obj.lipschitz_grad_hint
-        if beta is None or beta <= 0:
-            raise ValueError("objective has no Lipschitz hint; set FlowConfig.step_size")
-        return self.step_fraction / beta
+        return self.step_fraction / obj.lipschitz_grad_hint
 
 
 #: Production default: cheap, used for trajectory logging.

@@ -170,21 +170,6 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float)
     return np.stack(cols, axis=1)
 
 
-def normalized_trace(obj, x: np.ndarray, fd_step: float = 1e-5) -> float:
-    """Trace of the Hessian of ``obj`` at ``x`` divided by the dimension.
-
-    Uses the exact Hessian when the objective provides one, otherwise falls
-    back to central differences of the gradient along each basis direction
-    (d gradient pairs).
-    """
-    x = np.asarray(x, dtype=float)
-    if obj.hess is not None:
-        return float(np.trace(obj.hess(x))) / obj.dim
-    acc = 0.0
-    for j in range(obj.dim):
-        e = np.zeros(obj.dim)
-        e[j] = fd_step
-        gp = obj.grad(x + e)
-        gm = obj.grad(x - e)
-        acc += (float(gp[j]) - float(gm[j])) / (2.0 * fd_step)
-    return acc / obj.dim
+def normalized_trace(obj, x: np.ndarray) -> float:
+    """Trace of the exact Hessian of ``obj`` at ``x`` divided by the dimension."""
+    return float(np.trace(obj.hess(np.asarray(x, dtype=float)))) / obj.dim

@@ -6,6 +6,8 @@ batch evaluators; finite differences are used only for cross-checks.
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -14,14 +16,14 @@ import numpy as np
 Vector = np.ndarray
 Matrix = np.ndarray
 
-# Finite-difference cross-checks and Lipschitz-hint estimation are confined
-# to this box; experiment trajectories stay inside it.
+# Finite-difference cross-checks and the Lipschitz hints are confined to
+# this box; experiment trajectories stay inside it.
 TEST_REGION_HALF_WIDTH = 3.0
 
 
 @dataclass(frozen=True)
 class Objective:
-    """Differentiable function bundle.
+    """Differentiable function bundle; every field but ``name`` is required.
 
     Attributes
     ----------
@@ -29,26 +31,32 @@ class Objective:
         Domain dimension.
     value, grad : callables
         f(x) and its gradient.
-    hess : callable or None
-        Exact symmetric Hessian, when available.
-    lipschitz_grad_hint : float or None
-        Upper bound on the Hessian spectral norm over the region of
-        interest; used for default step sizes.
-    value_many, grad_many : callables or None
+    hess : callable
+        Exact symmetric Hessian.
+    lipschitz_grad_hint : float
+        Supremum of the Hessian spectral norm over the test region
+        [-TEST_REGION_HALF_WIDTH, TEST_REGION_HALF_WIDTH]^dim, in closed
+        form; sets the default flow and schedule step sizes. Positive and
+        finite.
+    value_many, grad_many : callables
         Vectorized evaluation over an (m, dim) batch of points.
-    normalized_trace_grad : callable or None
-        Closed-form gradient of trace(hess(x)) / dim, when known.
+    normalized_trace_grad : callable
+        Closed-form gradient of trace(hess(x)) / dim.
     """
 
     dim: int
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
-    hess: Callable[[Vector], Matrix] | None = None
-    lipschitz_grad_hint: float | None = None
-    value_many: Callable[[Matrix], Vector] | None = None
-    grad_many: Callable[[Matrix], Matrix] | None = None
-    normalized_trace_grad: Callable[[Vector], Vector] | None = None
+    hess: Callable[[Vector], Matrix]
+    lipschitz_grad_hint: float
+    value_many: Callable[[Matrix], Vector]
+    grad_many: Callable[[Matrix], Matrix]
+    normalized_trace_grad: Callable[[Vector], Vector]
     name: str = ""
+
+    def __post_init__(self):
+        if not 0.0 < self.lipschitz_grad_hint < math.inf:
+            raise ValueError(f"lipschitz_grad_hint must be positive and finite, got {self.lipschitz_grad_hint!r}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,6 @@ class LandscapeSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def build(self):
-        return build_landscape(self)
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}
 
@@ -94,19 +99,6 @@ class LandscapeSpec:
         if not isinstance(kind, str) or kind not in _BUILDERS:
             raise ValueError(f"unknown landscape kind {kind!r}; known: {sorted(_BUILDERS)}")
         return LandscapeSpec(kind=kind, params=data)
-
-
-# Lipschitz hints are estimated once per landscape configuration.
-_BETA_HINT_CACHE: dict = {}
-
-
-def _grid_spectral_sup(hess: Callable[[Vector], Matrix], dim: int, half_width: float, n_grid: int = 61) -> float:
-    """Max Hessian spectral norm over a grid on [-w, w]^dim (dim == 2 only)."""
-    axis = np.linspace(-half_width, half_width, n_grid)
-    xs, ys = np.meshgrid(axis, axis)
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    mats = np.stack([hess(p) for p in pts])
-    return float(np.abs(np.linalg.eigvalsh(mats)).max())
 
 
 def build_hyperbola() -> Objective:
@@ -125,8 +117,8 @@ def build_convex_quadratic(eigenvalues) -> Objective:
     eig = np.asarray(eigenvalues, dtype=float)
     if eig.ndim != 1 or eig.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-    if np.any(eig <= 0.0):
-        raise ValueError(f"eigenvalues must be positive, got {eig.tolist()}")
+    if not ((eig > 0.0) & np.isfinite(eig)).all():
+        raise ValueError(f"eigenvalues must be positive and finite, got {eig.tolist()}")
     d = eig.size
     D = np.diag(eig)
 
@@ -171,9 +163,11 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("a must be a nonempty 1-d sequence")
-    if np.any(a == 0.0):
-        raise ValueError("all data values a_i must be nonzero")
+    if not ((a != 0.0) & np.isfinite(a)).all():
+        raise ValueError(f"a must be nonzero and finite, got {a.tolist()}")
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     n = a.size
     m2 = float(np.mean(a**2))
 
@@ -214,15 +208,15 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
     def pred_grad(i, x):
         return np.array([a[i] * x[1], a[i] * x[0]])
 
-    key = ("scalar_factorization", tuple(a.tolist()), c)
-    if key not in _BETA_HINT_CACHE:
-        _BETA_HINT_CACHE[key] = _grid_spectral_sup(hess, 2, TEST_REGION_HALF_WIDTH)
+    # The Hessian's spectral norm grows with u^2, v^2 and |2uv - c|, so over
+    # [-w, w]^2 it peaks at the corner where uv = -sign(c) * w^2.
+    beta = 2.0 * m2 * (3.0 * TEST_REGION_HALF_WIDTH**2 + abs(c))
     base = Objective(
         dim=2,
         value=value,
         grad=grad,
         hess=hess,
-        lipschitz_grad_hint=_BETA_HINT_CACHE[key],
+        lipschitz_grad_hint=beta,
         value_many=value_many,
         grad_many=grad_many,
         normalized_trace_grad=trace_grad,
@@ -246,13 +240,16 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
     x* (so <e_i, x*>^2 = 2*y_i) the prediction gradients are mutually
     orthogonal and the full Hessian is (1/n) sum_i 2*y_i e_i e_i^T.
     """
+    for name, k in (("d", d), ("n", n)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {k!r}")
     y = np.asarray(y, dtype=float)
     if not (1 <= n <= d):
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     if y.shape != (n,):
         raise ValueError(f"y must have length n={n}, got shape {y.shape}")
-    if np.any(y <= 0.0):
-        raise ValueError("labels y_i must be positive")
+    if not ((y > 0.0) & np.isfinite(y)).all():
+        raise ValueError(f"y must be positive and finite, got {y.tolist()}")
 
     def preds(x):
         return 0.5 * np.asarray(x[:n], dtype=float) ** 2
@@ -330,23 +327,30 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
 
 
 _BUILDERS = {
-    "hyperbola": lambda p: build_hyperbola(),
-    "convex_quadratic": lambda p: build_convex_quadratic(p["eigenvalues"]),
-    "scalar_factorization": lambda p: build_scalar_factorization(p["a"], p["c"]),
-    "orthogonal_quadratic_model": lambda p: build_orthogonal_quadratic_model(
-        int(p["d"]), int(p["n"]), p["y"]
-    ),
+    "hyperbola": build_hyperbola,
+    "convex_quadratic": build_convex_quadratic,
+    "scalar_factorization": build_scalar_factorization,
+    "orthogonal_quadratic_model": build_orthogonal_quadratic_model,
 }
 
 
 def build_landscape(spec: LandscapeSpec):
-    """Construct the Objective / SampleSumObjective described by ``spec``."""
+    """Construct the Objective / SampleSumObjective described by ``spec``.
+
+    ``spec.params`` must name exactly the builder's parameters.
+    """
     if spec.kind not in _BUILDERS:
         raise ValueError(f"unknown landscape kind {spec.kind!r}; known: {sorted(_BUILDERS)}")
+    builder = _BUILDERS[spec.kind]
+    names = list(inspect.signature(builder).parameters)
+    missing = [k for k in names if k not in spec.params]
+    if missing:
+        raise ValueError(f"landscape {spec.kind!r} missing parameter {', '.join(map(repr, missing))}")
+    unknown = sorted(set(spec.params) - set(names))
+    if unknown:
+        raise ValueError(f"landscape {spec.kind!r} has unknown parameters {unknown}; known: {names}")
     try:
-        return _BUILDERS[spec.kind](spec.params)
-    except KeyError as exc:
-        raise ValueError(f"landscape {spec.kind!r} missing parameter {exc}") from None
+        return builder(**spec.params)
     except TypeError as exc:
         raise ValueError(f"landscape {spec.kind!r} has a parameter of the wrong type: {exc}") from None
 

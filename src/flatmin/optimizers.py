@@ -89,9 +89,7 @@ class Schedule:
             raise ValueError("schedule needs at least one step")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["constants"] = asdict(self.constants)
-        return out
+        return asdict(self)
 
 
 def rs_schedule(
@@ -321,19 +319,7 @@ class Trajectory:
             "n_gd": self.n_gd,
             "descent_violations": self.descent_violations,
             "descent_max_slack": self.descent_max_slack_json,
-            "records": [
-                {
-                    "t": r.t,
-                    "branch": r.branch,
-                    "f": r.f,
-                    "grad_norm": r.grad_norm,
-                    "v_norm": r.v_norm,
-                    "tr_phi": r.tr_phi,
-                    "f_after": r.f_after,
-                    "x": list(r.x) if r.x is not None else None,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
 
 
@@ -343,7 +329,7 @@ def _fmt(v: float | None) -> str:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Stable CSV rendering: t,branch,f,grad_norm,v_norm,tr_phi[,x0..x{d-1}]."""
-    with_x = traj.records and traj.records[0].x is not None and len(traj.records[0].x) <= 8
+    with_x = traj.records and traj.records[0].x is not None
     header = "t,branch,f,grad_norm,v_norm,tr_phi"
     if with_x:
         header += "," + ",".join(f"x{j}" for j in range(len(traj.records[0].x)))
@@ -368,7 +354,6 @@ def run(
     log_cadence: int | None = None,
     tr_cadence: int | None = None,
     flow_cfg: FlowConfig = DEFAULT_FLOW,
-    keep_x: bool | None = None,
 ) -> Trajectory:
     """Execute ``sched.steps`` steps of the chosen algorithm from ``x0``.
 
@@ -376,7 +361,8 @@ def run(
     (never for GD); otherwise a plain descent step with ``sched.eta_prime``
     is taken. Records are appended every ``log_cadence`` steps with the
     trace-at-flow-limit column filled every ``tr_cadence`` steps, plus a
-    terminal record. The returned-iterate index is drawn uniformly from
+    terminal record; records carry the iterate ``x`` when the dimension is
+    at most 8. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
 
     RS takes its sphere directions from ``rng`` in blocks (the same vectors
@@ -398,8 +384,7 @@ def run(
         log_cadence = max(1, T // 200)
     if tr_cadence is None:
         tr_cadence = max(1, T // 200)
-    if keep_x is None:
-        keep_x = base.dim <= 8
+    keep_x = base.dim <= 8
     jitter = sched.jitter if sched.jitter is not None else 1e-12
 
     returned_index = rng.integers(1, T + 1)
@@ -414,58 +399,60 @@ def run(
     half_eta = 0.5 * eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * eta**2
 
-    fval = float(base.value(x))
-    g = base.grad(x)
-    for t in range(T):
-        gn = math.sqrt(float(g @ g))
-        snapshot = None
-        if t % log_cadence == 0:
-            snapshot = (fval, gn)
-        perturbed = perturbs and gn <= eps0
-        if perturbed:
-            if directions is not None:
-                v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
-            else:
-                v, v_norm, *_ = _sa_perturbation(ss, x, g, gn, rho, jitter, rng)
-            x_next = x - eta * (g + v)
-            n_perturbed += 1
-            branch = "perturbed"
-        else:
-            x_next = x - eta_prime * g
-            v_norm = None
-            n_gd += 1
-            branch = "gd"
-        f_next = float(base.value(x_next))
-        if not (math.isfinite(f_next) and np.isfinite(x_next).all()):
-            raise DivergenceError(
-                f"divergence at step {t}",
-                IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
-            )
-        if perturbed:
-            slack = f_next - (fval - half_eta * gn * gn + half_beta_eta_sq * v_norm * v_norm)
-            if slack > max_slack:
-                max_slack = slack
-            if slack > DESCENT_SLACK:
-                violations += 1
-        if snapshot is not None:
-            tr = trace_at_flow_limit(base, x, flow_cfg) if t % tr_cadence == 0 else None
-            records.append(
-                IterateRecord(
-                    t,
-                    branch,
-                    snapshot[0],
-                    snapshot[1],
-                    v_norm,
-                    tr,
-                    f_next,
-                    tuple(map(float, x)) if keep_x else None,
-                )
-            )
-        if t + 1 == returned_index:
-            returned_x = x_next.copy()
-        x = x_next
-        fval = f_next
+    # A diverging run overflows before the finite checks below report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fval = float(base.value(x))
         g = base.grad(x)
+        for t in range(T):
+            gn = math.sqrt(float(g @ g))
+            snapshot = None
+            if t % log_cadence == 0:
+                snapshot = (fval, gn)
+            perturbed = perturbs and gn <= eps0
+            if perturbed:
+                if directions is not None:
+                    v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
+                else:
+                    v, v_norm, *_ = _sa_perturbation(ss, x, g, gn, rho, jitter, rng)
+                x_next = x - eta * (g + v)
+                n_perturbed += 1
+                branch = "perturbed"
+            else:
+                x_next = x - eta_prime * g
+                v_norm = None
+                n_gd += 1
+                branch = "gd"
+            f_next = float(base.value(x_next))
+            if not (math.isfinite(f_next) and np.isfinite(x_next).all()):
+                raise DivergenceError(
+                    f"divergence at step {t}",
+                    IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
+                )
+            if perturbed:
+                slack = f_next - (fval - half_eta * gn * gn + half_beta_eta_sq * v_norm * v_norm)
+                if slack > max_slack:
+                    max_slack = slack
+                if slack > DESCENT_SLACK:
+                    violations += 1
+            if snapshot is not None:
+                tr = trace_at_flow_limit(base, x, flow_cfg) if t % tr_cadence == 0 else None
+                records.append(
+                    IterateRecord(
+                        t,
+                        branch,
+                        snapshot[0],
+                        snapshot[1],
+                        v_norm,
+                        tr,
+                        f_next,
+                        tuple(map(float, x)) if keep_x else None,
+                    )
+                )
+            if t + 1 == returned_index:
+                returned_x = x_next.copy()
+            x = x_next
+            fval = f_next
+            g = base.grad(x)
 
     gn = math.sqrt(float(g @ g))
     branch = "gd" if (algorithm == "GD" or gn > sched.eps0) else "perturbed"

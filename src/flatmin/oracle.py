@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import RngStream, U_TOL, fd_gradient, normalized_trace, sample_sphere_batch
+from .geometry import RngStream, U_TOL, normalized_trace, sample_sphere_batch
 from .objectives import SampleSumObjective, base_of
 from .flow import FlowConfig, DEFAULT_FLOW, gradient_flow_limit
 from .optimizers import DESCENT_SLACK, Trajectory
@@ -91,24 +91,6 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream, n_sigma: float 
     )
 
 
-def _grad_batch(base, X: np.ndarray) -> np.ndarray:
-    if base.grad_many is not None:
-        return base.grad_many(X)
-    return np.stack([base.grad(row) for row in X])
-
-
-def _value_batch(base, X: np.ndarray) -> np.ndarray:
-    if base.value_many is not None:
-        return np.asarray(base.value_many(X), dtype=float)
-    return np.array([base.value(row) for row in X])
-
-
-def _reference_trace_grad(base, x: np.ndarray) -> np.ndarray:
-    if base.normalized_trace_grad is not None:
-        return np.asarray(base.normalized_trace_grad(x), dtype=float)
-    return fd_gradient(lambda p: normalized_trace(base, p), x, 1e-4)
-
-
 def check_rs_estimator(
     obj,
     x,
@@ -147,12 +129,12 @@ def check_rs_estimator(
     while done < n_pairs:
         m = min(CHUNK, n_pairs - done)
         G = sample_sphere_batch(d, m, rng)
-        total += project_rows(_grad_batch(base, x[None, :] + rho * G)).sum(axis=0)
-        total += project_rows(_grad_batch(base, x[None, :] - rho * G)).sum(axis=0)
+        total += project_rows(base.grad_many(x[None, :] + rho * G)).sum(axis=0)
+        total += project_rows(base.grad_many(x[None, :] - rho * G)).sum(axis=0)
         done += m
     measured = total / (2 * n_pairs)
 
-    ref_dir = _reference_trace_grad(base, x)
+    ref_dir = base.normalized_trace_grad(x)
     if uhat is not None:
         ref_dir = ref_dir - np.dot(ref_dir, uhat) * uhat
     reference = 0.5 * rho**2 * ref_dir
@@ -266,8 +248,8 @@ def check_sa_dfactor(
     while done < n_samples:
         m = min(CHUNK, n_samples - done)
         G = sample_sphere_batch(d, m, rng)
-        vp = _value_batch(base, x_star[None, :] + rho * G)
-        vm = _value_batch(base, x_star[None, :] - rho * G)
+        vp = base.value_many(x_star[None, :] + rho * G)
+        vm = base.value_many(x_star[None, :] - rho * G)
         total += float(np.sum(vp - 2.0 * f0 + vm))
         done += m
     measured_rs = total / (n_samples * rho**2)

@@ -81,9 +81,18 @@ class TestConfigParsing:
             ("certify", {"certify": {"eps": -1, "eps_prime": 0.5}}),
             ("constants.c_eta", {"constants": {"c_eta": -1.0}}),
             ("eps", {"eps": 1e-200}),
+            ("unknown parameters ['c']", {"landscape": {"kind": "hyperbola", "c": 5}}),
+            ("missing parameter 'c'", {"landscape": {"kind": "scalar_factorization", "a": [1.0]}}),
+            ("eigenvalues must", {"landscape": {"kind": "convex_quadratic", "eigenvalues": [float("nan"), 1.0]}}),
+            ("a must", {"landscape": {"kind": "scalar_factorization", "a": [float("nan")], "c": 1.0}}),
+            ("c must", {"landscape": {"kind": "scalar_factorization", "a": [1.0], "c": float("inf")}}),
+            ("y must", {"landscape": {"kind": "orthogonal_quadratic_model", "d": 2, "n": 1, "y": [float("nan")]}}),
+            ("d must", {"landscape": {"kind": "orthogonal_quadratic_model", "d": 2.0, "n": 1, "y": [0.5]}}),
         ],
         ids=["log_cadence-0", "tr_cadence-negative", "budget_cap-0", "unknown-key", "eps-string",
-             "seeds-scalar", "x0-dimension", "certify-eps-negative", "c_eta-negative", "eps-overflows-budget"],
+             "seeds-scalar", "x0-dimension", "certify-eps-negative", "c_eta-negative", "eps-overflows-budget",
+             "landscape-unknown-parameter", "landscape-missing-parameter", "eigenvalues-nan", "a-nan",
+             "c-inf", "y-nan", "d-float"],
     )
     def test_bad_run_config_is_usage_error_naming_key(self, tmp_path, capsys, key, overrides):
         path = write_config(tmp_path, tiny_run_config(**overrides))

@@ -35,10 +35,6 @@ class TestFlowConfig:
     def test_step_resolution(self):
         obj = build_hyperbola()
         assert FlowConfig().resolve_step(obj) == pytest.approx(0.5 / 56.0)
-        assert FlowConfig(step_size=0.01).resolve_step(obj) == 0.01
-        bare = dataclasses.replace(obj, lipschitz_grad_hint=None)
-        with pytest.raises(ValueError, match="Lipschitz hint"):
-            FlowConfig().resolve_step(bare)
 
 
 class TestGradientFlowLimit:

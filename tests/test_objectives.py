@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin import (
     LandscapeSpec,
@@ -14,8 +19,16 @@ from flatmin import (
     fd_gradient,
 )
 from flatmin.geometry import fd_jacobian
+from flatmin.objectives import TEST_REGION_HALF_WIDTH
 
 from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
+
+
+class TestObjectiveContract:
+    @pytest.mark.parametrize("hint", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_lipschitz_hint(self, hint):
+        with pytest.raises(ValueError, match="lipschitz_grad_hint"):
+            dataclasses.replace(build_hyperbola(), lipschitz_grad_hint=hint)
 
 
 class TestHyperbola:
@@ -100,6 +113,29 @@ class TestScalarFactorization:
         with pytest.raises(ValueError):
             build_scalar_factorization([1.0, 0.0], 1.0)
 
+    def test_lipschitz_hint_closed_form(self):
+        # 2 * mean(a^2) * (3 * w^2 + |c|) with w = 3.
+        assert build_scalar_factorization([1.0, 2.0], 1.0).base.lipschitz_grad_hint == 140.0
+        assert build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0).base.lipschitz_grad_hint == 80.36
+        assert build_scalar_factorization([1.0], -2.0).base.lipschitz_grad_hint == 58.0
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        a=st.lists(st.floats(-3.0, 3.0).filter(lambda t: abs(t) >= 0.05), min_size=1, max_size=4),
+        c=st.floats(-5.0, 5.0),
+        points=st.lists(
+            st.tuples(*[st.floats(-TEST_REGION_HALF_WIDTH, TEST_REGION_HALF_WIDTH)] * 2), min_size=1, max_size=20
+        ),
+    )
+    def test_lipschitz_hint_is_box_spectral_sup(self, a, c, points):
+        obj = build_scalar_factorization(a, c).base
+        hint = obj.lipschitz_grad_hint
+        for p in points:
+            assert np.abs(np.linalg.eigvalsh(obj.hess(np.array(p)))).max() <= hint * (1 + 1e-14)
+        w = TEST_REGION_HALF_WIDTH
+        corner = np.array([w, -w if c >= 0 else w])
+        assert np.abs(np.linalg.eigvalsh(obj.hess(corner))).max() == pytest.approx(hint, rel=1e-14)
+
 
 class TestOrthogonalQuadraticModel:
     def test_minimum_interpolates(self):
@@ -120,6 +156,10 @@ class TestOrthogonalQuadraticModel:
         assert np.linalg.norm(p0) > 0
 
     def test_invalid_construction_rejected(self):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            build_orthogonal_quadratic_model(3.0, 2, [1.0, 1.0])
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build_orthogonal_quadratic_model(3, True, [1.0])
         with pytest.raises(ValueError):
             build_orthogonal_quadratic_model(2, 3, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -227,6 +267,35 @@ class TestLandscapeSpec:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError, match="missing parameter"):
             build_landscape(LandscapeSpec("convex_quadratic", {}))
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("hyperbola", {"c": 5}),
+            ("convex_quadratic", {"eigenvalues": [1.0], "a": [1.0]}),
+            ("orthogonal_quadratic_model", {"d": 2, "n": 1, "y": [0.5], "a": []}),
+        ],
+    )
+    def test_unknown_parameter_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="unknown parameters"):
+            build_landscape(LandscapeSpec(kind, params))
+
+    @pytest.mark.parametrize(
+        "kind,params,name",
+        [
+            ("convex_quadratic", {"eigenvalues": [math.nan, 1.0]}, "eigenvalues"),
+            ("convex_quadratic", {"eigenvalues": [math.inf, 1.0]}, "eigenvalues"),
+            ("scalar_factorization", {"a": [math.nan], "c": 1.0}, "a"),
+            ("scalar_factorization", {"a": [1.0, -math.inf], "c": 1.0}, "a"),
+            ("scalar_factorization", {"a": [1.0], "c": math.nan}, "c"),
+            ("scalar_factorization", {"a": [1.0], "c": math.inf}, "c"),
+            ("orthogonal_quadratic_model", {"d": 2, "n": 1, "y": [math.nan]}, "y"),
+            ("orthogonal_quadratic_model", {"d": 2, "n": 1, "y": [math.inf]}, "y"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            build_landscape(LandscapeSpec(kind, params))
 
     def test_mistyped_parameter_rejected(self):
         with pytest.raises(ValueError, match="wrong type"):

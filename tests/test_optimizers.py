@@ -396,7 +396,7 @@ class TestRunMatchesPublicSteps:
         obj = build_hyperbola()
         sched = Schedule(eta=5e-3, eta_prime=1.0 / 56, rho=0.05, eps0=2e-3, steps=1500, beta_hat=56.0)
         x0 = np.array([1.5, 1 / 1.5])
-        traj = run(obj, "RS", x0, sched, RngStream(2), log_cadence=1, keep_x=True)
+        traj = run(obj, "RS", x0, sched, RngStream(2), log_cadence=1)
         # Crosses a block boundary and mixes both branches.
         assert traj.n_perturbed > SPHERE_BLOCK and traj.n_gd > 0
         expected = _hand_loop(
@@ -413,7 +413,7 @@ class TestRunMatchesPublicSteps:
             eta=5e-3, eta_prime=0.05, rho=0.1, eps0=1e-3, steps=1500, beta_hat=6.5, jitter=1e-9
         )
         x0 = canonical_minimum(spec)
-        traj = run(ss, "SA", x0, sched, RngStream(0), log_cadence=1, keep_x=True)
+        traj = run(ss, "SA", x0, sched, RngStream(0), log_cadence=1)
         assert traj.n_perturbed > 0 and traj.n_gd > 0
         expected = _hand_loop(
             ss, x0, sched, 0, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, sched.jitter, rng)
