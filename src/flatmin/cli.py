@@ -109,6 +109,9 @@ def _algorithm(key: str, value) -> str:
 
 def _landscape(key: str, value) -> LandscapeSpec:
     data = _object(key, value)
+    for name, param in data.items():
+        if name != "kind" and not (_real(param) or (isinstance(param, list) and all(map(_real, param)))):
+            raise ConfigError(f"{key}.{name} must be a number or a list of numbers, got {param!r}")
     try:
         return LandscapeSpec.from_dict(data)
     except ValueError as exc:
@@ -260,10 +263,12 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 
 def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
-    """Fan the config's seeds out to workers and write the joined summary."""
+    """Fan the config's seeds out to at most ``threads`` worker processes and write the joined summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # The pool starts all its workers up front; one per seed is the most that can work.
+    workers = min(threads, len(cfg.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one_seed, cfg, s, out_dir) for s in cfg.seeds]
             entries = [f.result() for f in futures]
     else:
@@ -287,6 +292,7 @@ def _usage_error(exc: ConfigError) -> int:
 
 def cmd_run(args) -> int:
     try:
+        _count("--threads", args.threads)
         cfg = ExperimentConfig.from_dict(read_json(args.config))
         if args.seed is not None:
             cfg.seeds = _seeds("--seed", [args.seed])
@@ -298,7 +304,8 @@ def cmd_run(args) -> int:
     return code
 
 
-def _expand_sweep(data: dict) -> list[dict]:
+def _expand_sweep(data: dict) -> list[tuple[str, dict]]:
+    """``(label, config)`` for each combination of the ``sweep`` block's values."""
     sweep = data.pop("sweep")
     if not (isinstance(sweep, dict) and sweep and all(isinstance(v, list) and v for v in sweep.values())):
         raise ConfigError(f"sweep must map keys to nonempty lists of values, got {sweep!r}")
@@ -316,19 +323,18 @@ def _expand_sweep(data: dict) -> list[dict]:
                     raise ConfigError(f"sweep key {key!r}: {part!r} is not a JSON object")
             target[parts[-1]] = value
             label.append(f"{parts[-1]}={value}")
-        combo["_label"] = "_".join(label)
-        combos.append(combo)
+        combos.append(("_".join(label), combo))
     return combos
 
 
 def cmd_sweep(args) -> int:
     try:
+        _count("--threads", args.threads)
         data = _object("config", read_json(args.config))
         if "sweep" not in data:
             raise ConfigError("sweep command needs a 'sweep' block")
         combos = []
-        for combo in _expand_sweep(data):
-            label = combo.pop("_label")
+        for label, combo in _expand_sweep(data):
             try:
                 combos.append((label, ExperimentConfig.from_dict(combo)))
             except ConfigError as exc:
@@ -481,13 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the experiment JSON config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="run only this seed, overriding the config list")
-    p_run.add_argument("--threads", type=int, default=1, help="seed worker processes")
+    p_run.add_argument("--threads", type=int, default=1, help="seed worker processes (at most one per seed)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="cartesian product over listed parameter values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=int, default=1, help="seed worker processes per combination")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cert = sub.add_parser("certify", help="flatness certificate for a point")

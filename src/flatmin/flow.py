@@ -66,6 +66,9 @@ ACCURATE_FLOW = FlowConfig(grad_tol=3e-13, step_fraction=0.05)
 #: resolution at this step size; it is still far below any comparison scale.)
 REFERENCE_FLOW = FlowConfig(grad_tol=1e-12, step_fraction=0.005)
 
+#: Central-difference step of the certifier's restricted trace gradient.
+TRACE_FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class FlatnessCertificate:
@@ -137,31 +140,20 @@ def trace_at_flow_limit(obj, x: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> f
     return normalized_trace(base, gradient_flow_limit(base, x, cfg))
 
 
-def restricted_trace_gradient(
-    obj, x_star: np.ndarray, h: float = 1e-4, cfg: FlowConfig = ORACLE_FLOW
-) -> np.ndarray:
+def restricted_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
     """Gradient of x -> normalized_trace(flow_limit(x)) at ``x_star``, by central FD.
 
-    ``x_star`` should already be within gradient tolerance of the minima set;
-    the 2*dim flow probes then stay in the flow-convergent neighborhood. Flow
-    failures at any probe propagate.
+    The probes step ``TRACE_FD_STEP`` along each axis and land with
+    ``ORACLE_FLOW``. ``x_star`` should already be within gradient tolerance
+    of the minima set; the 2*dim flow probes then stay in the
+    flow-convergent neighborhood. Flow failures at any probe propagate.
     """
     base = base_of(obj)
-
-    def composed(p):
-        return trace_at_flow_limit(base, p, cfg)
-
-    return fd_gradient(composed, np.asarray(x_star, dtype=float), h)
+    x_star = np.asarray(x_star, dtype=float)
+    return fd_gradient(lambda p: trace_at_flow_limit(base, p, ORACLE_FLOW), x_star, TRACE_FD_STEP)
 
 
-def certify_flat(
-    obj,
-    x: np.ndarray,
-    eps: float,
-    eps_prime: float,
-    cfg: FlowConfig = DEFAULT_FLOW,
-    fd_step: float = 1e-4,
-) -> FlatnessCertificate:
+def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCertificate:
     """Check the two-inequality approximate-flatness condition at ``x``.
 
     Computes the flow landing point, the distance to it, and the norm of the
@@ -171,9 +163,9 @@ def certify_flat(
         raise ValueError("eps and eps_prime must be positive")
     base = base_of(obj)
     x = np.asarray(x, dtype=float)
-    phi_x = gradient_flow_limit(base, x, cfg)
+    phi_x = gradient_flow_limit(base, x)
     dist = float(np.linalg.norm(x - phi_x))
-    flat_grad = restricted_trace_gradient(base, phi_x, h=fd_step, cfg=ORACLE_FLOW)
+    flat_grad = restricted_trace_gradient(base, phi_x)
     flat_grad_norm = float(np.linalg.norm(flat_grad))
     return FlatnessCertificate(
         x=[float(v) for v in x],

@@ -61,27 +61,27 @@ class RngStream:
         return 1.0 if self.generator.integers(0, 2) == 1 else -1.0
 
 
-def proj_out(u: np.ndarray, v: np.ndarray, u_tol: float = U_TOL) -> np.ndarray:
+def proj_out(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Remove from ``v`` its component along ``u``.
 
-    Returns ``v`` unchanged when ``norm(u) <= u_tol`` (degenerate direction).
+    Returns ``v`` unchanged when ``norm(u) <= U_TOL`` (degenerate direction).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = float(np.linalg.norm(u))
-    if nu <= u_tol:
+    if nu <= U_TOL:
         return v.copy()
-    return proj_out_normed(u, nu, v, u_tol)
+    return proj_out_normed(u, nu, v)
 
 
-def proj_out_normed(u: np.ndarray, nu: float, v: np.ndarray, u_tol: float = U_TOL) -> np.ndarray:
+def proj_out_normed(u: np.ndarray, nu: float, v: np.ndarray) -> np.ndarray:
     """``proj_out(u, v)`` given ``nu = norm(u)``, without input checks.
 
-    Returns ``v`` itself, not a copy, when ``nu <= u_tol``.
+    Returns ``v`` itself, not a copy, when ``nu <= U_TOL``.
     """
-    if nu <= u_tol:
+    if nu <= U_TOL:
         return v
     uhat = u / nu
     return v - np.dot(uhat, v) * uhat
@@ -89,49 +89,37 @@ def proj_out_normed(u: np.ndarray, nu: float, v: np.ndarray, u_tol: float = U_TO
 
 def sample_sphere(d: int, rng: RngStream) -> np.ndarray:
     """Uniform draw from the unit sphere in R^d (normalized Gaussian)."""
-    if d < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    while True:
-        g = rng.normal(d)
-        n = float(np.linalg.norm(g))
-        if n > 0.0:
-            return g / n
+    return sample_sphere_batch(d, 1, rng)[0]
 
 
 def sample_sphere_batch(d: int, m: int, rng: RngStream) -> np.ndarray:
-    """(m, d) array of independent uniform unit vectors.
+    """(m, d) array of independent uniform unit vectors: normalized Gaussian rows.
 
-    Row k is the k-th of m successive ``sample_sphere(d, rng)`` draws, and
-    ``rng`` ends in the same state.
+    A zero row has no direction; it is dropped and a fresh row is drawn after
+    the others, so row k is the k-th of m successive ``sample_sphere(d, rng)``
+    draws and ``rng`` ends in the same state. Each norm is ``sqrt(vecdot)``,
+    which tests check equals ``np.linalg.norm`` of the row bit for bit
+    (``norm(axis=1)`` differs in the last bit).
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    U = _unit_rows(rng.normal((m, d)))
-    while len(U) < m:
-        U = np.concatenate([U, _unit_rows(rng.normal((m - len(U), d)))])
-    return U
+    G = rng.normal((m, d))
+    while True:
+        n = np.sqrt(np.vecdot(G, G))
+        if n.all():
+            return G / n[:, None]
+        kept = G[n > 0.0]
+        G = np.concatenate([kept, rng.normal((m - len(kept), d))])
 
 
 def sphere_directions(d: int, rng: RngStream) -> Iterator[np.ndarray]:
     """Endless uniform unit vectors in R^d, drawn ``SPHERE_BLOCK`` at a time.
 
     Yields the vectors of successive ``sample_sphere(d, rng)`` calls, but
-    advances ``rng`` by whole blocks.
+    draws from ``rng`` a block at a time.
     """
     while True:
-        yield from _unit_rows(rng.normal((SPHERE_BLOCK, d)))
-
-
-def _unit_rows(G: np.ndarray) -> np.ndarray:
-    """Rows of ``G`` scaled to unit norm, zero rows dropped as ``sample_sphere`` redraws them.
-
-    Each norm is ``sqrt(vecdot)``, which tests check equals ``np.linalg.norm``
-    of the row bit for bit (``norm(axis=1)`` differs in the last bit).
-    """
-    n = np.sqrt(np.vecdot(G, G))
-    if not n.all():
-        G, n = G[n > 0.0], n[n > 0.0]
-    return G / n[:, None]
+        yield from sample_sphere_batch(d, SPHERE_BLOCK, rng)
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:

@@ -169,7 +169,14 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     n = a.size
-    m2 = float(np.mean(a**2))
+    # The Hessian's spectral norm grows with u^2, v^2 and |2uv - c|, so over
+    # [-w, w]^2 it peaks at the corner where uv = -sign(c) * w^2. Huge finite
+    # a or c overflow it; that is reported below, not warned about.
+    with np.errstate(over="ignore"):
+        m2 = float(np.mean(a**2))
+        beta = 2.0 * m2 * (3.0 * TEST_REGION_HALF_WIDTH**2 + abs(c))
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"a and c must give a positive finite Lipschitz hint, got {beta}")
 
     def value(x):
         return m2 * float((x[0] * x[1] - c) ** 2)
@@ -208,9 +215,6 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
     def pred_grad(i, x):
         return np.array([a[i] * x[1], a[i] * x[0]])
 
-    # The Hessian's spectral norm grows with u^2, v^2 and |2uv - c|, so over
-    # [-w, w]^2 it peaks at the corner where uv = -sign(c) * w^2.
-    beta = 2.0 * m2 * (3.0 * TEST_REGION_HALF_WIDTH**2 + abs(c))
     base = Objective(
         dim=2,
         value=value,

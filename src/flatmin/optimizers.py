@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import RngStream, proj_out_normed, sample_sphere, sphere_directions
 from .objectives import Objective, SampleSumObjective, base_of
-from .flow import FlowConfig, DEFAULT_FLOW, gradient_flow_limit, trace_at_flow_limit
+from .flow import gradient_flow_limit, trace_at_flow_limit
 
 #: Additive slack allowed when checking the per-step descent inequality.
 DESCENT_SLACK = 1e-12
@@ -30,6 +30,9 @@ DEFAULT_BUDGET_CAP = 1_000_000
 
 #: Per-sample gradients below this norm take the jittered-direction path.
 SAMPLE_GRAD_TOL = 1e-12
+
+#: Jittered per-sample gradient probes before SA gives up on a sample.
+JITTER_RETRIES = 8
 
 
 class DivergenceError(RuntimeError):
@@ -193,7 +196,6 @@ def _sa_perturbation(
     rho: float,
     jitter: float,
     rng: RngStream,
-    retries: int = 8,
 ) -> tuple[np.ndarray, float, int, float, np.ndarray]:
     """SA perturbation and its draws ``(v, |v|, sample_index, sigma, direction)``; ``gn = |g|``."""
     i = rng.integers(0, obj.n)
@@ -201,14 +203,14 @@ def _sa_perturbation(
     gi = obj.sample_grad(i, x)
     ngi = math.sqrt(float(gi @ gi))
     if ngi <= SAMPLE_GRAD_TOL:
-        for _ in range(retries):
+        for _ in range(JITTER_RETRIES):
             gi = obj.sample_grad(i, x + jitter * sample_sphere(obj.dim, rng))
             ngi = math.sqrt(float(gi @ gi))
             if ngi > SAMPLE_GRAD_TOL:
                 break
         else:
             raise DegenerateSampleError(
-                f"sample {i} gradient vanished after {retries} jittered probes (jitter={jitter})"
+                f"sample {i} gradient vanished after {JITTER_RETRIES} jittered probes (jitter={jitter})"
             )
     direction = gi / ngi
     v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
@@ -353,7 +355,6 @@ def run(
     rng: RngStream,
     log_cadence: int | None = None,
     tr_cadence: int | None = None,
-    flow_cfg: FlowConfig = DEFAULT_FLOW,
 ) -> Trajectory:
     """Execute ``sched.steps`` steps of the chosen algorithm from ``x0``.
 
@@ -435,7 +436,7 @@ def run(
                 if slack > DESCENT_SLACK:
                     violations += 1
             if snapshot is not None:
-                tr = trace_at_flow_limit(base, x, flow_cfg) if t % tr_cadence == 0 else None
+                tr = trace_at_flow_limit(base, x) if t % tr_cadence == 0 else None
                 records.append(
                     IterateRecord(
                         t,
@@ -463,7 +464,7 @@ def run(
             fval,
             gn,
             None,
-            trace_at_flow_limit(base, x, flow_cfg),
+            trace_at_flow_limit(base, x),
             None,
             tuple(map(float, x)) if keep_x else None,
         )
@@ -490,11 +491,9 @@ def refine(
     x,
     eps: float,
     beta_hat: float,
-    step_scale: float = 1.0,
     budget: int | None = None,
-    flow_cfg: FlowConfig = DEFAULT_FLOW,
 ) -> np.ndarray:
-    """Plain-GD refinement toward the minima set with step of order ``eps``.
+    """Plain-GD refinement toward the minima set with step ``min(eps, 0.5 / beta_hat)``.
 
     Runs gradient descent until the flow-verified distance to the landing
     point drops below eps/2, within a budget of order eps^-1 * log(1/eps).
@@ -508,7 +507,7 @@ def refine(
     gn = float(np.linalg.norm(g))
     if gn <= 1e-12:
         return x
-    eta = min(step_scale * eps, 0.5 / beta_hat)
+    eta = min(eps, 0.5 / beta_hat)
     if budget is None:
         budget = int(math.ceil(20.0 / eps * max(1.0, math.log(1.0 / eps))))
     gate = 0.5 * beta_hat * eps
@@ -519,7 +518,7 @@ def refine(
             since_check += 1
             if since_check >= check_every:
                 since_check = 0
-                phi = gradient_flow_limit(base, x, flow_cfg)
+                phi = gradient_flow_limit(base, x)
                 if float(np.linalg.norm(x - phi)) <= 0.5 * eps:
                     return x
         x = x - eta * g
@@ -527,7 +526,7 @@ def refine(
         gn = float(np.linalg.norm(g))
         if not math.isfinite(gn):
             raise DivergenceError(f"non-finite gradient during refinement at {x.tolist()}")
-    phi = gradient_flow_limit(base, x, flow_cfg)
+    phi = gradient_flow_limit(base, x)
     if float(np.linalg.norm(x - phi)) <= 0.5 * eps:
         return x
     raise RefinementError(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import RngStream, U_TOL, normalized_trace, sample_sphere_batch
 from .objectives import SampleSumObjective, base_of
-from .flow import FlowConfig, DEFAULT_FLOW, gradient_flow_limit
+from .flow import gradient_flow_limit
 from .optimizers import DESCENT_SLACK, Trajectory
 
 #: Fixed Monte-Carlo chunk size; reduction order must not depend on platform.
@@ -26,6 +26,17 @@ CHUNK = 65536
 
 #: Standard errors allowed before a CLT-scaled check fails.
 CLT_SIGMAS = 4.0
+
+#: Relative tolerance of the estimator-mean and dimension-factor checks.
+REL_TOL = 0.1
+
+#: The estimator check's absolute floor is this multiple of rho^3, the order
+#: of the remainder beyond the 0.5*rho^2 law.
+RHO3_FLOOR = 1.0
+
+#: Least shrink of the estimator remainder when the radius halves (the law
+#: predicts 4).
+DECAY_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -50,12 +61,12 @@ class OracleReport:
         return asdict(self)
 
 
-def check_sphere_moments(d: int, n_samples: int, rng: RngStream, n_sigma: float = CLT_SIGMAS) -> OracleReport:
+def check_sphere_moments(d: int, n_samples: int, rng: RngStream) -> OracleReport:
     """First and second moments of the uniform sphere sampler.
 
     The mean should vanish and the second moment should equal I/d; both are
     compared against exact CLT scales (per-coordinate variance 1/d, fourth
-    moment 3/(d(d+2))) at ``n_sigma`` standard errors.
+    moment 3/(d(d+2))) at ``CLT_SIGMAS`` standard errors.
     """
     if n_samples < 10_000:
         raise ValueError(f"need at least 1e4 samples, got {n_samples}")
@@ -76,8 +87,8 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream, n_sigma: float 
     sigma_mean = math.sqrt(1.0 / (d * n_samples))
     # E||mean(gg^T) - I/d||_F^2 = (1 - 1/d)/N from the exact sphere moments.
     rms_fro = math.sqrt(max(1.0 - 1.0 / d, 0.0) / n_samples)
-    tol_mean = n_sigma * sigma_mean
-    tol_fro = n_sigma * rms_fro if rms_fro > 0 else 10 * np.finfo(float).eps
+    tol_mean = CLT_SIGMAS * sigma_mean
+    tol_fro = CLT_SIGMAS * rms_fro if rms_fro > 0 else 10 * np.finfo(float).eps
     rel_error = max(mean_inf / tol_mean, fro_dev / tol_fro)
     return OracleReport(
         name="sphere-moments",
@@ -91,23 +102,15 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream, n_sigma: float 
     )
 
 
-def check_rs_estimator(
-    obj,
-    x,
-    rho: float,
-    n_samples: int,
-    rng: RngStream,
-    rel_tol: float = 0.1,
-    abs_coeff: float = 1.0,
-) -> OracleReport:
+def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> OracleReport:
     """Leading-order mean of the smoothed perturbation direction.
 
     Averages v = proj_out(grad f(x + rho*g)) over antithetic sphere pairs
     (g, -g) - each marginally uniform, the pairing cancels the odd Taylor
     terms that otherwise dominate the Monte-Carlo variance - and compares
     against 0.5 * rho^2 * proj_out(grad of the normalized trace). Per
-    component the deviation must stay within max(rel_tol * |ref|,
-    abs_coeff * rho^3).
+    component the deviation must stay within max(REL_TOL * |ref|,
+    RHO3_FLOOR * rho^3).
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -139,8 +142,8 @@ def check_rs_estimator(
         ref_dir = ref_dir - np.dot(ref_dir, uhat) * uhat
     reference = 0.5 * rho**2 * ref_dir
 
-    abs_tol = abs_coeff * rho**3
-    denom = np.maximum(np.abs(reference), abs_tol / rel_tol)
+    abs_tol = RHO3_FLOOR * rho**3
+    denom = np.maximum(np.abs(reference), abs_tol / REL_TOL)
     rel_error = float(np.max(np.abs(measured - reference) / denom))
     return OracleReport(
         name="rs-estimator",
@@ -148,8 +151,8 @@ def check_rs_estimator(
         measured=measured.tolist(),
         reference=reference.tolist(),
         rel_error=rel_error,
-        tolerance=rel_tol,
-        passed=bool(rel_error <= rel_tol),
+        tolerance=REL_TOL,
+        passed=bool(rel_error <= REL_TOL),
         extras={
             "rho": rho,
             "abs_deviation": float(np.linalg.norm(measured - reference)),
@@ -158,20 +161,12 @@ def check_rs_estimator(
     )
 
 
-def check_rs_decay(
-    obj,
-    x,
-    rho_hi: float,
-    rho_lo: float,
-    n_samples: int,
-    seed: int,
-    min_factor: float = 3.0,
-) -> OracleReport:
+def check_rs_decay(obj, x, rho_hi: float, rho_lo: float, n_samples: int, seed: int) -> OracleReport:
     """Decay of the estimator remainder when the perturbation radius shrinks.
 
     Runs the estimator check at two radii with common random numbers (same
     seeded stream) and requires the absolute deviation from the
-    0.5*rho^2 law to shrink by at least ``min_factor`` (the remainder scales
+    0.5*rho^2 law to shrink by at least ``DECAY_FACTOR`` (the remainder scales
     one power of rho faster than the law itself, giving a factor of
     (rho_hi/rho_lo)^2 = 4 at the default halving).
     """
@@ -182,7 +177,7 @@ def check_rs_decay(
     dev_hi = rep_hi.extras["abs_deviation"]
     dev_lo = rep_lo.extras["abs_deviation"]
     ratio = dev_hi / dev_lo if dev_lo > 0 else math.inf
-    rel_error = min_factor / ratio if ratio > 0 else math.inf
+    rel_error = DECAY_FACTOR / ratio if ratio > 0 else math.inf
     return OracleReport(
         name="rs-decay",
         n_samples=n_samples,
@@ -190,26 +185,19 @@ def check_rs_decay(
         reference=(rho_hi / rho_lo) ** 2,
         rel_error=rel_error,
         tolerance=1.0,
-        passed=bool(ratio >= min_factor),
+        passed=bool(ratio >= DECAY_FACTOR),
         extras={"dev_hi": dev_hi, "dev_lo": dev_lo, "rho_hi": rho_hi, "rho_lo": rho_lo},
     )
 
 
-def check_sa_dfactor(
-    obj: SampleSumObjective,
-    x_star,
-    rho: float,
-    n_samples: int,
-    rng: RngStream,
-    rel_tol: float = 0.1,
-) -> OracleReport:
+def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int, rng: RngStream) -> OracleReport:
     """Dimension factor between the two curvature signals at a minimum.
 
     Measures the sharpness-aware signal (per-sample curvature along the
     normalized prediction gradient, averaged over sample draws) and the
     smoothed signal (full-loss curvature along uniform sphere directions),
     both via zeroth-order second differences of function values. Their ratio
-    must be the dimension within ``rel_tol``; the trace identity gives the
+    must be the dimension within ``REL_TOL``; the trace identity gives the
     analytic references d * tr_mean and tr_mean.
     """
     if not isinstance(obj, SampleSumObjective):
@@ -263,8 +251,8 @@ def check_sa_dfactor(
         measured=ratio,
         reference=float(d),
         rel_error=rel_error,
-        tolerance=rel_tol,
-        passed=bool(rel_error <= rel_tol),
+        tolerance=REL_TOL,
+        passed=bool(rel_error <= REL_TOL),
         extras={
             "measured_sa": measured_sa,
             "measured_rs": measured_rs,
@@ -312,13 +300,7 @@ class SampleRegion:
         return np.stack(points[:m])
 
 
-def estimate_pl_constants(
-    obj,
-    region,
-    m_samples: int = 200,
-    rng: RngStream | None = None,
-    flow_cfg: FlowConfig = DEFAULT_FLOW,
-) -> tuple[float, float]:
+def estimate_pl_constants(obj, region, m_samples: int = 200, rng: RngStream | None = None) -> tuple[float, float]:
     """Empirical local PL and gradient-Lipschitz constants near the minima set.
 
     alpha_hat is the smallest sampled value of ||grad f||^2 / (2 (f - f at
@@ -339,7 +321,7 @@ def estimate_pl_constants(
     beta_hat = 0.0
     used = 0
     for x in points:
-        phi = gradient_flow_limit(base, x, flow_cfg)
+        phi = gradient_flow_limit(base, x)
         gap = base.value(x) - base.value(phi)
         dist = float(np.linalg.norm(x - phi))
         if gap < 1e-14 or dist < 1e-14:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flatmin import RngStream, build_hyperbola, check_descent_lemma, rs_schedule, run
+from flatmin import cli
 from flatmin.cli import (
     EXIT_CERT_FAIL,
     EXIT_NUMERICAL,
@@ -37,6 +39,24 @@ def tiny_run_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that records its size and runs each task at once, in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -88,11 +108,20 @@ class TestConfigParsing:
             ("c must", {"landscape": {"kind": "scalar_factorization", "a": [1.0], "c": float("inf")}}),
             ("y must", {"landscape": {"kind": "orthogonal_quadratic_model", "d": 2, "n": 1, "y": [float("nan")]}}),
             ("d must", {"landscape": {"kind": "orthogonal_quadratic_model", "d": 2.0, "n": 1, "y": [0.5]}}),
+            ("landscape.a must be a number or a list of numbers",
+             {"landscape": {"kind": "scalar_factorization", "a": ["1", "2"], "c": 1.0}}),
+            ("landscape.c must be a number or a list of numbers",
+             {"landscape": {"kind": "scalar_factorization", "a": [1.0, 2.0], "c": True}}),
+            ("landscape.c must", {"landscape": {"kind": "scalar_factorization", "a": [1.0], "c": "1"}}),
+            ("landscape.y must", {"landscape": {"kind": "orthogonal_quadratic_model", "d": 2, "n": 1, "y": [True]}}),
+            ("landscape.d must", {"landscape": {"kind": "orthogonal_quadratic_model", "d": "2", "n": 1, "y": [0.5]}}),
+            ("landscape.eigenvalues must", {"landscape": {"kind": "convex_quadratic", "eigenvalues": [[1.0, 2.0]]}}),
         ],
         ids=["log_cadence-0", "tr_cadence-negative", "budget_cap-0", "unknown-key", "eps-string",
              "seeds-scalar", "x0-dimension", "certify-eps-negative", "c_eta-negative", "eps-overflows-budget",
              "landscape-unknown-parameter", "landscape-missing-parameter", "eigenvalues-nan", "a-nan",
-             "c-inf", "y-nan", "d-float"],
+             "c-inf", "y-nan", "d-float", "a-strings", "c-bool", "c-string", "y-bools", "d-string",
+             "eigenvalues-nested"],
     )
     def test_bad_run_config_is_usage_error_naming_key(self, tmp_path, capsys, key, overrides):
         path = write_config(tmp_path, tiny_run_config(**overrides))
@@ -262,6 +291,29 @@ class TestRunCommand:
         assert code == EXIT_OK
         for seed in (1, 2):
             assert (seq / f"seed_{seed}.csv").read_bytes() == (par / f"seed_{seed}.csv").read_bytes()
+
+    def test_worker_count_is_at_most_one_per_seed(self, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+        path = write_config(tmp_path, tiny_run_config())
+        code = main(["run", "--config", path, "--out", str(tmp_path / "two"), "--threads", "100000"])
+        assert code == EXIT_OK
+        code = main(["run", "--config", path, "--out", str(tmp_path / "one"), "--threads", "100000", "--seed", "3"])
+        assert code == EXIT_OK
+        assert sizes == [2]
+        assert (tmp_path / "one" / "seed_3.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, command, threads):
+        cfg = tiny_run_config()
+        if command == "sweep":
+            cfg["sweep"] = {"eps": [0.01]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out), "--threads", threads]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"config error: --threads must be an integer >= 1, got {threads}")
+        assert not out.exists()
 
     def test_certify_block_adds_certificates(self, tmp_path):
         cfg = tiny_run_config(certify={"eps": 0.05, "eps_prime": 0.5})
@@ -437,6 +489,15 @@ class TestSweepCommand:
         code = main(["sweep", "--config", path, "--out", str(out)])
         assert code == EXIT_USAGE
         assert "in combo eps=-1.0: eps must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_key_is_unknown_as_under_run(self, tmp_path, capsys):
+        cfg = tiny_run_config(budget_cap=100, seeds=[1], _label="junk")
+        cfg["sweep"] = {"eps": [0.01]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        assert "in combo eps=0.01: unknown config keys ['_label']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_requires_block(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin import (
     ACCURATE_FLOW,
@@ -11,6 +13,7 @@ from flatmin import (
     REFERENCE_FLOW,
     FlowConfig,
     FlowConvergenceError,
+    LandscapeSpec,
     build_convex_quadratic,
     build_hyperbola,
     certify_flat,
@@ -22,7 +25,7 @@ from flatmin import (
 )
 from flatmin.geometry import fd_jacobian
 
-from conftest import hyperbola_manifold_point, hyperbola_tube_region, near_manifold_points
+from conftest import base_objective, hyperbola_manifold_point, hyperbola_tube_region, near_manifold_points
 
 
 class TestFlowConfig:
@@ -101,6 +104,29 @@ class TestGradientFlowLimit:
         obj = build_hyperbola()
         with pytest.raises(FlowConvergenceError):
             gradient_flow_limit(obj, np.array([40.0, -40.0]))
+
+
+class TestLandingProperty:
+    @pytest.mark.parametrize("cfg", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LandscapeSpec("hyperbola"),
+            LandscapeSpec("scalar_factorization", {"a": [1.0, 0.7, 1.3, 1.6], "c": 1.0}),
+            LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]}),
+        ],
+        ids=["hyperbola", "factorization-n4", "orthogonal-model"],
+    )
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    def test_lands_within_grad_tol_or_raises(self, spec, cfg, coords):
+        obj = base_objective(spec)
+        x0 = np.array(coords[: obj.dim])
+        try:
+            x_hat = gradient_flow_limit(obj, x0, cfg)
+        except FlowConvergenceError:
+            return
+        assert np.linalg.norm(obj.grad(x_hat)) <= cfg.grad_tol
 
 
 class TestRestrictedTraceGradient:

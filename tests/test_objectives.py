@@ -291,6 +291,9 @@ class TestLandscapeSpec:
             ("scalar_factorization", {"a": [1.0], "c": math.inf}, "c"),
             ("orthogonal_quadratic_model", {"d": 2, "n": 1, "y": [math.nan]}, "y"),
             ("orthogonal_quadratic_model", {"d": 2, "n": 1, "y": [math.inf]}, "y"),
+            ("scalar_factorization", {"a": [1e200], "c": 1.0}, "a and c"),
+            ("scalar_factorization", {"a": [1e154, 1e154], "c": 1.0}, "a and c"),
+            ("scalar_factorization", {"a": [1.0], "c": 1e308}, "a and c"),
         ],
     )
     def test_non_finite_parameter_rejected(self, kind, params, name):
