@@ -10,7 +10,6 @@ identities behind them, and a batch experiment CLI.
 from .geometry import (
     RngStream,
     fd_gradient,
-    fd_jacobian,
     normalized_trace,
     proj_out,
     sample_sphere,
@@ -28,10 +27,8 @@ from .objectives import (
     canonical_minimum,
 )
 from .flow import (
-    ACCURATE_FLOW,
     DEFAULT_FLOW,
     ORACLE_FLOW,
-    REFERENCE_FLOW,
     FlatnessCertificate,
     FlowConfig,
     FlowConvergenceError,
@@ -44,11 +41,9 @@ from .optimizers import (
     DegenerateSampleError,
     DivergenceError,
     IterateRecord,
-    RefinementError,
     Schedule,
     ScheduleConstants,
     Trajectory,
-    refine,
     rs_schedule,
     rs_step,
     run,
@@ -70,7 +65,6 @@ from .oracle import (
 __all__ = [
     "RngStream",
     "fd_gradient",
-    "fd_jacobian",
     "normalized_trace",
     "proj_out",
     "sample_sphere",
@@ -84,10 +78,8 @@ __all__ = [
     "build_orthogonal_quadratic_model",
     "build_scalar_factorization",
     "canonical_minimum",
-    "ACCURATE_FLOW",
     "DEFAULT_FLOW",
     "ORACLE_FLOW",
-    "REFERENCE_FLOW",
     "FlatnessCertificate",
     "FlowConfig",
     "FlowConvergenceError",
@@ -98,11 +90,9 @@ __all__ = [
     "DegenerateSampleError",
     "DivergenceError",
     "IterateRecord",
-    "RefinementError",
     "Schedule",
     "ScheduleConstants",
     "Trajectory",
-    "refine",
     "rs_schedule",
     "rs_step",
     "run",

@@ -396,6 +396,17 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
 
+#: Least ``--n`` each verify check accepts; the last two do not read it.
+VERIFY_LEAST_N = {
+    "sphere-moments": 10_000,
+    "rs-estimator": 2,
+    "rs-decay": 2,
+    "sa-dfactor": 1,
+    "descent-lemma": 0,
+    "pl-constants": 0,
+}
+
+
 def _verify_checks(n_samples: int, seed: int) -> dict:
     hyperbola_spec = LandscapeSpec("hyperbola")
 
@@ -467,6 +478,11 @@ def cmd_verify(args) -> int:
         if unknown:
             print(f"unknown checks {unknown}; known: {sorted(checks)}", file=sys.stderr)
             return EXIT_USAGE
+    least, check = max((VERIFY_LEAST_N[c], c) for c in names)
+    if args.n < least:
+        return _usage_error(ConfigError(f"--n must be at least {least}, the least sample count of {check}; got {args.n}"))
+    if args.seed < 0:
+        return _usage_error(ConfigError(f"--seed must be an integer >= 0, got {args.seed}"))
     reports = [checks[name]() for name in names]
     width = max(len(r.name) for r in reports)
     for r in reports:

@@ -3,8 +3,8 @@
 The limit map sends a point to the landing point of the gradient flow
 x' = -grad f(x). It is discretized as fixed-step gradient descent (the
 landing point, not the path, is the target; local PL geometry makes the
-iteration contract geometrically). A tiny-step reference mode backs the
-brute-force oracles.
+iteration contract geometrically). A tight-tolerance mode backs the
+certifier's finite-difference probes.
 """
 
 from __future__ import annotations
@@ -57,15 +57,6 @@ DEFAULT_FLOW = FlowConfig()
 #: landing noise must sit far below the probe step squared.
 ORACLE_FLOW = FlowConfig(grad_tol=1e-13)
 
-#: Smaller-step mode for Jacobian probes of the limit map, where the
-#: fixed-step landing bias enters the derivative directly.
-ACCURATE_FLOW = FlowConfig(grad_tol=3e-13, step_fraction=0.05)
-
-#: Tiny-step reference integration, the independent oracle for landing points.
-#: (The looser tolerance keeps per-step movement above floating-point
-#: resolution at this step size; it is still far below any comparison scale.)
-REFERENCE_FLOW = FlowConfig(grad_tol=1e-12, step_fraction=0.005)
-
 #: Central-difference step of the certifier's restricted trace gradient.
 TRACE_FD_STEP = 1e-4
 
@@ -99,16 +90,16 @@ def gradient_flow_limit(obj, x0: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> 
     """
     obj = base_of(obj)
     x = np.array(x0, dtype=float)
-    g = obj.grad(x)
-    gn = math.sqrt(float(g @ g))
-    if not math.isfinite(gn):
-        raise FlowConvergenceError("non-finite gradient at start", x, gn, 0)
-    if gn <= cfg.grad_tol:
-        return x
-    h = cfg.resolve_step(obj)
-    # Overflow during a diverging run is detected and reported; keep it quiet.
+    # Overflow, at the start or during a diverging run, is detected and
+    # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _flow_loop(obj, x, g, gn, h, cfg)
+        g = obj.grad(x)
+        gn = math.sqrt(float(g @ g))
+        if not math.isfinite(gn):
+            raise FlowConvergenceError("non-finite gradient at start", x, gn, 0)
+        if gn <= cfg.grad_tol:
+            return x
+        return _flow_loop(obj, x, g, gn, cfg.resolve_step(obj), cfg)
 
 
 def _flow_loop(obj, x, g, gn, h, cfg):

@@ -145,19 +145,6 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> n
     return out
 
 
-def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    """Column-wise central-difference Jacobian of a vector map."""
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 def normalized_trace(obj, x: np.ndarray) -> float:
     """Trace of the exact Hessian of ``obj`` at ``x`` divided by the dimension."""
     return float(np.trace(obj.hess(np.asarray(x, dtype=float)))) / obj.dim

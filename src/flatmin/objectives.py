@@ -63,16 +63,15 @@ class Objective:
 class SampleSumObjective:
     """Training loss of the form f(x) = (1/n) * sum_i loss(p_i(x), y_i).
 
-    ``sample_*`` callables address the per-sample losses f_i; ``pred_grad``
-    is the gradient of the model output p_i.
+    Every field is required. ``sample_*`` callables address the per-sample
+    losses f_i; ``pred_grad`` is the gradient of the model output p_i.
     """
 
     base: Objective
     n: int
     sample_value: Callable[[int, Vector], float]
     sample_grad: Callable[[int, Vector], Vector]
-    sample_hess: Callable[[int, Vector], Matrix] | None = None
-    pred_grad: Callable[[int, Vector], Vector] | None = None
+    pred_grad: Callable[[int, Vector], Vector]
 
     @property
     def dim(self) -> int:
@@ -207,11 +206,6 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         r = 2.0 * a[i] ** 2 * (x[0] * x[1] - c)
         return np.array([r * x[1], r * x[0]])
 
-    def sample_hess(i, x):
-        s = 2.0 * a[i] ** 2
-        off = s * (2.0 * x[0] * x[1] - c)
-        return np.array([[s * x[1] ** 2, off], [off, s * x[0] ** 2]])
-
     def pred_grad(i, x):
         return np.array([a[i] * x[1], a[i] * x[0]])
 
@@ -231,7 +225,6 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         n=n,
         sample_value=sample_value,
         sample_grad=sample_grad,
-        sample_hess=sample_hess,
         pred_grad=pred_grad,
     )
 
@@ -296,11 +289,6 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
         out[i] = (p - y[i]) * float(x[i])
         return out
 
-    def sample_hess(i, x):
-        out = np.zeros((d, d))
-        out[i, i] = 1.5 * float(x[i]) ** 2 - y[i]
-        return out
-
     def pred_grad(i, x):
         out = np.zeros(d)
         out[i] = float(x[i])
@@ -325,7 +313,6 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
         n=n,
         sample_value=sample_value,
         sample_grad=sample_grad,
-        sample_hess=sample_hess,
         pred_grad=pred_grad,
     )
 

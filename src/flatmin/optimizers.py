@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import RngStream, proj_out_normed, sample_sphere, sphere_directions
 from .objectives import Objective, SampleSumObjective, base_of
-from .flow import gradient_flow_limit, trace_at_flow_limit
+from .flow import trace_at_flow_limit
 
 #: Additive slack allowed when checking the per-step descent inequality.
 DESCENT_SLACK = 1e-12
@@ -28,11 +28,9 @@ DESCENT_SLACK = 1e-12
 #: at honest accuracy targets; experiments tune the schedule constants instead.
 DEFAULT_BUDGET_CAP = 1_000_000
 
-#: Per-sample gradients below this norm take the jittered-direction path.
+#: Per-sample gradients at or below this norm take their direction from the
+#: prediction gradient.
 SAMPLE_GRAD_TOL = 1e-12
-
-#: Jittered per-sample gradient probes before SA gives up on a sample.
-JITTER_RETRIES = 8
 
 
 class DivergenceError(RuntimeError):
@@ -44,11 +42,7 @@ class DivergenceError(RuntimeError):
 
 
 class DegenerateSampleError(RuntimeError):
-    """A per-sample gradient stayed numerically zero after jitter retries."""
-
-
-class RefinementError(RuntimeError):
-    """Refinement budget exhausted before reaching the distance target."""
+    """A sampled per-sample gradient and its prediction gradient both vanish."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,6 @@ class Schedule:
     steps: int
     beta_hat: float
     nu: float | None = None
-    jitter: float | None = None
     constants: ScheduleConstants = field(default_factory=ScheduleConstants)
 
     def __post_init__(self):
@@ -150,7 +143,6 @@ def sa_schedule(
         steps=max(1, int(min(raw_steps, budget_cap))),
         beta_hat=beta_hat,
         nu=nu,
-        jitter=max(eps**3, 1e-12),
         constants=c,
     )
 
@@ -194,24 +186,24 @@ def _sa_perturbation(
     g: np.ndarray,
     gn: float,
     rho: float,
-    jitter: float,
     rng: RngStream,
 ) -> tuple[np.ndarray, float, int, float, np.ndarray]:
-    """SA perturbation and its draws ``(v, |v|, sample_index, sigma, direction)``; ``gn = |g|``."""
+    """SA perturbation and its draws ``(v, |v|, sample_index, sigma, direction)``; ``gn = |g|``.
+
+    The direction is the normalized per-sample gradient, or the normalized
+    prediction gradient where the per-sample gradient vanishes numerically.
+    For a squared loss grad f_i = l'(p_i) * grad p_i, so the two agree up to
+    sign, and the fair sign ``sigma`` gives the step the same distribution.
+    """
     i = rng.integers(0, obj.n)
     sigma = rng.sign()
     gi = obj.sample_grad(i, x)
     ngi = math.sqrt(float(gi @ gi))
     if ngi <= SAMPLE_GRAD_TOL:
-        for _ in range(JITTER_RETRIES):
-            gi = obj.sample_grad(i, x + jitter * sample_sphere(obj.dim, rng))
-            ngi = math.sqrt(float(gi @ gi))
-            if ngi > SAMPLE_GRAD_TOL:
-                break
-        else:
-            raise DegenerateSampleError(
-                f"sample {i} gradient vanished after {JITTER_RETRIES} jittered probes (jitter={jitter})"
-            )
+        gi = obj.pred_grad(i, x)
+        ngi = math.sqrt(float(gi @ gi))
+        if ngi == 0.0:
+            raise DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x.tolist()}")
     direction = gi / ngi
     v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
     return v, math.sqrt(float(v @ v)), i, sigma, direction
@@ -249,24 +241,25 @@ def sa_step(
     x: np.ndarray,
     eta: float,
     rho: float,
-    jitter: float,
+    jitter: float | None,
     rng: RngStream,
 ) -> tuple[np.ndarray, PerturbationDiagnostics]:
     """One sharpness-aware perturbation step.
 
     Draws a sample index i and a sign sigma, displaces x by rho*sigma along
-    the normalized per-sample gradient (jittered when that gradient is
-    numerically zero), and projects the displaced per-sample gradient
-    orthogonally to the full gradient.
+    the normalized per-sample gradient (the normalized prediction gradient
+    where that gradient is numerically zero), and projects the displaced
+    per-sample gradient orthogonally to the full gradient. ``jitter`` is
+    unused; the slot keeps positional callers working.
     """
-    if eta <= 0 or rho < 0 or jitter < 0:
-        raise ValueError("need eta > 0, rho >= 0, jitter >= 0")
+    if eta <= 0 or rho < 0:
+        raise ValueError("need eta > 0 and rho >= 0")
     if not isinstance(obj, SampleSumObjective):
         raise TypeError("sharpness-aware step needs a SampleSumObjective")
     x = np.asarray(x, dtype=float)
     grad_x = obj.base.grad(x)
     v, v_norm, i, sigma, direction = _sa_perturbation(
-        obj, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, jitter, rng
+        obj, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, rng
     )
     diag = PerturbationDiagnostics(v=v, v_norm=v_norm, sample_index=i, sigma=sigma, direction=direction)
     return _checked_step(x, eta, grad_x, v), diag
@@ -386,7 +379,6 @@ def run(
     if tr_cadence is None:
         tr_cadence = max(1, T // 200)
     keep_x = base.dim <= 8
-    jitter = sched.jitter if sched.jitter is not None else 1e-12
 
     returned_index = rng.integers(1, T + 1)
     returned_x: np.ndarray | None = None
@@ -414,7 +406,7 @@ def run(
                 if directions is not None:
                     v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
                 else:
-                    v, v_norm, *_ = _sa_perturbation(ss, x, g, gn, rho, jitter, rng)
+                    v, v_norm, *_ = _sa_perturbation(ss, x, g, gn, rho, rng)
                 x_next = x - eta * (g + v)
                 n_perturbed += 1
                 branch = "perturbed"
@@ -483,52 +475,4 @@ def run(
         n_gd=n_gd,
         descent_violations=violations,
         descent_max_slack=max_slack,
-    )
-
-
-def refine(
-    obj,
-    x,
-    eps: float,
-    beta_hat: float,
-    budget: int | None = None,
-) -> np.ndarray:
-    """Plain-GD refinement toward the minima set with step ``min(eps, 0.5 / beta_hat)``.
-
-    Runs gradient descent until the flow-verified distance to the landing
-    point drops below eps/2, within a budget of order eps^-1 * log(1/eps).
-    Already-converged inputs (gradient norm <= 1e-12) are returned unchanged.
-    """
-    if eps <= 0 or beta_hat <= 0:
-        raise ValueError("need eps > 0 and beta_hat > 0")
-    base = base_of(obj)
-    x = np.array(x, dtype=float)
-    g = base.grad(x)
-    gn = float(np.linalg.norm(g))
-    if gn <= 1e-12:
-        return x
-    eta = min(eps, 0.5 / beta_hat)
-    if budget is None:
-        budget = int(math.ceil(20.0 / eps * max(1.0, math.log(1.0 / eps))))
-    gate = 0.5 * beta_hat * eps
-    check_every = max(1, budget // 100)
-    since_check = check_every  # check as soon as the gate opens
-    for _ in range(budget):
-        if gn <= gate:
-            since_check += 1
-            if since_check >= check_every:
-                since_check = 0
-                phi = gradient_flow_limit(base, x)
-                if float(np.linalg.norm(x - phi)) <= 0.5 * eps:
-                    return x
-        x = x - eta * g
-        g = base.grad(x)
-        gn = float(np.linalg.norm(g))
-        if not math.isfinite(gn):
-            raise DivergenceError(f"non-finite gradient during refinement at {x.tolist()}")
-    phi = gradient_flow_limit(base, x)
-    if float(np.linalg.norm(x - phi)) <= 0.5 * eps:
-        return x
-    raise RefinementError(
-        f"refinement budget {budget} exhausted at distance {float(np.linalg.norm(x - phi)):.3e}"
     )

@@ -202,8 +202,6 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
     """
     if not isinstance(obj, SampleSumObjective):
         raise TypeError("d-factor check needs a SampleSumObjective")
-    if obj.pred_grad is None:
-        raise ValueError("d-factor check needs prediction gradients")
     base = obj.base
     d = base.dim
     x_star = np.asarray(x_star, dtype=float)

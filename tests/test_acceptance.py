@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from flatmin import (
-    ACCURATE_FLOW,
     RngStream,
     ScheduleConstants,
     build_convex_quadratic,
@@ -31,10 +30,10 @@ from flatmin import (
     run,
 )
 from flatmin.cli import ExperimentConfig, execute_run
-from flatmin.geometry import fd_jacobian
 from flatmin.objectives import LandscapeSpec
 
 from conftest import near_manifold_points
+from references import ACCURATE_FLOW, fd_jacobian
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:

@@ -403,6 +403,17 @@ class TestCertifyCommand:
         assert code == EXIT_NUMERICAL
         assert "flow failure" in capsys.readouterr().err
 
+    def test_overflow_at_start_prints_only_flow_failure(self):
+        # The first gradient overflows; the flow reports it without numpy's warning.
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatmin.cli", "certify", "--landscape", '{"kind":"hyperbola"}',
+             "--x", "1e200,1e200", "--eps", "0.1", "--eps-prime", "0.1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("flow failure:")
+
     def test_incomplete_flags_usage_error(self, capsys):
         code = main(["certify", "--landscape", '{"kind": "hyperbola"}'])
         assert code == EXIT_USAGE
@@ -452,6 +463,23 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "nonexistent-check"])
         assert code == EXIT_USAGE
         assert "unknown checks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--n", "5"], "--n must be at least 10000, the least sample count of sphere-moments; got 5"),
+            (["--n", "-3", "--suite", "sa-dfactor"], "--n must be at least 1, the least sample count of sa-dfactor; got -3"),
+            (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        ],
+        ids=["n-below-sphere-moments", "n-negative-sa-dfactor", "seed-negative"],
+    )
+    def test_bad_flag_is_usage_error_naming_it(self, capsys, flags, message):
+        assert main(["verify", *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_sample_count_unread_by_descent_check(self, capsys):
+        assert main(["verify", "--n", "0", "--suite", "descent-lemma"]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
 
     def test_descent_report_equals_default_trace_cadence_report(self):
         # The check reads no trace column, so skipping those flow solves

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatmin import (
-    ACCURATE_FLOW,
     DEFAULT_FLOW,
     ORACLE_FLOW,
-    REFERENCE_FLOW,
     FlowConfig,
     FlowConvergenceError,
     LandscapeSpec,
@@ -23,9 +21,8 @@ from flatmin import (
     restricted_trace_gradient,
     trace_at_flow_limit,
 )
-from flatmin.geometry import fd_jacobian
-
 from conftest import base_objective, hyperbola_manifold_point, hyperbola_tube_region, near_manifold_points
+from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian
 
 
 class TestFlowConfig:

@@ -18,10 +18,10 @@ from flatmin import (
     canonical_minimum,
     fd_gradient,
 )
-from flatmin.geometry import fd_jacobian
 from flatmin.objectives import TEST_REGION_HALF_WIDTH
 
 from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
+from references import fd_jacobian, sample_hess
 
 
 class TestObjectiveContract:
@@ -29,6 +29,15 @@ class TestObjectiveContract:
     def test_rejects_bad_lipschitz_hint(self, hint):
         with pytest.raises(ValueError, match="lipschitz_grad_hint"):
             dataclasses.replace(build_hyperbola(), lipschitz_grad_hint=hint)
+
+    def test_sample_sum_requires_prediction_gradient(self):
+        with pytest.raises(TypeError, match="pred_grad"):
+            SampleSumObjective(
+                base=build_convex_quadratic([1.0]),
+                n=1,
+                sample_value=lambda i, x: 0.0,
+                sample_grad=lambda i, x: np.zeros(1),
+            )
 
 
 class TestHyperbola:
@@ -245,9 +254,22 @@ class TestSampleSumConsistency:
         ss = build_landscape(spec)
         x = random_points(ss.dim, 1, seed=13)[0]
         for i in range(ss.n):
-            H = ss.sample_hess(i, x)
+            H = sample_hess(spec, i, x)
             H_fd = fd_jacobian(lambda p, i=i: ss.sample_grad(i, p), x, 1e-5)
             assert np.linalg.norm(H_fd - H) <= 1e-5 * max(np.linalg.norm(H), 1.0)
+
+    def test_sample_gradient_is_multiple_of_prediction_gradient(self, spec):
+        # grad f_i = l'(p_i) * grad p_i for a squared loss, so where neither
+        # vanishes the normalized directions agree up to sign; SA's fallback
+        # to the prediction gradient relies on this.
+        ss = build_landscape(spec)
+        for x in random_points(ss.dim, 25, seed=14):
+            for i in range(ss.n):
+                g = ss.sample_grad(i, x)
+                p = ss.pred_grad(i, x)
+                u = g / np.linalg.norm(g)
+                w = p / np.linalg.norm(p)
+                assert min(np.linalg.norm(u - w), np.linalg.norm(u + w)) <= 1e-12
 
 
 class TestLandscapeSpec:

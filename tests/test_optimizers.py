@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from flatmin import (
     DegenerateSampleError,
     DivergenceError,
-    RefinementError,
     RngStream,
     SampleSumObjective,
     Schedule,
@@ -18,7 +16,6 @@ from flatmin import (
     build_scalar_factorization,
     canonical_minimum,
     gradient_flow_limit,
-    refine,
     rs_schedule,
     rs_step,
     run,
@@ -31,6 +28,7 @@ from flatmin.geometry import SPHERE_BLOCK
 from flatmin.objectives import LandscapeSpec
 
 from conftest import hyperbola_manifold_point
+from references import sample_hess
 
 
 class TestRsSchedule:
@@ -86,15 +84,11 @@ class TestSaSchedule:
         assert sched.eta == pytest.approx(nu * 0.1 * 0.01)
         assert sched.rho == pytest.approx(nu * 0.1 * 0.1)
         assert sched.eps0 == pytest.approx(nu**1.5 * 0.1**1.5 * 0.01)
-        assert sched.jitter == pytest.approx(max(0.01**3, 1e-12))
 
     def test_step_budget_formula(self):
         sched = sa_schedule(0.01, 0.5, 2, 1.0, budget_cap=10**12)
         raw = 0.01**-2 * 0.5**-4 * max(1.0, 1.0 / (8 * 0.01)) / 2
         assert sched.steps == int(raw)
-
-    def test_jitter_floor(self):
-        assert sa_schedule(1e-5, 0.1, 2, 1.0).jitter == 1e-12
 
 
 class TestScheduleValidation:
@@ -179,25 +173,28 @@ class TestSaStep:
     def test_single_sample_zero_radius_is_gradient_descent(self):
         ss = build_scalar_factorization([1.0], 1.0)
         x = np.array([1.4, 0.5])
-        x_next, diag = sa_step(ss, x, 1e-3, 0.0, 1e-9, RngStream(0))
+        x_next, diag = sa_step(ss, x, 1e-3, 0.0, None, RngStream(0))
         assert diag.v_norm <= 1e-12
         assert np.allclose(x_next, x - 1e-3 * ss.base.grad(x), atol=1e-15)
 
-    def test_jittered_direction_at_interpolating_minimum(self):
+    def test_prediction_gradient_direction_at_interpolating_minimum(self):
+        # Every per-sample gradient vanishes at an interpolating minimum, so
+        # the direction is the normalized prediction gradient, exactly.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
         ss = build_landscape(spec)
         x_star = canonical_minimum(spec)
         rng = RngStream(5)
         for _ in range(50):
-            _, diag = sa_step(ss, x_star, 1e-3, 0.01, 1e-9, rng)
+            _, diag = sa_step(ss, x_star, 1e-3, 0.01, None, rng)
+            p = ss.pred_grad(diag.sample_index, x_star)
+            assert diag.direction.tobytes() == (p / math.sqrt(float(p @ p))).tobytes()
             assert abs(np.linalg.norm(diag.direction) - 1.0) <= 1e-12
             assert diag.sigma in (-1.0, 1.0)
             assert 0 <= diag.sample_index < 2
 
     def test_curvature_signal_is_dimension_times_trace(self):
-        # Zero-variance case: every jittered direction aligns with a
-        # prediction gradient, whose per-sample quadratic form equals the
-        # full trace.
+        # Zero-variance case: every direction is a normalized prediction
+        # gradient, whose per-sample quadratic form equals the full trace.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
         ss = build_landscape(spec)
         x_star = canonical_minimum(spec)
@@ -205,8 +202,8 @@ class TestSaStep:
         acc = 0.0
         n = 10**5
         for _ in range(n):
-            _, diag = sa_step(ss, x_star, 1e-3, 0.01, 1e-9, rng)
-            H = ss.sample_hess(diag.sample_index, x_star)
+            _, diag = sa_step(ss, x_star, 1e-3, 0.01, None, rng)
+            H = sample_hess(spec, diag.sample_index, x_star)
             acc += float(diag.direction @ H @ diag.direction)
         d_times_trace = 4 * trace_at_flow_limit(ss, x_star)
         assert abs(acc / n - d_times_trace) <= 0.05 * d_times_trace
@@ -217,13 +214,14 @@ class TestSaStep:
             n=1,
             sample_value=lambda i, x: 0.0,
             sample_grad=lambda i, x: np.zeros(2),
+            pred_grad=lambda i, x: np.zeros(2),
         )
         with pytest.raises(DegenerateSampleError):
-            sa_step(flat, np.zeros(2), 1e-3, 0.01, 1e-9, RngStream(0))
+            sa_step(flat, np.zeros(2), 1e-3, 0.01, None, RngStream(0))
 
     def test_requires_sample_sum_objective(self):
         with pytest.raises(TypeError):
-            sa_step(build_hyperbola(), np.ones(2), 1e-3, 0.01, 1e-9, RngStream(0))
+            sa_step(build_hyperbola(), np.ones(2), 1e-3, 0.01, None, RngStream(0))
 
 
 def _manual_schedule(eta_prime: float, steps: int, beta_hat: float) -> Schedule:
@@ -333,6 +331,18 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run(obj, "ADAM", np.array([1.0, 1.0]), sched, RngStream(0))
 
+    def test_sa_stays_at_flat_minimum_where_sample_gradients_vanish(self):
+        # Every per-sample gradient vanishes at x0 = (1, 1), the flattest
+        # minimum (trace 2*mean(a^2)), so every perturbed step takes its
+        # direction from a prediction gradient.
+        ss = build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)
+        consts = ScheduleConstants(c_eta=5.0, c_rho=2.5, c_eps0=15.0)
+        sched = rs_schedule(0.01, 0.2, ss.base.lipschitz_grad_hint, consts, budget_cap=500)
+        traj = run(ss, "SA", np.array([1.0, 1.0]), sched, RngStream(7))
+        assert traj.n_perturbed > 0
+        assert traj.records[-1].tr_phi == pytest.approx(2.87, abs=1e-6)
+        assert traj.descent_violations == 0
+
     def test_stay_near_condition_persists_once_entered(self):
         # Once the cost gap drops below (2*beta/alpha)*eta*max||v||^2 it
         # stays below at every later logged step.
@@ -406,49 +416,17 @@ class TestRunMatchesPublicSteps:
 
     def test_sa_run_equals_sa_step_loop(self):
         # Starting at an interpolating minimum, every per-sample gradient
-        # vanishes, so the first steps take the jittered-direction path.
+        # vanishes, so the first steps take the prediction-gradient path.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
         ss = build_landscape(spec)
-        sched = Schedule(
-            eta=5e-3, eta_prime=0.05, rho=0.1, eps0=1e-3, steps=1500, beta_hat=6.5, jitter=1e-9
-        )
+        sched = Schedule(eta=5e-3, eta_prime=0.05, rho=0.1, eps0=1e-3, steps=1500, beta_hat=6.5)
         x0 = canonical_minimum(spec)
         traj = run(ss, "SA", x0, sched, RngStream(0), log_cadence=1)
         assert traj.n_perturbed > 0 and traj.n_gd > 0
         expected = _hand_loop(
-            ss, x0, sched, 0, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, sched.jitter, rng)
+            ss, x0, sched, 0, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, None, rng)
         )
         self._assert_same(traj, expected)
-
-
-class TestRefine:
-    def test_already_converged_returned_unchanged(self):
-        obj = build_hyperbola()
-        x = np.array([2.0, 0.5])
-        out = refine(obj, x, 1e-3, obj.lipschitz_grad_hint)
-        assert np.array_equal(out, x)
-
-    def test_lands_near_manifold(self):
-        obj = build_hyperbola()
-        x = np.array([1.01, 1 / 1.01 + 1e-3])
-        out = refine(obj, x, 1e-3, obj.lipschitz_grad_hint)
-        dist = abs(out[0] * out[1] - 1.0) / np.hypot(out[0], out[1])
-        assert dist <= 5e-4
-
-    def test_quadratic_step_count_bound(self):
-        obj = build_convex_quadratic([1.0, 1.0])
-        calls = [0]
-        counting = dataclasses.replace(
-            obj, grad=lambda x, _g=obj.grad: (calls.__setitem__(0, calls[0] + 1), _g(x))[1]
-        )
-        out = refine(counting, np.array([0.1, 0.0]), 0.01, 1.0)
-        assert np.linalg.norm(out) <= 0.005 * (1 + 1e-9)
-        assert calls[0] <= math.ceil(math.log(0.02) / math.log(1 - 0.01))
-
-    def test_budget_exhaustion_raises(self):
-        obj = build_convex_quadratic([1.0, 1.0])
-        with pytest.raises(RefinementError):
-            refine(obj, np.array([3.0, 0.0]), 1e-4, 1.0, budget=5)
 
 
 class TestTrajectorySerialization:

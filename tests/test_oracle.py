@@ -121,7 +121,7 @@ class TestSaDfactor:
         assert rep.passed
         assert 14.4 <= rep.measured <= 17.6
 
-    def test_missing_prediction_gradients_rejected(self):
+    def test_vanishing_prediction_gradient_rejected(self):
         from flatmin import SampleSumObjective
 
         bare = SampleSumObjective(
@@ -129,8 +129,9 @@ class TestSaDfactor:
             n=1,
             sample_value=lambda i, x: 0.0,
             sample_grad=lambda i, x: np.zeros(1),
+            pred_grad=lambda i, x: np.zeros(1),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prediction gradient of sample 0 vanishes"):
             check_sa_dfactor(bare, np.zeros(1), 0.01, 10**4, RngStream(0))
 
 
