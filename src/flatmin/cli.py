@@ -396,18 +396,12 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
 
-#: Least ``--n`` each verify check accepts; the last two do not read it.
-VERIFY_LEAST_N = {
-    "sphere-moments": 10_000,
-    "rs-estimator": 2,
-    "rs-decay": 2,
-    "sa-dfactor": 1,
-    "descent-lemma": 0,
-    "pl-constants": 0,
-}
-
-
 def _verify_checks(n_samples: int, seed: int) -> dict:
+    """Each verify check by name, as ``(least --n it accepts, closure)``.
+
+    descent-lemma and pl-constants do not read ``n_samples``; they take any
+    count from 0.
+    """
     hyperbola_spec = LandscapeSpec("hyperbola")
 
     def sphere_moments():
@@ -459,12 +453,12 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
         )
 
     return {
-        "sphere-moments": sphere_moments,
-        "rs-estimator": rs_estimator,
-        "rs-decay": rs_decay,
-        "sa-dfactor": sa_dfactor,
-        "descent-lemma": descent_lemma,
-        "pl-constants": pl_constants,
+        "sphere-moments": (oracle.SPHERE_MOMENTS_LEAST_N, sphere_moments),
+        "rs-estimator": (oracle.RS_ESTIMATOR_LEAST_N, rs_estimator),
+        "rs-decay": (oracle.RS_ESTIMATOR_LEAST_N, rs_decay),
+        "sa-dfactor": (oracle.SA_DFACTOR_LEAST_N, sa_dfactor),
+        "descent-lemma": (0, descent_lemma),
+        "pl-constants": (0, pl_constants),
     }
 
 
@@ -478,12 +472,14 @@ def cmd_verify(args) -> int:
         if unknown:
             print(f"unknown checks {unknown}; known: {sorted(checks)}", file=sys.stderr)
             return EXIT_USAGE
-    least, check = max((VERIFY_LEAST_N[c], c) for c in names)
+        if not names:
+            return _usage_error(ConfigError(f"--suite names no check; known: {sorted(checks)}"))
+    least, check = max((checks[c][0], c) for c in names)
     if args.n < least:
         return _usage_error(ConfigError(f"--n must be at least {least}, the least sample count of {check}; got {args.n}"))
     if args.seed < 0:
         return _usage_error(ConfigError(f"--seed must be an integer >= 0, got {args.seed}"))
-    reports = [checks[name]() for name in names]
+    reports = [checks[name][1]() for name in names]
     width = max(len(r.name) for r in reports)
     for r in reports:
         status = "n/a " if r.not_applicable else ("PASS" if r.passed else "FAIL")

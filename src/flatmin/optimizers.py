@@ -28,10 +28,6 @@ DESCENT_SLACK = 1e-12
 #: at honest accuracy targets; experiments tune the schedule constants instead.
 DEFAULT_BUDGET_CAP = 1_000_000
 
-#: Per-sample gradients at or below this norm take their direction from the
-#: prediction gradient.
-SAMPLE_GRAD_TOL = 1e-12
-
 
 class DivergenceError(RuntimeError):
     """An iterate became non-finite; carries the last finite record."""
@@ -42,7 +38,7 @@ class DivergenceError(RuntimeError):
 
 
 class DegenerateSampleError(RuntimeError):
-    """A sampled per-sample gradient and its prediction gradient both vanish."""
+    """A sampled prediction gradient vanishes, so SA has no direction."""
 
 
 @dataclass(frozen=True)
@@ -190,21 +186,18 @@ def _sa_perturbation(
 ) -> tuple[np.ndarray, float, int, float, np.ndarray]:
     """SA perturbation and its draws ``(v, |v|, sample_index, sigma, direction)``; ``gn = |g|``.
 
-    The direction is the normalized per-sample gradient, or the normalized
-    prediction gradient where the per-sample gradient vanishes numerically.
-    For a squared loss grad f_i = l'(p_i) * grad p_i, so the two agree up to
-    sign, and the fair sign ``sigma`` gives the step the same distribution.
+    The direction is the normalized prediction gradient. Since
+    f_i = loss(p_i, y_i), grad f_i = l'(p_i) * grad p_i, so it is the
+    normalized per-sample gradient up to sign wherever that is defined, and
+    the fair sign ``sigma`` gives the step the same distribution.
     """
     i = rng.integers(0, obj.n)
     sigma = rng.sign()
-    gi = obj.sample_grad(i, x)
-    ngi = math.sqrt(float(gi @ gi))
-    if ngi <= SAMPLE_GRAD_TOL:
-        gi = obj.pred_grad(i, x)
-        ngi = math.sqrt(float(gi @ gi))
-        if ngi == 0.0:
-            raise DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x.tolist()}")
-    direction = gi / ngi
+    p = obj.pred_grad(i, x)
+    npn = math.sqrt(float(p @ p))
+    if npn == 0.0:
+        raise DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x.tolist()}")
+    direction = p / npn
     v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
     return v, math.sqrt(float(v @ v)), i, sigma, direction
 
@@ -247,9 +240,9 @@ def sa_step(
     """One sharpness-aware perturbation step.
 
     Draws a sample index i and a sign sigma, displaces x by rho*sigma along
-    the normalized per-sample gradient (the normalized prediction gradient
-    where that gradient is numerically zero), and projects the displaced
-    per-sample gradient orthogonally to the full gradient. ``jitter`` is
+    the normalized prediction gradient of sample i (the normalized
+    per-sample gradient up to sign), and projects the displaced per-sample
+    gradient orthogonally to the full gradient. ``jitter`` is
     unused; the slot keeps positional callers working.
     """
     if eta <= 0 or rho < 0:

@@ -38,6 +38,12 @@ RHO3_FLOOR = 1.0
 #: predicts 4).
 DECAY_FACTOR = 3.0
 
+#: Least sample count each Monte-Carlo check accepts (the decay check runs the
+#: estimator check, so it shares that one).
+SPHERE_MOMENTS_LEAST_N = 10_000
+RS_ESTIMATOR_LEAST_N = 2
+SA_DFACTOR_LEAST_N = 1
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -68,8 +74,8 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream) -> OracleReport
     compared against exact CLT scales (per-coordinate variance 1/d, fourth
     moment 3/(d(d+2))) at ``CLT_SIGMAS`` standard errors.
     """
-    if n_samples < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {n_samples}")
+    if n_samples < SPHERE_MOMENTS_LEAST_N:
+        raise ValueError(f"need at least {SPHERE_MOMENTS_LEAST_N} samples, got {n_samples}")
     sum_g = np.zeros(d)
     sum_outer = np.zeros((d, d))
     done = 0
@@ -112,8 +118,8 @@ def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> Or
     component the deviation must stay within max(REL_TOL * |ref|,
     RHO3_FLOOR * rho^3).
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    if n_samples < RS_ESTIMATOR_LEAST_N:
+        raise ValueError(f"need at least {RS_ESTIMATOR_LEAST_N} samples, got {n_samples}")
     base = base_of(obj)
     x = np.asarray(x, dtype=float)
     d = base.dim
@@ -202,6 +208,8 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
     """
     if not isinstance(obj, SampleSumObjective):
         raise TypeError("d-factor check needs a SampleSumObjective")
+    if n_samples < SA_DFACTOR_LEAST_N:
+        raise ValueError(f"need at least {SA_DFACTOR_LEAST_N} sample, got {n_samples}")
     base = obj.base
     d = base.dim
     x_star = np.asarray(x_star, dtype=float)

@@ -445,6 +445,9 @@ class TestCertifyCommand:
         assert f"{path}:3:" in capsys.readouterr().err
 
 
+KNOWN_CHECKS = sorted(["sphere-moments", "rs-estimator", "rs-decay", "sa-dfactor", "descent-lemma", "pl-constants"])
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -470,8 +473,10 @@ class TestVerifyCommand:
             (["--n", "5"], "--n must be at least 10000, the least sample count of sphere-moments; got 5"),
             (["--n", "-3", "--suite", "sa-dfactor"], "--n must be at least 1, the least sample count of sa-dfactor; got -3"),
             (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+            (["--suite", ","], f"--suite names no check; known: {KNOWN_CHECKS}"),
+            (["--suite", ""], f"--suite names no check; known: {KNOWN_CHECKS}"),
         ],
-        ids=["n-below-sphere-moments", "n-negative-sa-dfactor", "seed-negative"],
+        ids=["n-below-sphere-moments", "n-negative-sa-dfactor", "seed-negative", "suite-comma", "suite-empty"],
     )
     def test_bad_flag_is_usage_error_naming_it(self, capsys, flags, message):
         assert main(["verify", *flags]) == EXIT_USAGE
@@ -489,7 +494,7 @@ class TestVerifyCommand:
         traj = run(hyp, "RS", np.array([1.5, 1 / 1.5]), sched, RngStream(3), log_cadence=1)
         assert any(r.tr_phi is not None for r in traj.records[1:-1])
         expected = check_descent_lemma(traj, hyp.lipschitz_grad_hint).to_dict()
-        assert _verify_checks(10_000, 3)["descent-lemma"]().to_dict() == expected
+        assert _verify_checks(10_000, 3)["descent-lemma"][1]().to_dict() == expected
 
 
 class TestSweepCommand:

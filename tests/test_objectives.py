@@ -259,9 +259,9 @@ class TestSampleSumConsistency:
             assert np.linalg.norm(H_fd - H) <= 1e-5 * max(np.linalg.norm(H), 1.0)
 
     def test_sample_gradient_is_multiple_of_prediction_gradient(self, spec):
-        # grad f_i = l'(p_i) * grad p_i for a squared loss, so where neither
-        # vanishes the normalized directions agree up to sign; SA's fallback
-        # to the prediction gradient relies on this.
+        # grad f_i = l'(p_i) * grad p_i, so where neither vanishes the
+        # normalized directions agree up to sign; SA's use of the prediction
+        # gradient relies on this.
         ss = build_landscape(spec)
         for x in random_points(ss.dim, 25, seed=14):
             for i in range(ss.n):

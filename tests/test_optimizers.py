@@ -178,8 +178,8 @@ class TestSaStep:
         assert np.allclose(x_next, x - 1e-3 * ss.base.grad(x), atol=1e-15)
 
     def test_prediction_gradient_direction_at_interpolating_minimum(self):
-        # Every per-sample gradient vanishes at an interpolating minimum, so
-        # the direction is the normalized prediction gradient, exactly.
+        # Every per-sample gradient vanishes at an interpolating minimum; the
+        # direction is still the normalized prediction gradient, exactly.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
         ss = build_landscape(spec)
         x_star = canonical_minimum(spec)
@@ -333,8 +333,7 @@ class TestRun:
 
     def test_sa_stays_at_flat_minimum_where_sample_gradients_vanish(self):
         # Every per-sample gradient vanishes at x0 = (1, 1), the flattest
-        # minimum (trace 2*mean(a^2)), so every perturbed step takes its
-        # direction from a prediction gradient.
+        # minimum (trace 2*mean(a^2)); the prediction gradients do not.
         ss = build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)
         consts = ScheduleConstants(c_eta=5.0, c_rho=2.5, c_eps0=15.0)
         sched = rs_schedule(0.01, 0.2, ss.base.lipschitz_grad_hint, consts, budget_cap=500)
@@ -415,8 +414,8 @@ class TestRunMatchesPublicSteps:
         self._assert_same(traj, expected)
 
     def test_sa_run_equals_sa_step_loop(self):
-        # Starting at an interpolating minimum, every per-sample gradient
-        # vanishes, so the first steps take the prediction-gradient path.
+        # Starts at an interpolating minimum, where every per-sample
+        # gradient vanishes and only the prediction gradient gives a direction.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
         ss = build_landscape(spec)
         sched = Schedule(eta=5e-3, eta_prime=0.05, rho=0.1, eps0=1e-3, steps=1500, beta_hat=6.5)

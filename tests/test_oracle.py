@@ -121,6 +121,11 @@ class TestSaDfactor:
         assert rep.passed
         assert 14.4 <= rep.measured <= 17.6
 
+    def test_zero_samples_rejected(self):
+        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
+        with pytest.raises(ValueError, match="need at least 1 sample, got 0"):
+            check_sa_dfactor(build_landscape(spec), canonical_minimum(spec), 0.01, 0, RngStream(0))
+
     def test_vanishing_prediction_gradient_rejected(self):
         from flatmin import SampleSumObjective
 
