@@ -30,7 +30,6 @@ from .flow import (
     DEFAULT_FLOW,
     ORACLE_FLOW,
     FlatnessCertificate,
-    FlowConfig,
     FlowConvergenceError,
     certify_flat,
     gradient_flow_limit,
@@ -81,7 +80,6 @@ __all__ = [
     "DEFAULT_FLOW",
     "ORACLE_FLOW",
     "FlatnessCertificate",
-    "FlowConfig",
     "FlowConvergenceError",
     "certify_flat",
     "gradient_flow_limit",

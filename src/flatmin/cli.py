@@ -263,7 +263,12 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 
 def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
-    """Fan the config's seeds out to at most ``threads`` worker processes and write the joined summary."""
+    """Fan the config's seeds out to at most ``threads`` worker processes and write the joined summary.
+
+    A config that builds no landscape or schedule raises :class:`ConfigError`
+    before ``out_dir`` is made.
+    """
+    build_schedule(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     # The pool starts all its workers up front; one per seed is the most that can work.
     workers = min(threads, len(cfg.seeds))
@@ -336,9 +341,11 @@ def cmd_sweep(args) -> int:
         combos = []
         for label, combo in _expand_sweep(data):
             try:
-                combos.append((label, ExperimentConfig.from_dict(combo)))
+                cfg = ExperimentConfig.from_dict(combo)
+                build_schedule(cfg)
             except ConfigError as exc:
                 raise ConfigError(f"in combo {label}: {exc}") from None
+            combos.append((label, cfg))
     except ConfigError as exc:
         return _usage_error(exc)
     out_root = Path(args.out or combos[0][1].out or "flatmin_sweep")
@@ -346,10 +353,7 @@ def cmd_sweep(args) -> int:
     index = []
     for k, (label, cfg) in enumerate(combos):
         sub = out_root / f"combo_{k:03d}_{label}"
-        try:
-            code = execute_run(cfg, sub, threads=args.threads)
-        except ConfigError as exc:
-            return _usage_error(ConfigError(f"in combo {label}: {exc}"))
+        code = execute_run(cfg, sub, threads=args.threads)
         worst = max(worst, code)
         index.append({"combo": label, "dir": sub.name, "exit": code})
         print(f"[{k + 1}/{len(combos)}] {label}: exit {code}")

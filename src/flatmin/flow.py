@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .geometry import fd_gradient, normalized_trace
-from .objectives import Objective, base_of
+from .objectives import base_of
 
 
 class FlowConvergenceError(RuntimeError):
-    """Gradient flow failed to reach the gradient tolerance."""
+    """Gradient flow failed to reach the gradient tolerance, or a certifier probe's trace is not finite."""
 
     def __init__(self, message: str, x_last: np.ndarray, grad_norm: float, steps: int):
         super().__init__(message)
@@ -29,33 +29,19 @@ class FlowConvergenceError(RuntimeError):
         self.steps = int(steps)
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Discretization of the gradient flow: fixed steps of
-    ``step_fraction / lipschitz_grad_hint`` until the gradient norm is at
-    most ``grad_tol``.
-    """
+#: Gradient tolerance of the flow: the production default, used for
+#: trajectory logging and the certificate's landing point.
+DEFAULT_FLOW = 1e-10
 
-    grad_tol: float = 1e-10
-    max_steps: int = 10_000_000
-    step_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-
-    def resolve_step(self, obj: Objective) -> float:
-        return self.step_fraction / obj.lipschitz_grad_hint
-
-
-#: Production default: cheap, used for trajectory logging.
-DEFAULT_FLOW = FlowConfig()
-
-#: Tight-tolerance mode backing finite differences of trace-at-limit; the
+#: Tight tolerance backing finite differences of trace-at-limit; the
 #: landing noise must sit far below the probe step squared.
-ORACLE_FLOW = FlowConfig(grad_tol=1e-13)
+ORACLE_FLOW = 1e-13
+
+#: Step of the flow as a fraction of 1 / lipschitz_grad_hint.
+FLOW_STEP_FRACTION = 0.5
+
+#: Most steps one flow solve takes before it gives up.
+FLOW_MAX_STEPS = 10_000_000
 
 #: Central-difference step of the certifier's restricted trace gradient.
 TRACE_FD_STEP = 1e-4
@@ -80,13 +66,15 @@ class FlatnessCertificate:
         return json.dumps(asdict(self), indent=2)
 
 
-def gradient_flow_limit(obj, x0: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> np.ndarray:
+def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
     """Landing point of the gradient flow started at ``x0``.
 
-    Returns a point whose gradient norm is at most ``cfg.grad_tol``. Raises
+    Takes steps of ``FLOW_STEP_FRACTION / lipschitz_grad_hint`` until the
+    gradient norm is at most ``grad_tol``. Raises
     :class:`FlowConvergenceError` (carrying the last iterate and gradient
-    norm) if ``cfg.max_steps`` is exhausted or the iteration stalls at
-    floating-point resolution before reaching the tolerance.
+    norm) if the gradient is not finite, ``FLOW_MAX_STEPS`` is exhausted or
+    the iteration stalls at floating-point resolution before reaching the
+    tolerance.
     """
     obj = base_of(obj)
     x = np.array(x0, dtype=float)
@@ -97,38 +85,32 @@ def gradient_flow_limit(obj, x0: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> 
         gn = math.sqrt(float(g @ g))
         if not math.isfinite(gn):
             raise FlowConvergenceError("non-finite gradient at start", x, gn, 0)
-        if gn <= cfg.grad_tol:
+        if gn <= grad_tol:
             return x
-        return _flow_loop(obj, x, g, gn, cfg.resolve_step(obj), cfg)
-
-
-def _flow_loop(obj, x, g, gn, h, cfg):
-    for step in range(1, cfg.max_steps + 1):
-        x_new = x - h * g
-        if (x_new == x).all():
-            # Step underflows at this resolution; nothing further can move.
-            raise FlowConvergenceError(
-                f"flow stalled at grad norm {gn:.3e} > tol {cfg.grad_tol:.3e}", x, gn, step
-            )
-        x = x_new
-        g = obj.grad(x)
-        gn = math.sqrt(float(g @ g))
-        if not math.isfinite(gn):
-            raise FlowConvergenceError("non-finite gradient during flow", x, gn, step)
-        if gn <= cfg.grad_tol:
-            return x
+        h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
+        for step in range(1, FLOW_MAX_STEPS + 1):
+            x_new = x - h * g
+            if (x_new == x).all():
+                # Step underflows at this resolution; nothing further can move.
+                raise FlowConvergenceError(
+                    f"flow stalled at grad norm {gn:.3e} > tol {grad_tol:.3e}", x, gn, step
+                )
+            x = x_new
+            g = obj.grad(x)
+            gn = math.sqrt(float(g @ g))
+            if not math.isfinite(gn):
+                raise FlowConvergenceError("non-finite gradient during flow", x, gn, step)
+            if gn <= grad_tol:
+                return x
     raise FlowConvergenceError(
-        f"flow did not converge in {cfg.max_steps} steps (grad norm {gn:.3e})",
-        x,
-        gn,
-        cfg.max_steps,
+        f"flow did not converge in {FLOW_MAX_STEPS} steps (grad norm {gn:.3e})", x, gn, FLOW_MAX_STEPS
     )
 
 
-def trace_at_flow_limit(obj, x: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW) -> float:
+def trace_at_flow_limit(obj, x: np.ndarray) -> float:
     """Normalized Hessian trace evaluated at the flow landing point."""
     base = base_of(obj)
-    return normalized_trace(base, gradient_flow_limit(base, x, cfg))
+    return normalized_trace(base, gradient_flow_limit(base, x))
 
 
 def restricted_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
@@ -137,11 +119,22 @@ def restricted_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
     The probes step ``TRACE_FD_STEP`` along each axis and land with
     ``ORACLE_FLOW``. ``x_star`` should already be within gradient tolerance
     of the minima set; the 2*dim flow probes then stay in the
-    flow-convergent neighborhood. Flow failures at any probe propagate.
+    flow-convergent neighborhood. Flow failures at any probe propagate, and
+    a probe trace that overflows raises :class:`FlowConvergenceError` too.
     """
     base = base_of(obj)
     x_star = np.asarray(x_star, dtype=float)
-    return fd_gradient(lambda p: trace_at_flow_limit(base, p, ORACLE_FLOW), x_star, TRACE_FD_STEP)
+
+    def probe(p):
+        return normalized_trace(base, gradient_flow_limit(base, p, ORACLE_FLOW))
+
+    # A non-finite probe trace makes the difference non-finite; it is
+    # reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = fd_gradient(probe, x_star, TRACE_FD_STEP)
+    if not np.isfinite(g).all():
+        raise FlowConvergenceError("non-finite trace at a certifier probe", x_star, math.nan, 0)
+    return g
 
 
 def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCertificate:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,7 @@ TEST_REGION_HALF_WIDTH = 3.0
 
 @dataclass(frozen=True)
 class Objective:
-    """Differentiable function bundle; every field but ``name`` is required.
+    """Differentiable function bundle; every field is required.
 
     Attributes
     ----------
@@ -52,7 +52,6 @@ class Objective:
     value_many: Callable[[Matrix], Vector]
     grad_many: Callable[[Matrix], Matrix]
     normalized_trace_grad: Callable[[Vector], Vector]
-    name: str = ""
 
     def __post_init__(self):
         if not 0.0 < self.lipschitz_grad_hint < math.inf:
@@ -108,7 +107,7 @@ def build_hyperbola() -> Objective:
     trace is x1^2 + x2^2 everywhere, minimized on the manifold at (1, 1) and
     (-1, -1).
     """
-    return replace(build_scalar_factorization([1.0], 1.0).base, name="hyperbola")
+    return build_scalar_factorization([1.0], 1.0).base
 
 
 def build_convex_quadratic(eigenvalues) -> Objective:
@@ -148,7 +147,6 @@ def build_convex_quadratic(eigenvalues) -> Objective:
         value_many=value_many,
         grad_many=grad_many,
         normalized_trace_grad=trace_grad,
-        name="convex_quadratic",
     )
 
 
@@ -218,7 +216,6 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         value_many=value_many,
         grad_many=grad_many,
         normalized_trace_grad=trace_grad,
-        name="scalar_factorization",
     )
     return SampleSumObjective(
         base=base,
@@ -306,7 +303,6 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
         value_many=value_many,
         grad_many=grad_many,
         normalized_trace_grad=trace_grad,
-        name="orthogonal_quadratic_model",
     )
     return SampleSumObjective(
         base=base,

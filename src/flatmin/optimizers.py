@@ -346,9 +346,10 @@ def run(
 
     Perturbed steps fire when the gradient norm is at most ``sched.eps0``
     (never for GD); otherwise a plain descent step with ``sched.eta_prime``
-    is taken. Records are appended every ``log_cadence`` steps with the
-    trace-at-flow-limit column filled every ``tr_cadence`` steps, plus a
-    terminal record; records carry the iterate ``x`` when the dimension is
+    is taken. Records are appended every ``log_cadence`` steps, plus a
+    terminal record. The trace-at-flow-limit column is filled only on
+    logged steps whose index is a multiple of ``tr_cadence``, and on the
+    terminal record. Records carry the iterate ``x`` when the dimension is
     at most 8. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
 

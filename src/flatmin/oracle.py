@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,6 +43,12 @@ DECAY_FACTOR = 3.0
 SPHERE_MOMENTS_LEAST_N = 10_000
 RS_ESTIMATOR_LEAST_N = 2
 SA_DFACTOR_LEAST_N = 1
+
+
+def _chunks(n: int) -> Iterator[int]:
+    """Sizes of the successive Monte-Carlo chunks that make up ``n`` draws."""
+    for done in range(0, n, CHUNK):
+        yield min(CHUNK, n - done)
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,10 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream) -> OracleReport
         raise ValueError(f"need at least {SPHERE_MOMENTS_LEAST_N} samples, got {n_samples}")
     sum_g = np.zeros(d)
     sum_outer = np.zeros((d, d))
-    done = 0
-    while done < n_samples:
-        m = min(CHUNK, n_samples - done)
+    for m in _chunks(n_samples):
         G = sample_sphere_batch(d, m, rng)
         sum_g += G.sum(axis=0)
         sum_outer += G.T @ G
-        done += m
     mean_g = sum_g / n_samples
     mean_outer = sum_outer / n_samples
     mean_inf = float(np.abs(mean_g).max())
@@ -134,13 +137,10 @@ def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> Or
 
     n_pairs = n_samples // 2
     total = np.zeros(d)
-    done = 0
-    while done < n_pairs:
-        m = min(CHUNK, n_pairs - done)
+    for m in _chunks(n_pairs):
         G = sample_sphere_batch(d, m, rng)
         total += project_rows(base.grad_many(x[None, :] + rho * G)).sum(axis=0)
         total += project_rows(base.grad_many(x[None, :] - rho * G)).sum(axis=0)
-        done += m
     measured = total / (2 * n_pairs)
 
     ref_dir = base.normalized_trace_grad(x)
@@ -228,24 +228,18 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
         quad_sa[i] = (fp - 2.0 * f0 + fm) / rho**2
 
     counts = np.zeros(obj.n, dtype=np.int64)
-    done = 0
-    while done < n_samples:
-        m = min(CHUNK, n_samples - done)
+    for m in _chunks(n_samples):
         idx = rng.generator.integers(0, obj.n, size=m)
         counts += np.bincount(idx, minlength=obj.n)
-        done += m
     measured_sa = float(np.dot(counts, quad_sa) / n_samples)
 
     f0 = base.value(x_star)
     total = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(CHUNK, n_samples - done)
+    for m in _chunks(n_samples):
         G = sample_sphere_batch(d, m, rng)
         vp = base.value_many(x_star[None, :] + rho * G)
         vm = base.value_many(x_star[None, :] - rho * G)
         total += float(np.sum(vp - 2.0 * f0 + vm))
-        done += m
     measured_rs = total / (n_samples * rho**2)
 
     tr_bar = normalized_trace(base, x_star)
@@ -306,27 +300,20 @@ class SampleRegion:
         return np.stack(points[:m])
 
 
-def estimate_pl_constants(obj, region, m_samples: int = 200, rng: RngStream | None = None) -> tuple[float, float]:
+def estimate_pl_constants(obj, region: SampleRegion, m_samples: int, rng: RngStream) -> tuple[float, float]:
     """Empirical local PL and gradient-Lipschitz constants near the minima set.
 
     alpha_hat is the smallest sampled value of ||grad f||^2 / (2 (f - f at
     flow limit)); beta_hat the largest of ||grad f(x) - grad f(limit)|| /
-    ||x - limit||. Points whose cost gap is below 1e-14 are already on the
-    minima set and are skipped.
-
-    ``region`` may be a :class:`SampleRegion` or an (M, d) array of points.
+    ||x - limit||, over ``m_samples`` points drawn from ``region``. Points
+    whose cost gap is below 1e-14 are already on the minima set and are
+    skipped.
     """
     base = base_of(obj)
-    if isinstance(region, SampleRegion):
-        if rng is None:
-            rng = RngStream(0)
-        points = region.draw(m_samples, rng)
-    else:
-        points = np.asarray(region, dtype=float)
     alpha_hat = math.inf
     beta_hat = 0.0
     used = 0
-    for x in points:
+    for x in region.draw(m_samples, rng):
         phi = gradient_flow_limit(base, x)
         gap = base.value(x) - base.value(phi)
         dist = float(np.linalg.norm(x - phi))

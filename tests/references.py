@@ -1,26 +1,47 @@
 """Reference computations that only the tests use.
 
-Finite-difference Jacobians, two accurate gradient-flow modes and the exact
+Finite-difference Jacobians, a small-step gradient flow and the exact
 per-sample Hessians of the sample-sum landscapes. The package does not need
 them to run, escape or certify.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from flatmin import FlowConfig, LandscapeSpec
+from flatmin import LandscapeSpec
 
-#: Smaller-step mode for Jacobian probes of the limit map, where the
-#: fixed-step landing bias enters the derivative directly.
-ACCURATE_FLOW = FlowConfig(grad_tol=3e-13, step_fraction=0.05)
+#: ``(step_fraction, grad_tol)`` of the smaller-step flow for Jacobian probes
+#: of the limit map, where the fixed-step landing bias enters the derivative
+#: directly.
+ACCURATE_FLOW = (0.05, 3e-13)
 
-#: Tiny-step reference integration, the independent oracle for landing points.
-#: (The looser tolerance keeps per-step movement above floating-point
-#: resolution at this step size; it is still far below any comparison scale.)
-REFERENCE_FLOW = FlowConfig(grad_tol=1e-12, step_fraction=0.005)
+#: ``(step_fraction, grad_tol)`` of the tiny-step reference integration, the
+#: independent oracle for landing points. (The looser tolerance keeps
+#: per-step movement above floating-point resolution at this step size; it
+#: is still far below any comparison scale.)
+REFERENCE_FLOW = (0.005, 1e-12)
+
+
+def fixed_step_flow(obj, x0: np.ndarray, step_fraction: float, grad_tol: float) -> np.ndarray:
+    """Gradient descent with step ``step_fraction / lipschitz_grad_hint`` until ``|grad| <= grad_tol``.
+
+    The production flow's loop at another step and tolerance, with the same
+    arithmetic; raises ``RuntimeError`` if a step no longer moves the iterate.
+    """
+    x = np.array(x0, dtype=float)
+    h = step_fraction / obj.lipschitz_grad_hint
+    g = obj.grad(x)
+    while math.sqrt(float(g @ g)) > grad_tol:
+        x_new = x - h * g
+        if (x_new == x).all():
+            raise RuntimeError(f"reference flow stalled at {x}")
+        x = x_new
+        g = obj.grad(x)
+    return x
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:

@@ -5,6 +5,7 @@ config (criterion 4) executes through the CLI artifact path; its outputs are
 shared with the determinism and descent-lemma criteria.
 """
 
+import hashlib
 import json
 import time
 
@@ -24,7 +25,6 @@ from flatmin import (
     check_rs_estimator,
     check_sa_dfactor,
     check_sphere_moments,
-    gradient_flow_limit,
     restricted_trace_gradient,
     rs_schedule,
     run,
@@ -33,7 +33,7 @@ from flatmin.cli import ExperimentConfig, execute_run
 from flatmin.objectives import LandscapeSpec
 
 from conftest import near_manifold_points
-from references import ACCURATE_FLOW, fd_jacobian
+from references import ACCURATE_FLOW, fd_jacobian, fixed_step_flow
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -234,7 +234,7 @@ def test_criterion_08_tangency():
     points = near_manifold_points(50, seed=808)
     worst = 0.0
     for x in points:
-        J = fd_jacobian(lambda p: gradient_flow_limit(obj, p, ACCURATE_FLOW), x, 1e-4)
+        J = fd_jacobian(lambda p: fixed_step_flow(obj, p, *ACCURATE_FLOW), x, 1e-4)
         g = obj.grad(x)
         worst = max(worst, float(np.linalg.norm(J @ g) / np.linalg.norm(g)))
     _report(
@@ -252,6 +252,66 @@ def test_criterion_09_sphere_moments():
         mean_inf <= 2e-3 and fro <= 5e-3,
         f"|mean|_inf = {mean_inf:.2e} (<= 2e-3), cov Frobenius dev = {fro:.2e} (<= 5e-3)",
     )
+
+
+#: Full SHA-256 of every file the escape config writes, recorded with
+#: Python 3.11, numpy 2.4.6 on x86-64 Linux. Another numpy build may round
+#: differently; if only this test fails there, record the hashes afresh
+#: with the code as it was before the change under test.
+ESCAPE_SHA256 = {
+    "seed_0.csv": "5b81e6fedb14d99e0793984436b9fe4deb386075233e339b01df364f93fd466f",
+    "seed_0.json": "200ab92840f513179120fde1c8e6352efa81c3f60588e5e52a45147ec005c353",
+    "seed_1.csv": "075916ae8dc045c6f6492cd38a1b36bf1922d30a054333baaa5d730a2c524915",
+    "seed_1.json": "ac04a12c8f1fbe1ca7769ae2d4e775ddab993c86dad5ee8ba80b4121fe544d55",
+    "seed_2.csv": "5589fccdd9ccd4e4607e73e0e1ab0e051f63f21bdf84a5b295d8d6861c6cd5cf",
+    "seed_2.json": "d4edd710af65fe7368a918f704d78f93526cb871d83a93d8683ac06d4fbed6cf",
+    "seed_3.csv": "0d10e8650c3871a95ce4db27279cdfdb788ee1547d1d2204af6fec9bf25717a6",
+    "seed_3.json": "5be356ae41d728d336a28067c75f71b768696a09fe0f4ca576b16426621a7a3e",
+    "seed_4.csv": "3a16199e3bbdb6e7959a91066316207e56efc6d643bac9cc6d7703549a91c386",
+    "seed_4.json": "113a2492fcc435efb450fe8a579448b0db862b5041b885bdc26eebb6b3e4644e",
+    "seed_5.csv": "3d5db528e6ecbd68c2dec12a03555fdce08b3432352d725f4fa0be590bae06dd",
+    "seed_5.json": "291c2bffb730371575b030a596334108b0e1b364eb5f5ca17130c505ed86173f",
+    "seed_6.csv": "76391dbacaead3462368d2733e4009aa02759ea911a456d772af4bbf28820f8f",
+    "seed_6.json": "16f902e649be1682c8b3198717160f44628a9f699f7744dc556ff94fc51dea95",
+    "seed_7.csv": "1d0344babe617e047b35159cb5fa20f1eeaeb2940956dc2c00f4ab8e1fea7e99",
+    "seed_7.json": "cb0c4c5fbcd6678b0de3bb56a5f2b75b775bd2ca38e92e00a4ca46cc80341f24",
+    "seed_8.csv": "7eb11bc0070b1b15207eff02752a077125f9990a90a5f687f6dcb599c15f67ff",
+    "seed_8.json": "87c069b1b6db9bc85b6f78983046c8f604d2730e6025c07d6f5d7678812cba2d",
+    "seed_9.csv": "5e79ba72172e72f6f3f6043ae11ed52e6702d04d4a90ddeb6bf3e20053fc3fc9",
+    "seed_9.json": "5561d222b1fc81f5750af684f0c4bce47d8ad4aa72be4cd5d29d3298a7896d54",
+    "seed_10.csv": "70990ef24f9bb0fa1b32d21c55f97cca5f47d5151f3b5d9cfc88be870c52ce04",
+    "seed_10.json": "75164630e4f07c76c01c3a2283f4544e052feaf01255bd9ed4637c0fa4c96ccd",
+    "seed_11.csv": "60215ae415aed36ecdd14c0aa4be78e06aa0b93d8621876c05e91a34b9aaae78",
+    "seed_11.json": "39867a574d6323efe8850a73300d065a779d3863763e6f98aeffbfb4f7def114",
+    "seed_12.csv": "9fdb458bc90fbd90c552f5591e33feb590e42433bcdd56f32acdfbd5fa7bdfa2",
+    "seed_12.json": "cc523ae3d2037a36de7e8fca7de51ce7522ce0c20c3012e07433f05a5668e443",
+    "seed_13.csv": "268668f59963d5dde0404d927524ac49ee31c9fa8e6e0bdf33918b11fe721c24",
+    "seed_13.json": "ca89143ba97fbcb7d8838ab388c625fbe80a4ec121af85118fd45b4884786749",
+    "seed_14.csv": "2c54b6162d52f3bfe8935783ccc4fa8a00237acd2e58115dd2d0cc3fee250660",
+    "seed_14.json": "2d15427dc87712b0e0e7c64a0d2bf4242ed61423490c166cd0ced4b0b40cdeb7",
+    "seed_15.csv": "d377c056394f439fbd7397735236220c33344ac03ebbbbd96252704b58c31c83",
+    "seed_15.json": "7f5573123eee778befe9c9043d560764d1a1681a0387b5bde2dedadd743d2ba0",
+    "seed_16.csv": "e59d9a924a6eafad3aa9b4ec0d0beb1c56cc00ad42c22671b74f56714e6d2773",
+    "seed_16.json": "9009fc061f2b75403a6e1c8f540488199c3e531e55d63156b7d6b00ebd23af68",
+    "seed_17.csv": "dc1c4a81c7f7aac70b82955775df17aec04a330c304110cfdfc0384c65735d84",
+    "seed_17.json": "447383c7f8529fd58cec92619e492deaea1307ec13d5a999e249e38f7fb942f5",
+    "seed_18.csv": "f2e62c17737f9bf9f17091c3af8684d0f2a36e3ecd502671bcaae903f5315074",
+    "seed_18.json": "6bd8e8e2e850b2bd9b03f88f71c4e6751067f876bde5eed6970c374fb50d8f5c",
+    "seed_19.csv": "c7040b1d7427fda86453d5c519cbed5ca98e183c171698dc534b93920750a5bc",
+    "seed_19.json": "c0646cf7520a36b5c47c6d817939759a64c08236522a5452a4cba686c2514dcb",
+    "summary.json": "c9bfb8c5896ab7cfdb78e398d7e684f90b1b548c4d411090eaca842a69212177",
+}
+
+
+def test_escape_artifact_bytes_are_pinned(escape_artifacts):
+    out = escape_artifacts["out"]
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(ESCAPE_SHA256)
+    changed = [
+        name for name, digest in ESCAPE_SHA256.items()
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+    ]
+    assert changed == [], f"escape artifacts changed bytes: {changed}"
 
 
 def test_criterion_10_determinism(escape_artifacts, tmp_path_factory):

@@ -131,7 +131,7 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert key in err
-        assert not list(out.glob("seed_*"))
+        assert not out.exists()
 
     def test_malformed_json_exit_code_and_line_anchor(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -403,11 +403,14 @@ class TestCertifyCommand:
         assert code == EXIT_NUMERICAL
         assert "flow failure" in capsys.readouterr().err
 
-    def test_overflow_at_start_prints_only_flow_failure(self):
-        # The first gradient overflows; the flow reports it without numpy's warning.
+    # At 1e200,1e200 the first gradient overflows. At 1e160,1e-160 the start
+    # is its own landing point, but the trace at each probe overflows. Either
+    # is reported without numpy's warning or a traceback.
+    @pytest.mark.parametrize("x", ["1e200,1e200", "1e160,1e-160"], ids=["start-gradient", "probe-trace"])
+    def test_overflow_prints_only_flow_failure(self, x):
         proc = subprocess.run(
             [sys.executable, "-m", "flatmin.cli", "certify", "--landscape", '{"kind":"hyperbola"}',
-             "--x", "1e200,1e200", "--eps", "0.1", "--eps-prime", "0.1"],
+             "--x", x, "--eps", "0.1", "--eps-prime", "0.1"],
             capture_output=True, text=True,
         )
         assert proc.returncode == EXIT_NUMERICAL
@@ -514,14 +517,28 @@ class TestSweepCommand:
             assert summary["seeds"][0]["status"] == "ok"
         capsys.readouterr()
 
-    def test_bad_combo_is_usage_error_before_any_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            ({"eps": [0.01, -1.0]}, "in combo eps=-1.0: eps must be a positive finite number"),
+            ({"eps": [0.01, 1e-200]}, "in combo eps=1e-200: eps, delta and constants give no schedule"),
+            (
+                {"landscape.kind": ["hyperbola", "convex_quadratic"]},
+                "in combo kind=convex_quadratic: landscape: landscape 'convex_quadratic' missing parameter",
+            ),
+        ],
+        ids=["eps-negative", "eps-overflows-schedule", "landscape-missing-parameter"],
+    )
+    def test_bad_combo_is_usage_error_before_any_run(self, tmp_path, capsys, sweep, message):
         cfg = tiny_run_config(budget_cap=100, seeds=[1])
-        cfg["sweep"] = {"eps": [0.01, -1.0]}
+        cfg["sweep"] = sweep
         path = write_config(tmp_path, cfg)
         out = tmp_path / "sweep"
         code = main(["sweep", "--config", path, "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "in combo eps=-1.0: eps must be a positive finite number" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_label_key_is_unknown_as_under_run(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flatmin import (
     DEFAULT_FLOW,
     ORACLE_FLOW,
-    FlowConfig,
     FlowConvergenceError,
     LandscapeSpec,
     build_convex_quadratic,
@@ -21,20 +20,9 @@ from flatmin import (
     restricted_trace_gradient,
     trace_at_flow_limit,
 )
+from flatmin import flow
 from conftest import base_objective, hyperbola_manifold_point, hyperbola_tube_region, near_manifold_points
-from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian
-
-
-class TestFlowConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            FlowConfig(max_steps=0)
-
-    def test_step_resolution(self):
-        obj = build_hyperbola()
-        assert FlowConfig().resolve_step(obj) == pytest.approx(0.5 / 56.0)
+from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian, fixed_step_flow
 
 
 class TestGradientFlowLimit:
@@ -57,8 +45,8 @@ class TestGradientFlowLimit:
     def test_matches_tiny_step_reference_integration(self):
         obj = build_hyperbola()
         x0 = np.array([2.0, 0.6])
-        refined = gradient_flow_limit(obj, x0, FlowConfig(grad_tol=1e-12, step_fraction=0.01))
-        reference = gradient_flow_limit(obj, x0, REFERENCE_FLOW)
+        refined = fixed_step_flow(obj, x0, 0.01, 1e-12)
+        reference = fixed_step_flow(obj, x0, *REFERENCE_FLOW)
         assert np.linalg.norm(refined - reference) <= 1e-6
         # The production step carries a small tangential landing bias, linear
         # in the step size.
@@ -75,7 +63,7 @@ class TestGradientFlowLimit:
         obj = build_hyperbola()
         for x0 in near_manifold_points(10, seed=21, offset=5e-2):
             x_hat = gradient_flow_limit(obj, x0)
-            assert np.linalg.norm(obj.grad(x_hat)) <= DEFAULT_FLOW.grad_tol
+            assert np.linalg.norm(obj.grad(x_hat)) <= DEFAULT_FLOW
 
     def test_cost_nonincreasing_along_flow(self):
         obj = build_hyperbola()
@@ -87,10 +75,11 @@ class TestGradientFlowLimit:
         values = [obj.value(x) for x in visited]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_max_steps_exhaustion_reports_last_iterate(self):
+    def test_max_steps_exhaustion_reports_last_iterate(self, monkeypatch):
         obj = build_convex_quadratic([1.0, 1.0])
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", 3)
         with pytest.raises(FlowConvergenceError) as err:
-            gradient_flow_limit(obj, np.array([3.0, -2.0]), FlowConfig(max_steps=3))
+            gradient_flow_limit(obj, np.array([3.0, -2.0]))
         assert err.value.steps == 3
         assert err.value.grad_norm > 0
         assert np.all(np.isfinite(err.value.x_last))
@@ -104,7 +93,7 @@ class TestGradientFlowLimit:
 
 
 class TestLandingProperty:
-    @pytest.mark.parametrize("cfg", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
+    @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -116,14 +105,14 @@ class TestLandingProperty:
     )
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
-    def test_lands_within_grad_tol_or_raises(self, spec, cfg, coords):
+    def test_lands_within_grad_tol_or_raises(self, spec, grad_tol, coords):
         obj = base_objective(spec)
         x0 = np.array(coords[: obj.dim])
         try:
-            x_hat = gradient_flow_limit(obj, x0, cfg)
+            x_hat = gradient_flow_limit(obj, x0, grad_tol)
         except FlowConvergenceError:
             return
-        assert np.linalg.norm(obj.grad(x_hat)) <= cfg.grad_tol
+        assert np.linalg.norm(obj.grad(x_hat)) <= grad_tol
 
 
 class TestRestrictedTraceGradient:
@@ -161,7 +150,7 @@ class TestTangency:
     def test_flow_jacobian_annihilates_gradient_near_manifold(self):
         obj = build_hyperbola()
         for x in near_manifold_points(8, seed=31):
-            J = fd_jacobian(lambda p: gradient_flow_limit(obj, p, ACCURATE_FLOW), x, 1e-4)
+            J = fd_jacobian(lambda p: fixed_step_flow(obj, p, *ACCURATE_FLOW), x, 1e-4)
             g = obj.grad(x)
             assert np.linalg.norm(J @ g) <= 1e-4 * np.linalg.norm(g)
 

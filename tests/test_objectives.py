@@ -61,7 +61,7 @@ class TestHyperbola:
         # The factorization preset must keep the hyperbola's own arithmetic
         # exactly, or seeded escape artifacts change.
         obj = build_hyperbola()
-        assert isinstance(obj, Objective) and obj.name == "hyperbola"
+        assert isinstance(obj, Objective)
         for scale in (1e-3, 1.0, 1e3):
             X = random_points(2, 200, seed=5) * scale
             for u, v in X:

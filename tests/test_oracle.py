@@ -163,16 +163,9 @@ class TestEstimatePlConstants:
 
     def test_points_on_minima_set_are_skipped(self):
         obj = build_hyperbola()
-        on_manifold = np.array([[1.0, 1.0], [2.0, 0.5]])
+        on_manifold = SampleRegion(low=(1.0, 1.0), high=(1.0, 1.0), axis_probes=False)
         with pytest.raises(RuntimeError, match="minima set"):
-            estimate_pl_constants(obj, on_manifold)
-
-    def test_accepts_explicit_point_array(self):
-        obj = build_convex_quadratic([1.0, 1.0])
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        alpha, beta = estimate_pl_constants(obj, pts)
-        assert alpha == pytest.approx(1.0, abs=1e-9)
-        assert beta == pytest.approx(1.0, abs=1e-9)
+            estimate_pl_constants(obj, on_manifold, 4, RngStream(0))
 
 
 class TestDescentLemma:
