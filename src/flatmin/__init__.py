@@ -33,6 +33,7 @@ from .flow import (
     FlowConvergenceError,
     certify_flat,
     gradient_flow_limit,
+    gradient_flow_limits,
     restricted_trace_gradient,
     trace_at_flow_limit,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "FlowConvergenceError",
     "certify_flat",
     "gradient_flow_limit",
+    "gradient_flow_limits",
     "restricted_trace_gradient",
     "trace_at_flow_limit",
     "DegenerateSampleError",

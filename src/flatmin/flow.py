@@ -66,6 +66,17 @@ class FlatnessCertificate:
         return json.dumps(asdict(self), indent=2)
 
 
+def _flow_error(kind: str, x: np.ndarray, gn: float, steps: int, grad_tol: float) -> FlowConvergenceError:
+    """The error of a flow solve that ends ``kind`` ("non-finite", "stalled" or "capped") after ``steps`` steps."""
+    if kind == "stalled":
+        message = f"flow stalled at grad norm {gn:.3e} > tol {grad_tol:.3e}"
+    elif kind == "capped":
+        message = f"flow did not converge in {steps} steps (grad norm {gn:.3e})"
+    else:
+        message = "non-finite gradient " + ("at start" if steps == 0 else "during flow")
+    return FlowConvergenceError(message, x, gn, steps)
+
+
 def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
     """Landing point of the gradient flow started at ``x0``.
 
@@ -74,7 +85,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     :class:`FlowConvergenceError` (carrying the last iterate and gradient
     norm) if the gradient is not finite, ``FLOW_MAX_STEPS`` is exhausted or
     the iteration stalls at floating-point resolution before reaching the
-    tolerance.
+    tolerance. :func:`gradient_flow_limits` lands many starts at once.
     """
     obj = base_of(obj)
     x = np.array(x0, dtype=float)
@@ -84,7 +95,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         g = obj.grad(x)
         gn = math.sqrt(float(g @ g))
         if not math.isfinite(gn):
-            raise FlowConvergenceError("non-finite gradient at start", x, gn, 0)
+            raise _flow_error("non-finite", x, gn, 0, grad_tol)
         if gn <= grad_tol:
             return x
         h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
@@ -92,19 +103,73 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
             x_new = x - h * g
             if (x_new == x).all():
                 # Step underflows at this resolution; nothing further can move.
-                raise FlowConvergenceError(
-                    f"flow stalled at grad norm {gn:.3e} > tol {grad_tol:.3e}", x, gn, step
-                )
+                raise _flow_error("stalled", x, gn, step, grad_tol)
             x = x_new
             g = obj.grad(x)
             gn = math.sqrt(float(g @ g))
             if not math.isfinite(gn):
-                raise FlowConvergenceError("non-finite gradient during flow", x, gn, step)
+                raise _flow_error("non-finite", x, gn, step, grad_tol)
             if gn <= grad_tol:
                 return x
-    raise FlowConvergenceError(
-        f"flow did not converge in {FLOW_MAX_STEPS} steps (grad norm {gn:.3e})", x, gn, FLOW_MAX_STEPS
-    )
+    raise _flow_error("capped", x, gn, FLOW_MAX_STEPS, grad_tol)
+
+
+def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
+    """Landing points of the gradient flows started at the rows of the ``(k, d)`` array ``X``.
+
+    One loop steps every row that has neither landed nor failed, with the
+    arithmetic of :func:`gradient_flow_limit` (gradients from ``grad_many``),
+    so row ``j`` of the result equals ``gradient_flow_limit(obj, X[j],
+    grad_tol)`` bit for bit. If any row fails, the
+    :class:`FlowConvergenceError` of the lowest-index failing row is raised:
+    the one a loop over the rows would raise first. Rows after a failing
+    row stop stepping, since their landing points are never returned.
+    """
+    obj = base_of(obj)
+    out = np.array(X, dtype=float)
+    rows = np.arange(len(out))
+    x = out
+    error = None
+    h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = obj.grad_many(x)
+        gn = np.sqrt(np.vecdot(g, g))
+        step = 0
+        while True:
+            # A row stays live until it lands or its gradient is not finite (NaN is neither).
+            live = (gn > grad_tol) & (gn < math.inf)
+            if not live.all():
+                landed = gn <= grad_tol
+                bad = ~(live | landed)
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    error = _flow_error("non-finite", x[j].copy(), gn[j], step, grad_tol)
+                    live[j:] = landed[j:] = False
+                out[rows[landed]] = x[landed]
+                rows, x, g, gn = rows[live], x[live], g[live], gn[live]
+            if not len(rows):
+                break
+            if step == FLOW_MAX_STEPS:
+                error = _flow_error("capped", x[0].copy(), gn[0], step, grad_tol)
+                break
+            step += 1
+            x_new = x - h * g
+            unmoved = x_new == x
+            if unmoved.any():
+                stalled = unmoved.all(axis=1)
+                if stalled.any():
+                    # Steps underflow at this resolution; nothing further can move.
+                    j = int(np.argmax(stalled))
+                    error = _flow_error("stalled", x[j].copy(), gn[j], step, grad_tol)
+                    if not j:
+                        break
+                    rows, x_new = rows[:j], x_new[:j]
+            x = x_new
+            g = obj.grad_many(x)
+            gn = np.sqrt(np.vecdot(g, g))
+    if error is not None:
+        raise error
+    return out
 
 
 def trace_at_flow_limit(obj, x: np.ndarray) -> float:

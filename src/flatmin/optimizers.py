@@ -13,13 +13,14 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
+from typing import Iterator
 
 import numpy as np
 
-from .geometry import RngStream, proj_out_normed, sample_sphere, sphere_directions
+from .geometry import RngStream, normalized_trace, proj_out_normed, sample_sphere, sphere_directions
 from .objectives import Objective, SampleSumObjective, base_of
-from .flow import trace_at_flow_limit
+from .flow import gradient_flow_limits
 
 #: Additive slack allowed when checking the per-step descent inequality.
 DESCENT_SLACK = 1e-12
@@ -27,6 +28,12 @@ DESCENT_SLACK = 1e-12
 #: Default cap on the theoretical step counts, which are astronomically large
 #: at honest accuracy targets; experiments tune the schedule constants instead.
 DEFAULT_BUDGET_CAP = 1_000_000
+
+#: Trace-logged iterates that ``run`` lands with one batched flow solve.
+TRACE_BLOCK = 256
+
+#: (sample, sign) pairs an SA run draws per generator call.
+SA_DRAW_BLOCK = 512
 
 
 class DivergenceError(RuntimeError):
@@ -182,24 +189,37 @@ def _sa_perturbation(
     g: np.ndarray,
     gn: float,
     rho: float,
-    rng: RngStream,
-) -> tuple[np.ndarray, float, int, float, np.ndarray]:
-    """SA perturbation and its draws ``(v, |v|, sample_index, sigma, direction)``; ``gn = |g|``.
+    i: int,
+    sigma: float,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """SA perturbation ``(v, |v|, direction)`` for sample ``i`` and sign ``sigma``; ``gn = |g|``.
 
     The direction is the normalized prediction gradient. Since
     f_i = loss(p_i, y_i), grad f_i = l'(p_i) * grad p_i, so it is the
     normalized per-sample gradient up to sign wherever that is defined, and
     the fair sign ``sigma`` gives the step the same distribution.
     """
-    i = rng.integers(0, obj.n)
-    sigma = rng.sign()
     p = obj.pred_grad(i, x)
     npn = math.sqrt(float(p @ p))
     if npn == 0.0:
         raise DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x.tolist()}")
     direction = p / npn
     v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
-    return v, math.sqrt(float(v @ v)), i, sigma, direction
+    return v, math.sqrt(float(v @ v)), direction
+
+
+def _sa_draws(n: int, rng: RngStream) -> Iterator[tuple[int, float]]:
+    """Endless SA (sample index, sign) pairs, drawn ``SA_DRAW_BLOCK`` pairs at a time.
+
+    Yields the values of successive ``rng.integers(0, n)``, ``rng.sign()``
+    call pairs: numpy draws an array of bounds element by element, so one
+    call with bounds ``[n, 2, n, 2, ...]`` gives the same values.
+    """
+    bounds = np.tile([n, 2], SA_DRAW_BLOCK)
+    while True:
+        block = iter(rng.generator.integers(0, bounds).tolist())
+        for i, b in zip(block, block):
+            yield i, 1.0 if b == 1 else -1.0
 
 
 def _checked_step(x: np.ndarray, eta: float, grad_x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -251,9 +271,9 @@ def sa_step(
         raise TypeError("sharpness-aware step needs a SampleSumObjective")
     x = np.asarray(x, dtype=float)
     grad_x = obj.base.grad(x)
-    v, v_norm, i, sigma, direction = _sa_perturbation(
-        obj, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, rng
-    )
+    i = rng.integers(0, obj.n)
+    sigma = rng.sign()
+    v, v_norm, direction = _sa_perturbation(obj, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, i, sigma)
     diag = PerturbationDiagnostics(v=v, v_norm=v_norm, sample_index=i, sigma=sigma, direction=direction)
     return _checked_step(x, eta, grad_x, v), diag
 
@@ -353,9 +373,20 @@ def run(
     at most 8. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
 
-    RS takes its sphere directions from ``rng`` in blocks (the same vectors
-    as per-step ``sample_sphere`` calls), so the state of ``rng`` after
-    ``run`` returns is unspecified.
+    The trace column holds ``trace_at_flow_limit`` of the logged iterate,
+    bit for bit, but the iterates are landed ``TRACE_BLOCK`` at a time by
+    one :func:`~flatmin.flow.gradient_flow_limits` call, and the rest with
+    the terminal one. A failing trace solve therefore raises its
+    :class:`~flatmin.flow.FlowConvergenceError` when its block is landed,
+    up to ``TRACE_BLOCK`` traced steps later. A :class:`DivergenceError` or
+    :class:`DegenerateSampleError` raised in between still loses to it:
+    ``run`` lands the pending iterates first, so the first error is the one
+    per-step solves would have raised.
+
+    RS takes its sphere directions and SA its (sample, sign) pairs from
+    ``rng`` in blocks (the same values as per-step ``sample_sphere``, or
+    ``integers`` and ``sign``, calls), so the state of ``rng`` after ``run``
+    returns is unspecified.
     """
     algorithm = algorithm.upper()
     if algorithm not in ALGORITHMS:
@@ -377,72 +408,95 @@ def run(
     returned_index = rng.integers(1, T + 1)
     returned_x: np.ndarray | None = None
     records: list[IterateRecord] = []
+    # (index into records, iterate) of the logged steps whose trace is not landed yet.
+    pending: list[tuple[int, np.ndarray]] = []
+
+    def land_pending() -> None:
+        if not pending:
+            return
+        limits = gradient_flow_limits(base, np.stack([xk for _, xk in pending]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (k, _), phi in zip(pending, limits):
+                records[k] = replace(records[k], tr_phi=normalized_trace(base, phi))
+        pending.clear()
+
     n_perturbed = n_gd = 0
     violations = 0
     max_slack = -math.inf
     perturbs = algorithm != "GD"
     directions = sphere_directions(base.dim, rng) if algorithm == "RS" else None
+    draws = _sa_draws(ss.n, rng) if algorithm == "SA" else None
     eta, eta_prime, rho, eps0 = sched.eta, sched.eta_prime, sched.rho, sched.eps0
     half_eta = 0.5 * eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * eta**2
 
-    # A diverging run overflows before the finite checks below report it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fval = float(base.value(x))
-        g = base.grad(x)
-        for t in range(T):
-            gn = math.sqrt(float(g @ g))
-            snapshot = None
-            if t % log_cadence == 0:
-                snapshot = (fval, gn)
-            perturbed = perturbs and gn <= eps0
-            if perturbed:
-                if directions is not None:
-                    v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
-                else:
-                    v, v_norm, *_ = _sa_perturbation(ss, x, g, gn, rho, rng)
-                x_next = x - eta * (g + v)
-                n_perturbed += 1
-                branch = "perturbed"
-            else:
-                x_next = x - eta_prime * g
-                v_norm = None
-                n_gd += 1
-                branch = "gd"
-            f_next = float(base.value(x_next))
-            if not (math.isfinite(f_next) and np.isfinite(x_next).all()):
-                raise DivergenceError(
-                    f"divergence at step {t}",
-                    IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
-                )
-            if perturbed:
-                slack = f_next - (fval - half_eta * gn * gn + half_beta_eta_sq * v_norm * v_norm)
-                if slack > max_slack:
-                    max_slack = slack
-                if slack > DESCENT_SLACK:
-                    violations += 1
-            if snapshot is not None:
-                tr = trace_at_flow_limit(base, x) if t % tr_cadence == 0 else None
-                records.append(
-                    IterateRecord(
-                        t,
-                        branch,
-                        snapshot[0],
-                        snapshot[1],
-                        v_norm,
-                        tr,
-                        f_next,
-                        tuple(map(float, x)) if keep_x else None,
-                    )
-                )
-            if t + 1 == returned_index:
-                returned_x = x_next.copy()
-            x = x_next
-            fval = f_next
+    try:
+        # A diverging run overflows before the finite checks below report it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fval = float(base.value(x))
             g = base.grad(x)
+            for t in range(T):
+                gn = math.sqrt(float(g @ g))
+                snapshot = None
+                if t % log_cadence == 0:
+                    snapshot = (fval, gn)
+                perturbed = perturbs and gn <= eps0
+                if perturbed:
+                    if directions is not None:
+                        v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
+                    else:
+                        v, v_norm, _ = _sa_perturbation(ss, x, g, gn, rho, *next(draws))
+                    x_next = x - eta * (g + v)
+                    n_perturbed += 1
+                    branch = "perturbed"
+                else:
+                    x_next = x - eta_prime * g
+                    v_norm = None
+                    n_gd += 1
+                    branch = "gd"
+                f_next = float(base.value(x_next))
+                if not (math.isfinite(f_next) and np.isfinite(x_next).all()):
+                    raise DivergenceError(
+                        f"divergence at step {t}",
+                        IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
+                    )
+                if perturbed:
+                    slack = f_next - (fval - half_eta * gn * gn + half_beta_eta_sq * v_norm * v_norm)
+                    if slack > max_slack:
+                        max_slack = slack
+                    if slack > DESCENT_SLACK:
+                        violations += 1
+                if snapshot is not None:
+                    if t % tr_cadence == 0:
+                        pending.append((len(records), x))
+                    records.append(
+                        IterateRecord(
+                            t,
+                            branch,
+                            snapshot[0],
+                            snapshot[1],
+                            v_norm,
+                            None,
+                            f_next,
+                            tuple(map(float, x)) if keep_x else None,
+                        )
+                    )
+                    if len(pending) == TRACE_BLOCK:
+                        land_pending()
+                if t + 1 == returned_index:
+                    returned_x = x_next.copy()
+                x = x_next
+                fval = f_next
+                g = base.grad(x)
+    except (DivergenceError, DegenerateSampleError):
+        # A trace solve at an earlier logged step fails first, as it would
+        # have had it run at its own step.
+        land_pending()
+        raise
 
     gn = math.sqrt(float(g @ g))
     branch = "gd" if (algorithm == "GD" or gn > sched.eps0) else "perturbed"
+    pending.append((len(records), x))
     records.append(
         IterateRecord(
             T,
@@ -450,11 +504,12 @@ def run(
             fval,
             gn,
             None,
-            trace_at_flow_limit(base, x),
+            None,
             None,
             tuple(map(float, x)) if keep_x else None,
         )
     )
+    land_pending()
     assert returned_x is not None
     return Trajectory(
         records=tuple(records),

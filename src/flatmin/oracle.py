@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import RngStream, U_TOL, normalized_trace, sample_sphere_batch
 from .objectives import SampleSumObjective, base_of
-from .flow import gradient_flow_limit
+from .flow import gradient_flow_limits
 from .optimizers import DESCENT_SLACK, Trajectory
 
 #: Fixed Monte-Carlo chunk size; reduction order must not depend on platform.
@@ -111,15 +111,13 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream) -> OracleReport
     )
 
 
-def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> OracleReport:
-    """Leading-order mean of the smoothed perturbation direction.
+def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(measured, reference)`` of the smoothed-perturbation mean at each radius in ``rhos``.
 
-    Averages v = proj_out(grad f(x + rho*g)) over antithetic sphere pairs
-    (g, -g) - each marginally uniform, the pairing cancels the odd Taylor
-    terms that otherwise dominate the Monte-Carlo variance - and compares
-    against 0.5 * rho^2 * proj_out(grad of the normalized trace). Per
-    component the deviation must stay within max(REL_TOL * |ref|,
-    RHO3_FLOOR * rho^3).
+    Every radius is evaluated on the same antithetic sphere pairs: each chunk
+    is drawn once. Per radius, the chunk sums are added in the order one
+    radius alone would add them, so the result does not depend on the other
+    radii.
     """
     if n_samples < RS_ESTIMATOR_LEAST_N:
         raise ValueError(f"need at least {RS_ESTIMATOR_LEAST_N} samples, got {n_samples}")
@@ -136,24 +134,37 @@ def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> Or
         return V - np.outer(V @ uhat, uhat)
 
     n_pairs = n_samples // 2
-    total = np.zeros(d)
+    totals = [np.zeros(d) for _ in rhos]
     for m in _chunks(n_pairs):
         G = sample_sphere_batch(d, m, rng)
-        total += project_rows(base.grad_many(x[None, :] + rho * G)).sum(axis=0)
-        total += project_rows(base.grad_many(x[None, :] - rho * G)).sum(axis=0)
-    measured = total / (2 * n_pairs)
+        for total, rho in zip(totals, rhos):
+            D = rho * G
+            total += project_rows(base.grad_many(x[None, :] + D)).sum(axis=0)
+            total += project_rows(base.grad_many(x[None, :] - D)).sum(axis=0)
 
     ref_dir = base.normalized_trace_grad(x)
     if uhat is not None:
         ref_dir = ref_dir - np.dot(ref_dir, uhat) * uhat
-    reference = 0.5 * rho**2 * ref_dir
+    return [(total / (2 * n_pairs), 0.5 * rho**2 * ref_dir) for total, rho in zip(totals, rhos)]
 
+
+def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> OracleReport:
+    """Leading-order mean of the smoothed perturbation direction.
+
+    Averages v = proj_out(grad f(x + rho*g)) over antithetic sphere pairs
+    (g, -g) - each marginally uniform, the pairing cancels the odd Taylor
+    terms that otherwise dominate the Monte-Carlo variance - and compares
+    against 0.5 * rho^2 * proj_out(grad of the normalized trace). Per
+    component the deviation must stay within max(REL_TOL * |ref|,
+    RHO3_FLOOR * rho^3).
+    """
+    [(measured, reference)] = _estimator_means(obj, x, [rho], n_samples, rng)
     abs_tol = RHO3_FLOOR * rho**3
     denom = np.maximum(np.abs(reference), abs_tol / REL_TOL)
     rel_error = float(np.max(np.abs(measured - reference) / denom))
     return OracleReport(
         name="rs-estimator",
-        n_samples=2 * n_pairs,
+        n_samples=2 * (n_samples // 2),
         measured=measured.tolist(),
         reference=reference.tolist(),
         rel_error=rel_error,
@@ -170,18 +181,21 @@ def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> Or
 def check_rs_decay(obj, x, rho_hi: float, rho_lo: float, n_samples: int, seed: int) -> OracleReport:
     """Decay of the estimator remainder when the perturbation radius shrinks.
 
-    Runs the estimator check at two radii with common random numbers (same
-    seeded stream) and requires the absolute deviation from the
-    0.5*rho^2 law to shrink by at least ``DECAY_FACTOR`` (the remainder scales
-    one power of rho faster than the law itself, giving a factor of
-    (rho_hi/rho_lo)^2 = 4 at the default halving).
+    Runs the estimator check at two radii with common random numbers: both
+    radii are evaluated on the same draws of one stream seeded ``seed``,
+    each chunk drawn once, and each radius gives the same deviation as
+    :func:`check_rs_estimator` with a fresh ``RngStream(seed)``. The absolute
+    deviation from the 0.5*rho^2 law must shrink by at least
+    ``DECAY_FACTOR`` (the remainder scales one power of rho faster than the
+    law itself, giving a factor of (rho_hi/rho_lo)^2 = 4 at the default
+    halving).
     """
     if not rho_hi > rho_lo > 0:
         raise ValueError("need rho_hi > rho_lo > 0")
-    rep_hi = check_rs_estimator(obj, x, rho_hi, n_samples, RngStream(seed))
-    rep_lo = check_rs_estimator(obj, x, rho_lo, n_samples, RngStream(seed))
-    dev_hi = rep_hi.extras["abs_deviation"]
-    dev_lo = rep_lo.extras["abs_deviation"]
+    dev_hi, dev_lo = (
+        float(np.linalg.norm(measured - reference))
+        for measured, reference in _estimator_means(obj, x, [rho_hi, rho_lo], n_samples, RngStream(seed))
+    )
     ratio = dev_hi / dev_lo if dev_lo > 0 else math.inf
     rel_error = DECAY_FACTOR / ratio if ratio > 0 else math.inf
     return OracleReport(
@@ -236,9 +250,9 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
     f0 = base.value(x_star)
     total = 0.0
     for m in _chunks(n_samples):
-        G = sample_sphere_batch(d, m, rng)
-        vp = base.value_many(x_star[None, :] + rho * G)
-        vm = base.value_many(x_star[None, :] - rho * G)
+        D = rho * sample_sphere_batch(d, m, rng)
+        vp = base.value_many(x_star[None, :] + D)
+        vm = base.value_many(x_star[None, :] - D)
         total += float(np.sum(vp - 2.0 * f0 + vm))
     measured_rs = total / (n_samples * rho**2)
 
@@ -307,14 +321,17 @@ def estimate_pl_constants(obj, region: SampleRegion, m_samples: int, rng: RngStr
     flow limit)); beta_hat the largest of ||grad f(x) - grad f(limit)|| /
     ||x - limit||, over ``m_samples`` points drawn from ``region``. Points
     whose cost gap is below 1e-14 are already on the minima set and are
-    skipped.
+    skipped. All points are landed by one
+    :func:`~flatmin.flow.gradient_flow_limits` call, so a failing landing
+    raises the error of the first failing point before any constant is
+    formed.
     """
     base = base_of(obj)
     alpha_hat = math.inf
     beta_hat = 0.0
     used = 0
-    for x in region.draw(m_samples, rng):
-        phi = gradient_flow_limit(base, x)
+    points = region.draw(m_samples, rng)
+    for x, phi in zip(points, gradient_flow_limits(base, points)):
         gap = base.value(x) - base.value(phi)
         dist = float(np.linalg.norm(x - phi))
         if gap < 1e-14 or dist < 1e-14:

@@ -29,7 +29,7 @@ from flatmin import (
     rs_schedule,
     run,
 )
-from flatmin.cli import ExperimentConfig, execute_run
+from flatmin.cli import ExperimentConfig, execute_run, main
 from flatmin.objectives import LandscapeSpec
 
 from conftest import near_manifold_points
@@ -312,6 +312,23 @@ def test_escape_artifact_bytes_are_pinned(escape_artifacts):
         if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
     ]
     assert changed == [], f"escape artifacts changed bytes: {changed}"
+
+
+#: Full SHA-256 of the JSON of the 40 criterion-5 trajectories and of the
+#: ``verify.json`` that ``flatmin verify --n 100000 --seed 0`` writes,
+#: recorded as ESCAPE_SHA256 was (Python 3.11, numpy 2.4.6, x86-64 Linux).
+SA_VS_RS_SHA256 = "6433a26c5eaef2e24d35e9efbbeca769afdc9a164f47fdb3582dbb2f9dd2e87f"
+VERIFY_SHA256 = "484acb47c45f6f274493dfa71a7bcbfd86d2c295d661e305aa04677bed703481"
+
+
+def test_sa_vs_rs_trajectory_bytes_are_pinned(sa_vs_rs_runs):
+    blob = json.dumps({a: [t.to_dict() for t in ts] for a, ts in sa_vs_rs_runs["trajs"].items()})
+    assert hashlib.sha256(blob.encode()).hexdigest() == SA_VS_RS_SHA256
+
+
+def test_verify_report_bytes_are_pinned(tmp_path, capsys):
+    assert main(["verify", "--n", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256
 
 
 def test_criterion_10_determinism(escape_artifacts, tmp_path_factory):

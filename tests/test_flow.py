@@ -16,6 +16,7 @@ from flatmin import (
     certify_flat,
     estimate_pl_constants,
     gradient_flow_limit,
+    gradient_flow_limits,
     normalized_trace,
     restricted_trace_gradient,
     trace_at_flow_limit,
@@ -113,6 +114,74 @@ class TestLandingProperty:
         except FlowConvergenceError:
             return
         assert np.linalg.norm(obj.grad(x_hat)) <= grad_tol
+
+
+def _landing_or_error(fn):
+    """``fn()``'s result, or the fields of the FlowConvergenceError it raises."""
+    try:
+        return fn()
+    except FlowConvergenceError as err:
+        return (type(err), str(err), err.x_last.tobytes(), np.float64(err.grad_norm).tobytes(), err.steps)
+
+
+class TestBatchedLanding:
+    """``gradient_flow_limits`` against a loop of ``gradient_flow_limit``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LandscapeSpec("hyperbola"),
+            LandscapeSpec("scalar_factorization", {"a": [1.0, 0.7, 1.3, 1.6], "c": 1.0}),
+            LandscapeSpec("orthogonal_quadratic_model", {"d": 12, "n": 4, "y": [0.5, 1.0, 1.5, 2.0]}),
+            LandscapeSpec("convex_quadratic", {"eigenvalues": [1.0, 4.0, 0.5]}),
+        ],
+        ids=["hyperbola", "factorization-n4", "orthogonal-d12", "convex-quadratic"],
+    )
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        points=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12), min_size=1, max_size=4),
+        # Starts the single-point loop fails on: a gradient that overflows at
+        # the start, and one that diverges.
+        failing=st.lists(st.sampled_from(["overflow", "diverge"]), max_size=2),
+        # 1e-30 is below the gradient the hyperbola can reach, so it stalls.
+        grad_tol=st.sampled_from([DEFAULT_FLOW, ORACLE_FLOW, 1e-30]),
+        max_steps=st.sampled_from([flow.FLOW_MAX_STEPS, 3]),
+        data=st.data(),
+    )
+    def test_matches_loop_of_single_landings(self, spec, points, failing, grad_tol, max_steps, data):
+        obj = base_objective(spec)
+        d = obj.dim
+        special = {"overflow": np.full(d, 1e200), "diverge": 40.0 * (-1.0) ** np.arange(d)}
+        rows = data.draw(st.permutations([p[:d] for p in points] + [special[f] for f in failing]))
+        X = np.array(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "FLOW_MAX_STEPS", max_steps)
+            batched = _landing_or_error(lambda: gradient_flow_limits(obj, X, grad_tol))
+            looped = _landing_or_error(lambda: np.array([gradient_flow_limit(obj, x, grad_tol) for x in X]))
+        if isinstance(looped, tuple):
+            assert batched == looped
+        else:
+            assert batched.tobytes() == looped.tobytes()
+
+    @pytest.mark.parametrize(
+        "eigenvalues, rows, grad_tol, max_steps, kind, steps",
+        [
+            # The stall at step 422 of row 1 wins over row 2's overflow at step 0.
+            (None, [[2.0, 0.5], [2.0, 0.6], [1e200, 1e200]], 1e-30, None, "stalled", 422),
+            (None, [[2.0, 0.5], [40.0, -40.0], [1e200, 1e200]], DEFAULT_FLOW, None, "non-finite", 4),
+            ([1.0, 4.0], [[0.0, 0.0], [3.0, -2.0], [1e200, 1e200]], DEFAULT_FLOW, 3, "did not converge", 3),
+        ],
+        ids=["stall", "divergence", "max-steps"],
+    )
+    def test_lowest_failing_row_wins(self, monkeypatch, eigenvalues, rows, grad_tol, max_steps, kind, steps):
+        obj = build_hyperbola() if eigenvalues is None else build_convex_quadratic(eigenvalues)
+        if max_steps is not None:
+            monkeypatch.setattr(flow, "FLOW_MAX_STEPS", max_steps)
+        X = np.array(rows)
+        batched = _landing_or_error(lambda: gradient_flow_limits(obj, X, grad_tol))
+        looped = _landing_or_error(lambda: [gradient_flow_limit(obj, x, grad_tol) for x in X])
+        assert kind in looped[1] and looped[4] == steps
+        assert batched == looped
 
 
 class TestRestrictedTraceGradient:

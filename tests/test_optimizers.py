@@ -6,6 +6,7 @@ import pytest
 from flatmin import (
     DegenerateSampleError,
     DivergenceError,
+    FlowConvergenceError,
     RngStream,
     SampleSumObjective,
     Schedule,
@@ -24,7 +25,9 @@ from flatmin import (
     trace_at_flow_limit,
     trajectory_csv,
 )
+from flatmin import flow
 from flatmin.geometry import SPHERE_BLOCK
+from flatmin.optimizers import SA_DRAW_BLOCK, TRACE_BLOCK
 from flatmin.objectives import LandscapeSpec
 
 from conftest import hyperbola_manifold_point
@@ -319,6 +322,17 @@ class TestRun:
         assert rec is not None
         assert np.all(np.isfinite(rec.x))
 
+    def test_earlier_trace_failure_wins_over_later_divergence(self, monkeypatch):
+        # The trace solve at t = 0 runs out of flow steps; the GD steps
+        # (factor -2 per step) overflow at step 511.
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", 1)
+        obj = build_convex_quadratic([1.0])
+        sched = Schedule(eta=0.1, eta_prime=3.0, rho=0.1, eps0=1e-15, steps=1000, beta_hat=1 / 3.0)
+        with pytest.raises(FlowConvergenceError) as err:
+            run(obj, "GD", np.array([1.0]), sched, RngStream(0), log_cadence=1, tr_cadence=1000)
+        assert err.value.steps == 1
+        assert err.value.x_last.tolist() == [0.5]
+
     def test_sa_requires_sample_sum(self):
         obj = build_hyperbola()
         sched = rs_schedule(0.01, 0.2, 56.0, budget_cap=10)
@@ -421,7 +435,8 @@ class TestRunMatchesPublicSteps:
         sched = Schedule(eta=5e-3, eta_prime=0.05, rho=0.1, eps0=1e-3, steps=1500, beta_hat=6.5)
         x0 = canonical_minimum(spec)
         traj = run(ss, "SA", x0, sched, RngStream(0), log_cadence=1)
-        assert traj.n_perturbed > 0 and traj.n_gd > 0
+        # Crosses a block boundary of the (sample, sign) draws.
+        assert traj.n_perturbed > SA_DRAW_BLOCK and traj.n_gd > 0
         expected = _hand_loop(
             ss, x0, sched, 0, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, None, rng)
         )
@@ -469,3 +484,14 @@ class TestTrajectorySerialization:
             assert float(parts[3]) == rec.grad_norm
             if parts[4]:
                 assert float(parts[4]) == rec.v_norm
+
+
+class TestTraceLogging:
+    def test_trace_column_equals_single_solves(self):
+        # More traced steps than one landing block holds.
+        obj = build_hyperbola()
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / 56, rho=0.05, eps0=2e-3, steps=2 * TRACE_BLOCK + 50, beta_hat=56.0)
+        traj = run(obj, "RS", np.array([1.5, 1 / 1.5]), sched, RngStream(2), log_cadence=1, tr_cadence=1)
+        traced = [r for r in traj.records if r.tr_phi is not None]
+        assert len(traced) == len(traj.records) == sched.steps + 1
+        assert [r.tr_phi for r in traced] == [trace_at_flow_limit(obj, np.array(r.x)) for r in traced]
