@@ -93,7 +93,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         g = obj.grad(x)
-        gn = math.sqrt(float(g @ g))
+        gn = math.sqrt(np.dot(g, g))
         if not math.isfinite(gn):
             raise _flow_error("non-finite", x, gn, 0, grad_tol)
         if gn <= grad_tol:
@@ -101,12 +101,12 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
         for step in range(1, FLOW_MAX_STEPS + 1):
             x_new = x - h * g
-            if (x_new == x).all():
+            if x_new.tolist() == x.tolist():
                 # Step underflows at this resolution; nothing further can move.
                 raise _flow_error("stalled", x, gn, step, grad_tol)
             x = x_new
             g = obj.grad(x)
-            gn = math.sqrt(float(g @ g))
+            gn = math.sqrt(np.dot(g, g))
             if not math.isfinite(gn):
                 raise _flow_error("non-finite", x, gn, step, grad_tol)
             if gn <= grad_tol:

@@ -104,14 +104,14 @@ def sample_sphere_batch(d: int, m: int, rng: RngStream) -> np.ndarray:
         G = np.concatenate([kept, rng.normal((m - len(kept), d))])
 
 
-def sphere_directions(d: int, rng: RngStream) -> Iterator[np.ndarray]:
-    """Endless uniform unit vectors in R^d, drawn ``SPHERE_BLOCK`` at a time.
+def sphere_directions(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]:
+    """Endless uniform vectors on the sphere of ``radius`` in R^d, drawn ``SPHERE_BLOCK`` at a time.
 
-    Yields the vectors of successive ``sample_sphere(d, rng)`` calls, but
-    draws from ``rng`` a block at a time.
+    Yields ``radius * sample_sphere(d, rng)`` of successive calls, bit for
+    bit, but draws from ``rng`` and scales a block at a time.
     """
     while True:
-        yield from sample_sphere_batch(d, SPHERE_BLOCK, rng)
+        yield from radius * sample_sphere_batch(d, SPHERE_BLOCK, rng)
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:

@@ -25,6 +25,8 @@ TEST_REGION_HALF_WIDTH = 3.0
 class Objective:
     """Differentiable function bundle; every field is required.
 
+    The per-point callables take ``x`` as a 1-d float64 ndarray of length ``dim``.
+
     Attributes
     ----------
     dim : int
@@ -63,7 +65,8 @@ class SampleSumObjective:
     """Training loss of the form f(x) = (1/n) * sum_i loss(p_i(x), y_i).
 
     Every field is required. ``sample_*`` callables address the per-sample
-    losses f_i; ``pred_grad`` is the gradient of the model output p_i.
+    losses f_i; ``pred_grad`` is the gradient of the model output p_i. Each
+    takes a sample index and ``x`` as a 1-d float64 ndarray of length ``dim``.
     """
 
     base: Objective
@@ -97,6 +100,14 @@ class LandscapeSpec:
         if not isinstance(kind, str) or kind not in _BUILDERS:
             raise ValueError(f"unknown landscape kind {kind!r}; known: {sorted(_BUILDERS)}")
         return LandscapeSpec(kind=kind, params=data)
+
+
+def _square(r: float) -> float:
+    """``r ** 2`` (libm ``pow``, as numpy scalars; ``r * r`` rounds otherwise), ``inf`` on overflow."""
+    try:
+        return r**2
+    except OverflowError:
+        return math.inf
 
 
 def build_hyperbola() -> Objective:
@@ -175,12 +186,18 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
     if not 0.0 < beta < math.inf:
         raise ValueError(f"a and c must give a positive finite Lipschitz hint, got {beta}")
 
+    # Python floats cost less per call than numpy scalars and round the same.
+    a_list = a.tolist()
+    a_sq = [_square(ai) for ai in a_list]
+
     def value(x):
-        return m2 * float((x[0] * x[1] - c) ** 2)
+        x0, x1 = x.tolist()
+        return m2 * _square(x0 * x1 - c)
 
     def grad(x):
-        r = 2.0 * m2 * (x[0] * x[1] - c)
-        return np.array([r * x[1], r * x[0]])
+        x0, x1 = x.tolist()
+        r = 2.0 * m2 * (x0 * x1 - c)
+        return np.array([r * x1, r * x0])
 
     def hess(x):
         off = 2.0 * m2 * (2.0 * x[0] * x[1] - c)
@@ -198,14 +215,17 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         return np.array([2.0 * m2 * x[0], 2.0 * m2 * x[1]])
 
     def sample_value(i, x):
-        return float(a[i] ** 2 * (x[0] * x[1] - c) ** 2)
+        x0, x1 = x.tolist()
+        return a_sq[i] * _square(x0 * x1 - c)
 
     def sample_grad(i, x):
-        r = 2.0 * a[i] ** 2 * (x[0] * x[1] - c)
-        return np.array([r * x[1], r * x[0]])
+        x0, x1 = x.tolist()
+        r = 2.0 * a_sq[i] * (x0 * x1 - c)
+        return np.array([r * x1, r * x0])
 
     def pred_grad(i, x):
-        return np.array([a[i] * x[1], a[i] * x[0]])
+        x0, x1 = x.tolist()
+        return np.array([a_list[i] * x1, a_list[i] * x0])
 
     base = Objective(
         dim=2,

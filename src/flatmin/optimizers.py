@@ -172,15 +172,15 @@ class PerturbationDiagnostics:
 
 
 def _rs_perturbation(
-    base: Objective, x: np.ndarray, g: np.ndarray, gn: float, rho: float, u: np.ndarray
+    base: Objective, x: np.ndarray, g: np.ndarray, gn: float, rho_u: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """RS perturbation ``(v, |v|)`` along the unit vector ``u``.
+    """RS perturbation ``(v, |v|)`` for the displacement ``rho_u``, a unit vector scaled by rho.
 
-    ``v`` is the gradient at ``x + rho*u`` projected off ``g = grad(x)``,
+    ``v`` is the gradient at ``x + rho_u`` projected off ``g = grad(x)``,
     whose norm ``gn`` the caller has already computed.
     """
-    v = proj_out_normed(g, gn, base.grad(x + rho * u))
-    return v, math.sqrt(float(v @ v))
+    v = proj_out_normed(g, gn, base.grad(x + rho_u))
+    return v, math.sqrt(np.dot(v, v))
 
 
 def _sa_perturbation(
@@ -200,12 +200,12 @@ def _sa_perturbation(
     the fair sign ``sigma`` gives the step the same distribution.
     """
     p = obj.pred_grad(i, x)
-    npn = math.sqrt(float(p @ p))
+    npn = math.sqrt(np.dot(p, p))
     if npn == 0.0:
         raise DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x.tolist()}")
     direction = p / npn
     v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
-    return v, math.sqrt(float(v @ v)), direction
+    return v, math.sqrt(np.dot(v, v)), direction
 
 
 def _sa_draws(n: int, rng: RngStream) -> Iterator[tuple[int, float]]:
@@ -245,7 +245,7 @@ def rs_step(
     x = np.asarray(x, dtype=float)
     grad_x = base.grad(x)
     u = sample_sphere(base.dim, rng)
-    v, v_norm = _rs_perturbation(base, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, u)
+    v, v_norm = _rs_perturbation(base, x, grad_x, math.sqrt(np.dot(grad_x, grad_x)), rho * u)
     return _checked_step(x, eta, grad_x, v), PerturbationDiagnostics(v=v, v_norm=v_norm, g=u)
 
 
@@ -273,7 +273,7 @@ def sa_step(
     grad_x = obj.base.grad(x)
     i = rng.integers(0, obj.n)
     sigma = rng.sign()
-    v, v_norm, direction = _sa_perturbation(obj, x, grad_x, math.sqrt(float(grad_x @ grad_x)), rho, i, sigma)
+    v, v_norm, direction = _sa_perturbation(obj, x, grad_x, math.sqrt(np.dot(grad_x, grad_x)), rho, i, sigma)
     diag = PerturbationDiagnostics(v=v, v_norm=v_norm, sample_index=i, sigma=sigma, direction=direction)
     return _checked_step(x, eta, grad_x, v), diag
 
@@ -424,9 +424,9 @@ def run(
     violations = 0
     max_slack = -math.inf
     perturbs = algorithm != "GD"
-    directions = sphere_directions(base.dim, rng) if algorithm == "RS" else None
-    draws = _sa_draws(ss.n, rng) if algorithm == "SA" else None
     eta, eta_prime, rho, eps0 = sched.eta, sched.eta_prime, sched.rho, sched.eps0
+    displacements = sphere_directions(base.dim, rho, rng) if algorithm == "RS" else None
+    draws = _sa_draws(ss.n, rng) if algorithm == "SA" else None
     half_eta = 0.5 * eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * eta**2
 
@@ -436,14 +436,14 @@ def run(
             fval = float(base.value(x))
             g = base.grad(x)
             for t in range(T):
-                gn = math.sqrt(float(g @ g))
+                gn = math.sqrt(np.dot(g, g))
                 snapshot = None
                 if t % log_cadence == 0:
                     snapshot = (fval, gn)
                 perturbed = perturbs and gn <= eps0
                 if perturbed:
-                    if directions is not None:
-                        v, v_norm = _rs_perturbation(base, x, g, gn, rho, next(directions))
+                    if displacements is not None:
+                        v, v_norm = _rs_perturbation(base, x, g, gn, next(displacements))
                     else:
                         v, v_norm, _ = _sa_perturbation(ss, x, g, gn, rho, *next(draws))
                     x_next = x - eta * (g + v)
@@ -455,7 +455,7 @@ def run(
                     n_gd += 1
                     branch = "gd"
                 f_next = float(base.value(x_next))
-                if not (math.isfinite(f_next) and np.isfinite(x_next).all()):
+                if not (math.isfinite(f_next) and all(map(math.isfinite, x_next.tolist()))):
                     raise DivergenceError(
                         f"divergence at step {t}",
                         IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
@@ -494,7 +494,7 @@ def run(
         land_pending()
         raise
 
-    gn = math.sqrt(float(g @ g))
+    gn = math.sqrt(np.dot(g, g))
     branch = "gd" if (algorithm == "GD" or gn > sched.eps0) else "perturbed"
     pending.append((len(records), x))
     records.append(

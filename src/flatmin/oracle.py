@@ -283,7 +283,10 @@ class SampleRegion:
 
     When ``axis_probes`` is set, the +/- axis extreme points of the box are
     prepended to the random draws (subject to the predicate); for quadratic
-    landscapes these hit the extreme curvature ratios exactly.
+    landscapes these hit the extreme curvature ratios exactly. ``draw(m, rng)``
+    tries at most ``1000 * m`` candidates, in order, ``m`` rows per ``random((m,
+    d))`` call (the rows of ``m`` ``random(d)`` calls); ``rng``'s state after it
+    is unspecified.
     """
 
     low: tuple
@@ -305,10 +308,12 @@ class SampleRegion:
                         points.append(p)
         tries = 0
         while len(points) < m and tries < 1000 * m:
-            p = low + (high - low) * rng.generator.random(d)
-            tries += 1
-            if self.predicate is None or self.predicate(p):
-                points.append(p)
+            for p in low + (high - low) * rng.generator.random((m, d)):
+                tries += 1
+                if self.predicate is None or self.predicate(p):
+                    points.append(p)
+                    if len(points) == m:
+                        break
         if len(points) < m:
             raise RuntimeError("region sampler could not find enough points satisfying the predicate")
         return np.stack(points[:m])

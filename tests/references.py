@@ -72,3 +72,66 @@ def sample_hess(spec: LandscapeSpec, i: int, x: np.ndarray) -> np.ndarray:
         out[i, i] = 1.5 * float(x[i]) ** 2 - y[i]
         return out
     raise ValueError(f"{spec.kind!r} is not a sample-sum landscape")
+
+
+def numpy_scalar_factorization(a, c: float) -> dict[str, Callable]:
+    """The factorization's per-point callables as numpy-scalar expressions.
+
+    ``value``, ``grad``, ``sample_value``, ``sample_grad`` and ``pred_grad``
+    of ``build_scalar_factorization(a, c)`` written on ``np.float64``
+    indexing, the form they had before they moved to Python floats; every
+    operation must round the same way in both. Overflow gives ``inf``, so
+    call them under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    a = np.asarray(a, dtype=float)
+    c = float(c)
+    m2 = float(np.mean(a**2))
+
+    def value(x):
+        return m2 * float((x[0] * x[1] - c) ** 2)
+
+    def grad(x):
+        r = 2.0 * m2 * (x[0] * x[1] - c)
+        return np.array([r * x[1], r * x[0]])
+
+    def sample_value(i, x):
+        return float(a[i] ** 2 * (x[0] * x[1] - c) ** 2)
+
+    def sample_grad(i, x):
+        r = 2.0 * a[i] ** 2 * (x[0] * x[1] - c)
+        return np.array([r * x[1], r * x[0]])
+
+    def pred_grad(i, x):
+        return np.array([a[i] * x[1], a[i] * x[0]])
+
+    return {
+        "value": value,
+        "grad": grad,
+        "sample_value": sample_value,
+        "sample_grad": sample_grad,
+        "pred_grad": pred_grad,
+    }
+
+
+def one_draw_per_candidate(region, m: int, rng) -> np.ndarray:
+    """``region.draw(m, rng)`` as a loop that draws one candidate per ``random(d)`` call."""
+    low = np.asarray(region.low, dtype=float)
+    high = np.asarray(region.high, dtype=float)
+    d = low.size
+    points = []
+    if region.axis_probes:
+        for j in range(d):
+            for bound in (high[j], low[j]):
+                p = np.zeros(d)
+                p[j] = bound
+                if region.predicate is None or region.predicate(p):
+                    points.append(p)
+    tries = 0
+    while len(points) < m and tries < 1000 * m:
+        p = low + (high - low) * rng.generator.random(d)
+        tries += 1
+        if region.predicate is None or region.predicate(p):
+            points.append(p)
+    if len(points) < m:
+        raise RuntimeError("region sampler could not find enough points satisfying the predicate")
+    return np.stack(points[:m])

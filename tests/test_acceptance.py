@@ -20,6 +20,7 @@ from flatmin import (
     build_landscape,
     build_scalar_factorization,
     canonical_minimum,
+    certify_flat,
     check_descent_lemma,
     check_rs_decay,
     check_rs_estimator,
@@ -329,6 +330,44 @@ def test_sa_vs_rs_trajectory_bytes_are_pinned(sa_vs_rs_runs):
 def test_verify_report_bytes_are_pinned(tmp_path, capsys):
     assert main(["verify", "--n", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256
+
+
+#: Full SHA-256 of the concatenated certificates at CERTIFY_PIN_POINTS and of
+#: the JSON of the d = 12 RS, SA and GD trajectories, recorded as
+#: ESCAPE_SHA256 was (Python 3.11, numpy 2.4.6, x86-64 Linux).
+CERTIFY_SHA256 = "6dc49e4b18b116f6f79d574351d7ef9b602241d4d112ca7f7bf000fa0d4534f4"
+ORTHOGONAL_D12_SHA256 = "db781d545bde8120db86a2b4260639a034d0ae1eff84c2b1dc0169ecf9c6c6a8"
+
+
+def _certify_pin_points() -> list[np.ndarray]:
+    """Points on both branches of {u*v = 1}, on it and 0.01 to 0.02 off it along the normal."""
+    points = []
+    for sign in (1.0, -1.0):
+        for s in (0.7, 1.0, 1.6):
+            on = sign * np.array([s, 1.0 / s])
+            normal = sign * np.array([1.0 / s, s]) / np.hypot(1.0 / s, s)
+            points.extend(on + off * normal for off in (0.0, 0.01, -0.02))
+    return points
+
+
+def test_certificate_bytes_are_pinned():
+    landscapes = [build_hyperbola(), build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)]
+    blob = "".join(
+        certify_flat(obj, x, 0.05, 0.3).to_json() for obj in landscapes for x in _certify_pin_points()
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_SHA256
+
+
+def test_orthogonal_d12_trajectory_bytes_are_pinned():
+    spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 12, "n": 4, "y": [0.5, 1.0, 1.5, 2.0]})
+    obj = build_landscape(spec)
+    x0 = 1.2 * canonical_minimum(spec) + np.r_[np.zeros(4), np.full(8, 0.3)]
+    consts = ScheduleConstants(c_eta=5.0, c_rho=2.5, c_eps0=10.0)
+    sched = rs_schedule(0.01, 0.2, obj.base.lipschitz_grad_hint, consts, budget_cap=20_000)
+    assert sched.steps == 20_000
+    trajs = {a: run(obj, a, x0, sched, RngStream(0)).to_dict() for a in ("RS", "SA", "GD")}
+    assert all(t["n_perturbed"] > 0 for a, t in trajs.items() if a != "GD")
+    assert hashlib.sha256(json.dumps(trajs).encode()).hexdigest() == ORTHOGONAL_D12_SHA256
 
 
 def test_criterion_10_determinism(escape_artifacts, tmp_path_factory):

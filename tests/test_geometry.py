@@ -128,9 +128,13 @@ class TestBlockSphereDraws:
         batch = sample_sphere_batch(d, n, batch_rng)
         assert batch.tobytes() == np.array(sequential).tobytes()
         assert batch_rng.normal(3).tobytes() == rng.normal(3).tobytes()
-        directions = sphere_directions(d, RngStream(11))
+        directions = sphere_directions(d, 1.0, RngStream(11))
         streamed = [next(directions) for _ in range(n)]
         assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
+        scaled = sphere_directions(d, 0.37, RngStream(11))
+        assert np.array([next(scaled) for _ in range(n)]).tobytes() == b"".join(
+            (0.37 * u).tobytes() for u in sequential
+        )
 
     @pytest.mark.parametrize("d", [2, 64])
     def test_zero_row_is_skipped_like_a_redraw(self, d):
@@ -142,7 +146,7 @@ class TestBlockSphereDraws:
         batch = sample_sphere_batch(d, SPHERE_BLOCK, batch_stream)
         assert batch.tobytes() == np.array(sequential).tobytes()
         assert batch_stream.pos == sequential_stream.pos == (SPHERE_BLOCK + 1) * d
-        directions = sphere_directions(d, _ScriptedStream(values))
+        directions = sphere_directions(d, 1.0, _ScriptedStream(values))
         streamed = [next(directions) for _ in range(SPHERE_BLOCK)]
         assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
 

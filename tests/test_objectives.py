@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flatmin import (
     LandscapeSpec,
@@ -21,7 +22,7 @@ from flatmin import (
 from flatmin.objectives import TEST_REGION_HALF_WIDTH
 
 from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
-from references import fd_jacobian, sample_hess
+from references import fd_jacobian, numpy_scalar_factorization, sample_hess
 
 
 class TestObjectiveContract:
@@ -144,6 +145,62 @@ class TestScalarFactorization:
         w = TEST_REGION_HALF_WIDTH
         corner = np.array([w, -w if c >= 0 else w])
         assert np.abs(np.linalg.eigvalsh(obj.hess(corner))).max() == pytest.approx(hint, rel=1e-14)
+
+
+#: Finite coordinates: huge (products up to 1e300, squares overflow),
+#: tiny and subnormal, and moderate, of either sign.
+_COORD = st.one_of(st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300), st.floats(-4.0, 4.0))
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _assert_same_bits(ss, ref, i, x):
+    assert _bits(ss.base.value(x)) == _bits(ref["value"](x))
+    assert _bits(ss.base.grad(x)) == _bits(ref["grad"](x))
+    assert _bits(ss.sample_value(i, x)) == _bits(ref["sample_value"](i, x))
+    assert _bits(ss.sample_grad(i, x)) == _bits(ref["sample_grad"](i, x))
+    assert _bits(ss.pred_grad(i, x)) == _bits(ref["pred_grad"](i, x))
+
+
+class TestFloatPathBitEquality:
+    """The factorization's Python-float callables round as its numpy-scalar expressions did."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        a=st.lists(st.floats(-1e50, 1e50).filter(lambda t: abs(t) >= 1e-50), min_size=1, max_size=4),
+        c=st.one_of(st.floats(-1e10, 1e10), st.just(1.0)),
+        x=st.tuples(_COORD, _COORD),
+        data=st.data(),
+    )
+    def test_callables_equal_numpy_scalar_expressions(self, a, c, x, data):
+        ss = build_scalar_factorization(a, c)
+        ref = numpy_scalar_factorization(a, c)
+        x = np.array(x)
+        i = data.draw(st.integers(0, len(a) - 1), label="i")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_same_bits(ss, ref, i, x)
+
+    def test_callables_equal_numpy_scalar_expressions_on_full_mantissas(self):
+        # Hypothesis favours short mantissas, whose squares are exact; libm's
+        # pow(r, 2) and r * r part only on about 1 in 1000 full-mantissa r.
+        a = [1.0, 0.7, 1.3, 1.6]
+        ss = build_scalar_factorization(a, 1.0)
+        ref = numpy_scalar_factorization(a, 1.0)
+        gen = np.random.Generator(np.random.PCG64(9))
+        X = gen.uniform(-3.0, 3.0, size=(20_000, 2))
+        for k, x in enumerate(X):
+            _assert_same_bits(ss, ref, k % len(a), x)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 12, 64, 128])
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_dot_equals_matmul_bit_for_bit(self, d, data):
+        # The step and flow loops take norms as sqrt(np.dot(v, v)); the pinned bytes were made with v @ v.
+        v = data.draw(hnp.arrays(np.float64, d, elements=_COORD), label="v")
+        with np.errstate(over="ignore"):
+            assert _bits(np.dot(v, v)) == _bits(v @ v)
 
 
 class TestOrthogonalQuadraticModel:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from flatmin.objectives import LandscapeSpec
 from flatmin.oracle import SampleRegion
 
 from conftest import hyperbola_tube_region
+from references import one_draw_per_candidate
 
 
 class TestSphereMoments:
@@ -138,6 +141,42 @@ class TestSaDfactor:
         )
         with pytest.raises(ValueError, match="prediction gradient of sample 0 vanishes"):
             check_sa_dfactor(bare, np.zeros(1), 0.01, 10**4, RngStream(0))
+
+
+class TestSampleRegion:
+    """Block-drawn candidates give the points, and the predicate calls, of one draw per candidate."""
+
+    @staticmethod
+    def _recording(predicate, seen):
+        def record(p):
+            seen.append(p.tobytes())
+            return predicate(p)
+
+        return record
+
+    @pytest.mark.parametrize("m", [1, 3, 200, 700])
+    def test_tube_points_and_predicate_calls_match_one_draw_per_candidate(self, m):
+        tube = hyperbola_tube_region()
+        seen_block, seen_single = [], []
+        block = dataclasses.replace(tube, predicate=self._recording(tube.predicate, seen_block))
+        single = dataclasses.replace(tube, predicate=self._recording(tube.predicate, seen_single))
+        points = block.draw(m, RngStream(5))
+        assert points.tobytes() == one_draw_per_candidate(single, m, RngStream(5)).tobytes()
+        assert seen_block == seen_single
+
+    @pytest.mark.parametrize("m", [2, 7, 600])
+    def test_box_with_axis_probes_matches_one_draw_per_candidate(self, m):
+        box = SampleRegion(low=(-1.0, -2.0, 0.5), high=(1.0, 3.0, 4.0))
+        points = box.draw(m, RngStream(6))
+        assert points.shape == (m, 3)
+        assert points.tobytes() == one_draw_per_candidate(box, m, RngStream(6)).tobytes()
+
+    def test_try_cap_is_kept(self):
+        calls = []
+        never = SampleRegion(low=(0.0,), high=(1.0,), predicate=lambda p: bool(calls.append(1)), axis_probes=False)
+        with pytest.raises(RuntimeError, match="enough points"):
+            never.draw(3, RngStream(0))
+        assert len(calls) == 3000
 
 
 class TestEstimatePlConstants:
