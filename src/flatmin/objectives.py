@@ -209,7 +209,8 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
 
     def grad_many(X):
         r = 2.0 * m2 * (X[:, 0] * X[:, 1] - c)
-        return np.stack([r * X[:, 1], r * X[:, 0]], axis=1)
+        # C order for any layout of X, so row-wise products downstream see contiguous rows.
+        return np.multiply(r[:, None], X[:, ::-1], order="C")
 
     def trace_grad(x):
         return np.array([2.0 * m2 * x[0], 2.0 * m2 * x[1]])
@@ -265,19 +266,23 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
     if not ((y > 0.0) & np.isfinite(y)).all():
         raise ValueError(f"y must be positive and finite, got {y.tolist()}")
 
-    def preds(x):
-        return 0.5 * np.asarray(x[:n], dtype=float) ** 2
+    # Python floats cost less per call than length-n arrays and round the
+    # same (an array's ``s**2`` is ``s * s``); the mean's sum stays numpy's.
+    y_list = y.tolist()
+    zeros_tail = [0.0] * (d - n)
+
+    def residuals(x):
+        """Pairs ``(x_i, p_i(x) - y_i)`` over the n samples."""
+        return [(xi, 0.5 * (xi * xi) - yi) for xi, yi in zip(x[:n].tolist(), y_list)]
 
     def value(x):
-        return float(np.mean(0.5 * (preds(x) - y) ** 2))
+        return float(np.add.reduce(np.array([0.5 * (r * r) for _, r in residuals(x)])) / n)
 
     def grad(x):
-        out = np.zeros(d)
-        out[:n] = (preds(x) - y) * np.asarray(x[:n], dtype=float) / n
-        return out
+        return np.array([r * xi / n for xi, r in residuals(x)] + zeros_tail)
 
     def hess(x):
-        s2 = np.asarray(x[:n], dtype=float) ** 2
+        s2 = x[:n] ** 2
         diag = np.zeros(d)
         diag[:n] = (1.5 * s2 - y) / n
         return np.diag(diag)
@@ -293,7 +298,7 @@ def build_orthogonal_quadratic_model(d: int, n: int, y) -> SampleSumObjective:
 
     def trace_grad(x):
         out = np.zeros(d)
-        out[:n] = 3.0 * np.asarray(x[:n], dtype=float) / (n * d)
+        out[:n] = 3.0 * x[:n] / (n * d)
         return out
 
     def sample_value(i, x):

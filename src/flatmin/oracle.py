@@ -6,6 +6,12 @@ perturbation mean from inline batched projections, curvature signals from
 zeroth-order second differences), so agreement between the two is evidence
 rather than tautology. All Monte-Carlo loops reduce over fixed-size chunks in
 a fixed order, making every report deterministic given (seed, N).
+
+A chunk (``CHUNK`` draws) is the reduction unit: its sum is added to the
+running total. The d-factor check evaluates a chunk in blocks of ``BLOCK``
+rows, the evaluation unit, which bounds its working arrays; a block changes
+no result, since successive sphere batches are the rows of one batch and
+every step before the chunk's sum is row-wise.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from .optimizers import DESCENT_SLACK, Trajectory
 
 #: Fixed Monte-Carlo chunk size; reduction order must not depend on platform.
 CHUNK = 65536
+
+#: Rows evaluated at a time within a chunk of the d-factor check; it bounds
+#: the check's working arrays and changes none of its results.
+BLOCK = 4096
 
 #: Standard errors allowed before a CLT-scaled check fails.
 CLT_SIGMAS = 4.0
@@ -45,10 +55,10 @@ RS_ESTIMATOR_LEAST_N = 2
 SA_DFACTOR_LEAST_N = 1
 
 
-def _chunks(n: int) -> Iterator[int]:
-    """Sizes of the successive Monte-Carlo chunks that make up ``n`` draws."""
-    for done in range(0, n, CHUNK):
-        yield min(CHUNK, n - done)
+def _chunks(n: int, size: int) -> Iterator[int]:
+    """Sizes of the successive pieces of at most ``size`` that make up ``n`` draws."""
+    for done in range(0, n, size):
+        yield min(size, n - done)
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream) -> OracleReport
         raise ValueError(f"need at least {SPHERE_MOMENTS_LEAST_N} samples, got {n_samples}")
     sum_g = np.zeros(d)
     sum_outer = np.zeros((d, d))
-    for m in _chunks(n_samples):
+    for m in _chunks(n_samples, CHUNK):
         G = sample_sphere_batch(d, m, rng)
         sum_g += G.sum(axis=0)
         sum_outer += G.T @ G
@@ -135,7 +145,7 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
 
     n_pairs = n_samples // 2
     totals = [np.zeros(d) for _ in rhos]
-    for m in _chunks(n_pairs):
+    for m in _chunks(n_pairs, CHUNK):
         G = sample_sphere_batch(d, m, rng)
         for total, rho in zip(totals, rhos):
             D = rho * G
@@ -242,18 +252,20 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
         quad_sa[i] = (fp - 2.0 * f0 + fm) / rho**2
 
     counts = np.zeros(obj.n, dtype=np.int64)
-    for m in _chunks(n_samples):
+    for m in _chunks(n_samples, CHUNK):
         idx = rng.generator.integers(0, obj.n, size=m)
         counts += np.bincount(idx, minlength=obj.n)
     measured_sa = float(np.dot(counts, quad_sa) / n_samples)
 
     f0 = base.value(x_star)
+
+    def second_differences(rows):
+        D = rho * sample_sphere_batch(d, rows, rng)
+        return base.value_many(x_star + D) - 2.0 * f0 + base.value_many(x_star - D)
+
     total = 0.0
-    for m in _chunks(n_samples):
-        D = rho * sample_sphere_batch(d, m, rng)
-        vp = base.value_many(x_star[None, :] + D)
-        vm = base.value_many(x_star[None, :] - D)
-        total += float(np.sum(vp - 2.0 * f0 + vm))
+    for m in _chunks(n_samples, CHUNK):
+        total += float(np.sum(np.concatenate([second_differences(b) for b in _chunks(m, BLOCK)])))
     measured_rs = total / (n_samples * rho**2)
 
     tr_bar = normalized_trace(base, x_star)

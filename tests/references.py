@@ -1,8 +1,9 @@
 """Reference computations that only the tests use.
 
 Finite-difference Jacobians, a small-step gradient flow and the exact
-per-sample Hessians of the sample-sum landscapes. The package does not need
-them to run, escape or certify.
+per-sample Hessians of the sample-sum landscapes, and the earlier forms of
+code the package replaced with faster code of the same bits. The package
+does not need them to run, escape or certify.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from flatmin import LandscapeSpec
+from flatmin import LandscapeSpec, SampleSumObjective
+from flatmin.geometry import U_TOL, normalized_trace, sample_sphere_batch
+from flatmin.oracle import REL_TOL, SA_DFACTOR_LEAST_N, OracleReport
 
 #: ``(step_fraction, grad_tol)`` of the smaller-step flow for Jacobian probes
 #: of the limit map, where the fixed-step landing bias enters the derivative
@@ -79,8 +82,9 @@ def numpy_scalar_factorization(a, c: float) -> dict[str, Callable]:
 
     ``value``, ``grad``, ``sample_value``, ``sample_grad`` and ``pred_grad``
     of ``build_scalar_factorization(a, c)`` written on ``np.float64``
-    indexing, the form they had before they moved to Python floats; every
-    operation must round the same way in both. Overflow gives ``inf``, so
+    indexing, the form they had before they moved to Python floats, and
+    ``grad_many`` as the two stacked columns it was before it became one
+    multiply; every operation must round the same way in both. Overflow gives ``inf``, so
     call them under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     a = np.asarray(a, dtype=float)
@@ -93,6 +97,10 @@ def numpy_scalar_factorization(a, c: float) -> dict[str, Callable]:
     def grad(x):
         r = 2.0 * m2 * (x[0] * x[1] - c)
         return np.array([r * x[1], r * x[0]])
+
+    def grad_many(X):
+        r = 2.0 * m2 * (X[:, 0] * X[:, 1] - c)
+        return np.stack([r * X[:, 1], r * X[:, 0]], axis=1)
 
     def sample_value(i, x):
         return float(a[i] ** 2 * (x[0] * x[1] - c) ** 2)
@@ -107,10 +115,33 @@ def numpy_scalar_factorization(a, c: float) -> dict[str, Callable]:
     return {
         "value": value,
         "grad": grad,
+        "grad_many": grad_many,
         "sample_value": sample_value,
         "sample_grad": sample_grad,
         "pred_grad": pred_grad,
     }
+
+
+def numpy_array_orthogonal_model(n: int, y) -> dict[str, Callable]:
+    """``value`` and ``grad`` of ``build_orthogonal_quadratic_model(d, n, y)`` as length-n array expressions.
+
+    The form they had before they moved to Python floats; every operation
+    must round the same way in both.
+    """
+    y = np.asarray(y, dtype=float)
+
+    def preds(x):
+        return 0.5 * np.asarray(x[:n], dtype=float) ** 2
+
+    def value(x):
+        return float(np.mean(0.5 * (preds(x) - y) ** 2))
+
+    def grad(x):
+        out = np.zeros(x.size)
+        out[:n] = (preds(x) - y) * np.asarray(x[:n], dtype=float) / n
+        return out
+
+    return {"value": value, "grad": grad}
 
 
 def one_draw_per_candidate(region, m: int, rng) -> np.ndarray:
@@ -135,3 +166,71 @@ def one_draw_per_candidate(region, m: int, rng) -> np.ndarray:
     if len(points) < m:
         raise RuntimeError("region sampler could not find enough points satisfying the predicate")
     return np.stack(points[:m])
+
+
+def unblocked_check_sa_dfactor(obj, x_star, rho: float, n_samples: int, rng, chunk: int) -> OracleReport:
+    """``check_sa_dfactor`` as it was before its chunks were evaluated in blocks, with chunk size ``chunk``.
+
+    Each chunk's sphere directions are drawn, shifted and evaluated as whole
+    ``(chunk, d)`` arrays.
+    """
+
+    def _chunks(n):
+        for done in range(0, n, chunk):
+            yield min(chunk, n - done)
+
+    if not isinstance(obj, SampleSumObjective):
+        raise TypeError("d-factor check needs a SampleSumObjective")
+    if n_samples < SA_DFACTOR_LEAST_N:
+        raise ValueError(f"need at least {SA_DFACTOR_LEAST_N} sample, got {n_samples}")
+    base = obj.base
+    d = base.dim
+    x_star = np.asarray(x_star, dtype=float)
+
+    # Per-sample curvature along u_i = pred_grad_i / ||pred_grad_i||.
+    quad_sa = np.empty(obj.n)
+    for i in range(obj.n):
+        p = np.asarray(obj.pred_grad(i, x_star), dtype=float)
+        npn = float(np.linalg.norm(p))
+        if npn <= U_TOL:
+            raise ValueError(f"prediction gradient of sample {i} vanishes at the minimum")
+        ui = p / npn
+        f0 = obj.sample_value(i, x_star)
+        fp = obj.sample_value(i, x_star + rho * ui)
+        fm = obj.sample_value(i, x_star - rho * ui)
+        quad_sa[i] = (fp - 2.0 * f0 + fm) / rho**2
+
+    counts = np.zeros(obj.n, dtype=np.int64)
+    for m in _chunks(n_samples):
+        idx = rng.generator.integers(0, obj.n, size=m)
+        counts += np.bincount(idx, minlength=obj.n)
+    measured_sa = float(np.dot(counts, quad_sa) / n_samples)
+
+    f0 = base.value(x_star)
+    total = 0.0
+    for m in _chunks(n_samples):
+        D = rho * sample_sphere_batch(d, m, rng)
+        vp = base.value_many(x_star[None, :] + D)
+        vm = base.value_many(x_star[None, :] - D)
+        total += float(np.sum(vp - 2.0 * f0 + vm))
+    measured_rs = total / (n_samples * rho**2)
+
+    tr_bar = normalized_trace(base, x_star)
+    ratio = measured_sa / measured_rs
+    rel_error = abs(ratio - d) / d
+    return OracleReport(
+        name="sa-dfactor",
+        n_samples=n_samples,
+        measured=ratio,
+        reference=float(d),
+        rel_error=rel_error,
+        tolerance=REL_TOL,
+        passed=bool(rel_error <= REL_TOL),
+        extras={
+            "measured_sa": measured_sa,
+            "measured_rs": measured_rs,
+            "reference_sa": d * tr_bar,
+            "reference_rs": tr_bar,
+            "rho": rho,
+        },
+    )

@@ -32,6 +32,7 @@ from flatmin import (
 )
 from flatmin.cli import ExperimentConfig, execute_run, main
 from flatmin.objectives import LandscapeSpec
+from flatmin.oracle import CHUNK
 
 from conftest import near_manifold_points
 from references import ACCURATE_FLOW, fd_jacobian, fixed_step_flow
@@ -330,6 +331,24 @@ def test_sa_vs_rs_trajectory_bytes_are_pinned(sa_vs_rs_runs):
 def test_verify_report_bytes_are_pinned(tmp_path, capsys):
     assert main(["verify", "--n", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256
+
+
+#: Full SHA-256 of ``json.dumps(check_sa_dfactor(...).to_dict())`` on the
+#: orthogonal model (y = 0.5) at its canonical minimum, rho 0.01, stream
+#: ``RngStream(d)``, keyed by (d, n); recorded as ESCAPE_SHA256 was (Python
+#: 3.11, numpy 2.4.6, x86-64 Linux). ``verify.json`` covers only d = 4.
+DFACTOR_SHA256 = {
+    (16, 4): "1ffb4805472dc99278ec351eb5f4f8a11672f6321c4a6bbc2c347f415e021349",
+    (64, 16): "9c4e656085620537b06d55297a86660d41afc0c586e15fcfe0192ab1624e1c09",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(DFACTOR_SHA256))
+def test_dfactor_report_bytes_are_pinned(d, n):
+    spec = LandscapeSpec("orthogonal_quadratic_model", {"d": d, "n": n, "y": [0.5] * n})
+    # Two whole chunks and a tail that ends inside an evaluation block.
+    rep = check_sa_dfactor(build_landscape(spec), canonical_minimum(spec), 0.01, 2 * CHUNK + 5_000, RngStream(d))
+    assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == DFACTOR_SHA256[(d, n)]
 
 
 #: Full SHA-256 of the concatenated certificates at CERTIFY_PIN_POINTS and of

@@ -22,7 +22,7 @@ from flatmin import (
 from flatmin.objectives import TEST_REGION_HALF_WIDTH
 
 from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
-from references import fd_jacobian, numpy_scalar_factorization, sample_hess
+from references import fd_jacobian, numpy_array_orthogonal_model, numpy_scalar_factorization, sample_hess
 
 
 class TestObjectiveContract:
@@ -159,6 +159,7 @@ def _bits(v) -> bytes:
 def _assert_same_bits(ss, ref, i, x):
     assert _bits(ss.base.value(x)) == _bits(ref["value"](x))
     assert _bits(ss.base.grad(x)) == _bits(ref["grad"](x))
+    assert _bits(ss.base.grad_many(x[None, :])) == _bits(ref["grad_many"](x[None, :]))
     assert _bits(ss.sample_value(i, x)) == _bits(ref["sample_value"](i, x))
     assert _bits(ss.sample_grad(i, x)) == _bits(ref["sample_grad"](i, x))
     assert _bits(ss.pred_grad(i, x)) == _bits(ref["pred_grad"](i, x))
@@ -192,6 +193,18 @@ class TestFloatPathBitEquality:
         X = gen.uniform(-3.0, 3.0, size=(20_000, 2))
         for k, x in enumerate(X):
             _assert_same_bits(ss, ref, k % len(a), x)
+        assert _bits(ss.base.grad_many(X)) == _bits(ref["grad_many"](X))
+
+    def test_grad_many_equals_stacked_columns_on_special_rows(self):
+        ss = build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)
+        ref = numpy_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e200, -1e-310, 1.5]
+        X = np.array([[p, q] for p in special for q in special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in (X, np.asfortranarray(X), X[::-3]):
+                got = ss.base.grad_many(batch)
+                assert got.flags.c_contiguous
+                assert _bits(got) == _bits(ref["grad_many"](batch))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 12, 64, 128])
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -204,6 +217,22 @@ class TestFloatPathBitEquality:
 
 
 class TestOrthogonalQuadraticModel:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, 12),
+        extra=st.integers(0, 4),
+        y=st.lists(st.floats(1e-6, 1e6), min_size=12, max_size=12),
+        data=st.data(),
+    )
+    def test_value_and_grad_equal_array_expressions(self, n, extra, y, data):
+        # n up to 12 crosses the 8 terms at which numpy's sum turns pairwise.
+        x = data.draw(hnp.arrays(np.float64, n + extra, elements=_COORD), label="x")
+        obj = build_orthogonal_quadratic_model(n + extra, n, y[:n]).base
+        ref = numpy_array_orthogonal_model(n, y[:n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(obj.value(x)) == _bits(ref["value"](x))
+            assert _bits(obj.grad(x)) == _bits(ref["grad"](x))
+
     def test_minimum_interpolates(self):
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 2, "n": 2, "y": [0.5, 0.5]})
         ss = build_landscape(spec)

@@ -1,7 +1,12 @@
 import dataclasses
+import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin import (
     RngStream,
@@ -19,11 +24,12 @@ from flatmin import (
     rs_schedule,
     run,
 )
+from flatmin import oracle
 from flatmin.objectives import LandscapeSpec
 from flatmin.oracle import SampleRegion
 
 from conftest import hyperbola_tube_region
-from references import one_draw_per_candidate
+from references import one_draw_per_candidate, unblocked_check_sa_dfactor
 
 
 class TestSphereMoments:
@@ -129,6 +135,19 @@ class TestSaDfactor:
         with pytest.raises(ValueError, match="need at least 1 sample, got 0"):
             check_sa_dfactor(build_landscape(spec), canonical_minimum(spec), 0.01, 0, RngStream(0))
 
+    @pytest.mark.parametrize("d, n", [(16, 4), (64, 16)])
+    def test_peak_memory_does_not_scale_with_chunk(self, d, n):
+        # One (CHUNK, 64) float64 array takes 32 MB; the unblocked loop held up to four at once.
+        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": d, "n": n, "y": [0.5] * n})
+        obj, x_min = build_landscape(spec), canonical_minimum(spec)
+        tracemalloc.start()
+        try:
+            check_sa_dfactor(obj, x_min, 0.01, 2 * oracle.CHUNK, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_vanishing_prediction_gradient_rejected(self):
         from flatmin import SampleSumObjective
 
@@ -141,6 +160,65 @@ class TestSaDfactor:
         )
         with pytest.raises(ValueError, match="prediction gradient of sample 0 vanishes"):
             check_sa_dfactor(bare, np.zeros(1), 0.01, 10**4, RngStream(0))
+
+
+class _ZeroRowStream:
+    """An ``RngStream`` whose Gaussian rows at the given overall row indices come out zero."""
+
+    def __init__(self, seed, zero_rows):
+        self.inner = RngStream(seed)
+        self.zero_rows = set(zero_rows)
+        self.drawn = 0
+
+    @property
+    def generator(self):
+        return self.inner.generator
+
+    def normal(self, size):
+        G = self.inner.normal(size)
+        for k in self.zero_rows & set(range(self.drawn, self.drawn + len(G))):
+            G[k - self.drawn] = 0.0
+        self.drawn += len(G)
+        return G
+
+
+def _dfactor_blob(check, d, n, n_samples, rng):
+    spec = LandscapeSpec("orthogonal_quadratic_model", {"d": d, "n": n, "y": list(np.linspace(0.5, 2.0, n))})
+    return json.dumps(check(build_landscape(spec), canonical_minimum(spec), 0.01, n_samples, rng).to_dict())
+
+
+class TestSaDfactorBlocks:
+    """Evaluating a chunk in row blocks gives the report of the unblocked loop, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        chunk=st.integers(3, 50),
+        d=st.sampled_from([1, 2, 16]),
+        n_samples=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, seed, data):
+        block = data.draw(st.integers(1, chunk + 3), label="block")
+        n = data.draw(st.integers(1, min(d, 4)), label="n")
+        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
+            blocked = _dfactor_blob(check_sa_dfactor, d, n, n_samples, RngStream(seed))
+        reference = _dfactor_blob(lambda *a: unblocked_check_sa_dfactor(*a, chunk=chunk), d, n, n_samples, RngStream(seed))
+        assert blocked == reference
+
+    def test_zero_row_inside_a_block_is_redrawn_in_place(self):
+        # Chunks of 10 rows in blocks of 4: row 5 sits inside the second block
+        # of the first chunk, row 17 inside the second chunk.
+        zero_rows = [5, 17]
+        with mock.patch.object(oracle, "CHUNK", 10), mock.patch.object(oracle, "BLOCK", 4):
+            stub = _ZeroRowStream(3, zero_rows)
+            blocked = _dfactor_blob(check_sa_dfactor, 2, 2, 25, stub)
+        assert stub.drawn == 25 + len(zero_rows)
+        ref_stub = _ZeroRowStream(3, zero_rows)
+        reference = _dfactor_blob(lambda *a: unblocked_check_sa_dfactor(*a, chunk=10), 2, 2, 25, ref_stub)
+        assert ref_stub.drawn == 25 + len(zero_rows)
+        assert blocked == reference
+        assert blocked != _dfactor_blob(lambda *a: unblocked_check_sa_dfactor(*a, chunk=10), 2, 2, 25, RngStream(3))
 
 
 class TestSampleRegion:
