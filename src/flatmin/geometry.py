@@ -37,10 +37,6 @@ class RngStream:
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
-    def child(self, stream: int) -> "RngStream":
-        """Fresh stream with the same seed and a new counter."""
-        return RngStream(seed=self.seed, stream=stream)
-
     # Thin draw helpers so callers never touch the generator's full surface.
     def normal(self, size) -> np.ndarray:
         return self.generator.standard_normal(size)

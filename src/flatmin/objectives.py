@@ -208,9 +208,14 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         return m2 * r**2
 
     def grad_many(X):
-        r = 2.0 * m2 * (X[:, 0] * X[:, 1] - c)
-        # C order for any layout of X, so row-wise products downstream see contiguous rows.
-        return np.multiply(r[:, None], X[:, ::-1], order="C")
+        x0, x1 = X[:, 0], X[:, 1]
+        r = 2.0 * m2 * (x0 * x1 - c)
+        # Column by column (a row-broadcast multiply loops two values at a time),
+        # into C order for any layout of X, so row-wise products see contiguous rows.
+        out = np.empty((len(X), 2))
+        np.multiply(r, x1, out=out[:, 0])
+        np.multiply(r, x0, out=out[:, 1])
+        return out
 
     def trace_grad(x):
         return np.array([2.0 * m2 * x[0], 2.0 * m2 * x[1]])

@@ -8,10 +8,16 @@ rather than tautology. All Monte-Carlo loops reduce over fixed-size chunks in
 a fixed order, making every report deterministic given (seed, N).
 
 A chunk (``CHUNK`` draws) is the reduction unit: its sum is added to the
-running total. The d-factor check evaluates a chunk in blocks of ``BLOCK``
-rows, the evaluation unit, which bounds its working arrays; a block changes
-no result, since successive sphere batches are the rows of one batch and
-every step before the chunk's sum is row-wise.
+running total. A chunk is evaluated in blocks of ``BLOCK`` float64 values
+(``max(1, BLOCK // d)`` rows), the evaluation unit, which bounds the working
+arrays; a block changes no result, since successive sphere batches are the
+rows of one batch and every step before the chunk's sum is row-wise. The
+estimator check carries a chunk's sum across its blocks: numpy's
+``sum(axis=0)`` of a C-order ``(m, d)`` array with d >= 2 adds the rows one
+after another, as ``np.add.accumulate`` along the rows does, and a block
+continues the sum by adding it to its first row. At d = 1 ``sum(axis=0)`` is
+pairwise, and the projection's BLAS ``V @ uhat`` may round a row by its
+place in the call, so those chunks are one block.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from .optimizers import DESCENT_SLACK, Trajectory
 #: Fixed Monte-Carlo chunk size; reduction order must not depend on platform.
 CHUNK = 65536
 
-#: Rows evaluated at a time within a chunk of the d-factor check; it bounds
-#: the check's working arrays and changes none of its results.
-BLOCK = 4096
+#: Float64 values per working array within a chunk: a block holds
+#: ``max(1, BLOCK // d)`` rows. It bounds the working arrays and changes no result.
+BLOCK = 32768
 
 #: Standard errors allowed before a CLT-scaled check fails.
 CLT_SIGMAS = 4.0
@@ -138,19 +144,38 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
     nu = float(np.linalg.norm(u))
     uhat = u / nu if nu > U_TOL else None
 
-    def project_rows(V):
-        if uhat is None:
-            return V
-        return V - np.outer(V @ uhat, uhat)
-
     n_pairs = n_samples // 2
+    # At d = 1 a chunk's sum(axis=0) is pairwise, and a BLAS V @ uhat may
+    # round a row by its place in the call; such a chunk is one block.
+    rows = CHUNK if d == 1 or uhat is not None else max(1, BLOCK // d)
+    X = np.tile(x, (min(rows, n_pairs), 1))
+    P = np.empty_like(X)
+
+    def shifted_sum(G, rho, shift, carry):
+        """Sum of the projected gradients at ``shift(x, rho * G)`` after ``carry``, the chunk's rows before ``G``'s."""
+        Pb = np.multiply(rho, G, out=P[: len(G)])
+        V = base.grad_many(shift(X[: len(G)], Pb, out=Pb))
+        if uhat is not None:
+            s = V @ uhat
+            for j in range(d):
+                V[:, j] -= s * uhat[j]
+        if d == 1:
+            return V.sum(axis=0)
+        if carry is not None:
+            V[0] += carry
+        return np.add.accumulate(V, axis=0, out=V)[-1].copy()
+
     totals = [np.zeros(d) for _ in rhos]
     for m in _chunks(n_pairs, CHUNK):
-        G = sample_sphere_batch(d, m, rng)
-        for total, rho in zip(totals, rhos):
-            D = rho * G
-            total += project_rows(base.grad_many(x[None, :] + D)).sum(axis=0)
-            total += project_rows(base.grad_many(x[None, :] - D)).sum(axis=0)
+        sums = [[None, None] for _ in rhos]
+        for b in _chunks(m, rows):
+            G = sample_sphere_batch(d, b, rng)
+            for carry, rho in zip(sums, rhos):
+                carry[0] = shifted_sum(G, rho, np.add, carry[0])
+                carry[1] = shifted_sum(G, rho, np.subtract, carry[1])
+        for total, (plus, minus) in zip(totals, sums):
+            total += plus
+            total += minus
 
     ref_dir = base.normalized_trace_grad(x)
     if uhat is not None:
@@ -259,13 +284,18 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
 
     f0 = base.value(x_star)
 
-    def second_differences(rows):
-        D = rho * sample_sphere_batch(d, rows, rng)
-        return base.value_many(x_star + D) - 2.0 * f0 + base.value_many(x_star - D)
+    rows = max(1, BLOCK // d)
+    X = np.tile(x_star, (min(rows, n_samples), 1))
+    P = np.empty_like(X)
+
+    def second_differences(b):
+        D = rho * sample_sphere_batch(d, b, rng)
+        vp = base.value_many(np.add(X[:b], D, out=P[:b]))
+        return vp - 2.0 * f0 + base.value_many(np.subtract(X[:b], D, out=P[:b]))
 
     total = 0.0
     for m in _chunks(n_samples, CHUNK):
-        total += float(np.sum(np.concatenate([second_differences(b) for b in _chunks(m, BLOCK)])))
+        total += float(np.sum(np.concatenate([second_differences(b) for b in _chunks(m, rows)])))
     measured_rs = total / (n_samples * rho**2)
 
     tr_bar = normalized_trace(base, x_star)

@@ -17,6 +17,18 @@ ALL_LANDSCAPE_SPECS = [
 ]
 
 
+def pytest_report_header(config):
+    """numpy and BLAS build, and whether a 2-vector ``np.dot`` is fused: the SHA-256 pins depend on them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # 1 * -1 + (1 + e)(1 - e) is -e**2 with one rounding (fused) and 0 with two.
+    e = 2.0**-30
+    fused = float(np.dot([1.0, 1.0 + e], [-1.0, 1.0 - e])) != 0.0
+    return (
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+        f"2-vector np.dot {'fused (fma)' if fused else 'not fused'}"
+    )
+
+
 def base_objective(spec: LandscapeSpec):
     obj = build_landscape(spec)
     return obj.base if hasattr(obj, "base") else obj

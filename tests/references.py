@@ -13,9 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from flatmin import LandscapeSpec, SampleSumObjective
+from flatmin import LandscapeSpec, RngStream, SampleSumObjective
+from flatmin.objectives import base_of
 from flatmin.geometry import U_TOL, normalized_trace, sample_sphere_batch
-from flatmin.oracle import REL_TOL, SA_DFACTOR_LEAST_N, OracleReport
+from flatmin.oracle import REL_TOL, RS_ESTIMATOR_LEAST_N, SA_DFACTOR_LEAST_N, OracleReport
 
 #: ``(step_fraction, grad_tol)`` of the smaller-step flow for Jacobian probes
 #: of the limit map, where the fixed-step landing bias enters the derivative
@@ -83,8 +84,8 @@ def numpy_scalar_factorization(a, c: float) -> dict[str, Callable]:
     ``value``, ``grad``, ``sample_value``, ``sample_grad`` and ``pred_grad``
     of ``build_scalar_factorization(a, c)`` written on ``np.float64``
     indexing, the form they had before they moved to Python floats, and
-    ``grad_many`` as the two stacked columns it was before it became one
-    multiply; every operation must round the same way in both. Overflow gives ``inf``, so
+    ``grad_many`` as two stacked columns, where the package fills the
+    columns of one array; every operation must round the same way in both. Overflow gives ``inf``, so
     call them under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     a = np.asarray(a, dtype=float)
@@ -234,3 +235,43 @@ def unblocked_check_sa_dfactor(obj, x_star, rho: float, n_samples: int, rng, chu
             "rho": rho,
         },
     )
+
+
+def unblocked_estimator_means(obj, x, rhos, n_samples: int, rng: RngStream, chunk: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``oracle._estimator_means`` as it was before its chunks were evaluated in blocks, with chunk size ``chunk``.
+
+    Each chunk's shifts broadcast ``x`` over the rows, the projection is an
+    ``np.outer`` and each chunk sum is one ``sum(axis=0)``.
+    """
+
+    def _chunks(n):
+        for done in range(0, n, chunk):
+            yield min(chunk, n - done)
+
+    if n_samples < RS_ESTIMATOR_LEAST_N:
+        raise ValueError(f"need at least {RS_ESTIMATOR_LEAST_N} samples, got {n_samples}")
+    base = base_of(obj)
+    x = np.asarray(x, dtype=float)
+    d = base.dim
+    u = base.grad(x)
+    nu = float(np.linalg.norm(u))
+    uhat = u / nu if nu > U_TOL else None
+
+    def project_rows(V):
+        if uhat is None:
+            return V
+        return V - np.outer(V @ uhat, uhat)
+
+    n_pairs = n_samples // 2
+    totals = [np.zeros(d) for _ in rhos]
+    for m in _chunks(n_pairs):
+        G = sample_sphere_batch(d, m, rng)
+        for total, rho in zip(totals, rhos):
+            D = rho * G
+            total += project_rows(base.grad_many(x[None, :] + D)).sum(axis=0)
+            total += project_rows(base.grad_many(x[None, :] - D)).sum(axis=0)
+
+    ref_dir = base.normalized_trace_grad(x)
+    if uhat is not None:
+        ref_dir = ref_dir - np.dot(ref_dir, uhat) * uhat
+    return [(total / (2 * n_pairs), 0.5 * rho**2 * ref_dir) for total, rho in zip(totals, rhos)]

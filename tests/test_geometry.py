@@ -161,7 +161,6 @@ class TestRngStream:
         a = RngStream(42, stream=0).normal(10)
         b = RngStream(42, stream=1).normal(10)
         assert not np.array_equal(a, b)
-        assert RngStream(42).child(1).normal(10).tolist() == b.tolist()
 
     def test_sign_values(self):
         rng = RngStream(3)

@@ -29,7 +29,7 @@ from flatmin.objectives import LandscapeSpec
 from flatmin.oracle import SampleRegion
 
 from conftest import hyperbola_tube_region
-from references import one_draw_per_candidate, unblocked_check_sa_dfactor
+from references import one_draw_per_candidate, unblocked_check_sa_dfactor, unblocked_estimator_means
 
 
 class TestSphereMoments:
@@ -199,7 +199,8 @@ class TestSaDfactorBlocks:
         data=st.data(),
     )
     def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, seed, data):
-        block = data.draw(st.integers(1, chunk + 3), label="block")
+        # BLOCK counts values: blocks of 1 to chunk + 3 rows, and 1 row below d values.
+        block = data.draw(st.integers(1, (chunk + 3) * d), label="block")
         n = data.draw(st.integers(1, min(d, 4)), label="n")
         with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
             blocked = _dfactor_blob(check_sa_dfactor, d, n, n_samples, RngStream(seed))
@@ -207,10 +208,10 @@ class TestSaDfactorBlocks:
         assert blocked == reference
 
     def test_zero_row_inside_a_block_is_redrawn_in_place(self):
-        # Chunks of 10 rows in blocks of 4: row 5 sits inside the second block
-        # of the first chunk, row 17 inside the second chunk.
+        # Chunks of 10 rows in blocks of 4 (8 values at d = 2): row 5 sits inside
+        # the second block of the first chunk, row 17 inside the second chunk.
         zero_rows = [5, 17]
-        with mock.patch.object(oracle, "CHUNK", 10), mock.patch.object(oracle, "BLOCK", 4):
+        with mock.patch.object(oracle, "CHUNK", 10), mock.patch.object(oracle, "BLOCK", 8):
             stub = _ZeroRowStream(3, zero_rows)
             blocked = _dfactor_blob(check_sa_dfactor, 2, 2, 25, stub)
         assert stub.drawn == 25 + len(zero_rows)
@@ -219,6 +220,88 @@ class TestSaDfactorBlocks:
         assert ref_stub.drawn == 25 + len(zero_rows)
         assert blocked == reference
         assert blocked != _dfactor_blob(lambda *a: unblocked_check_sa_dfactor(*a, chunk=10), 2, 2, 25, RngStream(3))
+
+
+#: Per dimension, landscapes for the estimator's byte checks, each with a
+#: point where its gradient vanishes (the unprojected, blocked path).
+_ESTIMATOR_LANDSCAPES = {
+    1: [
+        (LandscapeSpec("convex_quadratic", {"eigenvalues": [1.5]}), [0.0]),
+        (LandscapeSpec("orthogonal_quadratic_model", {"d": 1, "n": 1, "y": [0.5]}), [1.0]),
+    ],
+    2: [
+        (LandscapeSpec("hyperbola"), [1.2, 1 / 1.2]),
+        (LandscapeSpec("scalar_factorization", {"a": [1.0, 0.7, 1.3], "c": 1.0}), [2.0, 0.5]),
+    ],
+    5: [
+        (LandscapeSpec("convex_quadratic", {"eigenvalues": [2.0, 4.0, 0.5, 1.0, 3.0]}), [0.0] * 5),
+        (
+            LandscapeSpec("orthogonal_quadratic_model", {"d": 5, "n": 3, "y": [0.5, 1.0, 2.0]}),
+            [1.0, -(2**0.5), 2.0, 0.3, 0.0],
+        ),
+    ],
+    16: [(LandscapeSpec("orthogonal_quadratic_model", {"d": 16, "n": 4, "y": [0.5] * 4}), [1.0] * 4 + [0.0] * 12)],
+}
+
+
+def _estimator_bytes(means):
+    return [(measured.tobytes(), reference.tobytes()) for measured, reference in means]
+
+
+class TestEstimatorBlocks:
+    """The estimator's block-carried chunk sums give the means of the unblocked loop, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        chunk=st.integers(3, 50),
+        d=st.sampled_from(sorted(_ESTIMATOR_LANDSCAPES)),
+        n_samples=st.integers(2, 300),
+        rhos=st.sampled_from([[0.3], [0.02, 0.01]]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, rhos, seed, data):
+        spec, x_flat = data.draw(st.sampled_from(_ESTIMATOR_LANDSCAPES[d]), label="landscape")
+        off = data.draw(st.booleans(), label="off")
+        coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        x = np.array(data.draw(st.lists(coord, min_size=d, max_size=d), label="x") if off else x_flat)
+        block = data.draw(st.integers(1, (chunk + 3) * d), label="block")
+        obj = build_landscape(spec)
+        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
+            blocked = oracle._estimator_means(obj, x, rhos, n_samples, RngStream(seed))
+        reference = unblocked_estimator_means(obj, x, rhos, n_samples, RngStream(seed), chunk=chunk)
+        assert _estimator_bytes(blocked) == _estimator_bytes(reference)
+
+    @pytest.mark.parametrize("x", [[1.2, 1 / 1.2], [1.3, 0.9]])
+    def test_zero_row_is_redrawn_in_place(self, x):
+        # Chunks of 10 pairs; on the minima set in blocks of 4 (8 values at d = 2), where
+        # row 5 sits inside the second block of the first chunk and row 17 inside the
+        # second chunk. Off it a chunk is one block.
+        zero_rows = [5, 17]
+        obj, x = build_hyperbola(), np.array(x)
+        with mock.patch.object(oracle, "CHUNK", 10), mock.patch.object(oracle, "BLOCK", 8):
+            stub = _ZeroRowStream(3, zero_rows)
+            blocked = oracle._estimator_means(obj, x, [0.02, 0.01], 50, stub)
+        assert stub.drawn == 25 + len(zero_rows)
+        ref_stub = _ZeroRowStream(3, zero_rows)
+        reference = unblocked_estimator_means(obj, x, [0.02, 0.01], 50, ref_stub, chunk=10)
+        assert ref_stub.drawn == 25 + len(zero_rows)
+        assert _estimator_bytes(blocked) == _estimator_bytes(reference)
+        unstubbed = unblocked_estimator_means(obj, x, [0.02, 0.01], 50, RngStream(3), chunk=10)
+        assert _estimator_bytes(blocked) != _estimator_bytes(unstubbed)
+
+    def test_peak_memory_does_not_scale_with_chunk(self):
+        # One (CHUNK, 16) float64 array takes 8.4 MB; whole-chunk passes peaked at 38.6 MB,
+        # blocks at 2.2 MB.
+        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 16, "n": 4, "y": [0.5] * 4})
+        obj, x_min = build_landscape(spec), canonical_minimum(spec)
+        tracemalloc.start()
+        try:
+            check_rs_estimator(obj, x_min, 0.01, 4 * oracle.CHUNK, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSampleRegion:
