@@ -23,7 +23,10 @@ class RngStream:
     Identical (seed, stream) pairs reproduce the identical draw sequence
     across runs and platforms. Distinct streams derived from the same seed
     are statistically independent; one stream must never be shared between
-    concurrent consumers.
+    concurrent consumers. A verification check hands its stream to one
+    helper thread for the length of the check, which draws from it while
+    the caller's thread does not; after a check that raised, the stream's
+    state is unspecified.
     """
 
     seed: int

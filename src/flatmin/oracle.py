@@ -18,12 +18,25 @@ after another, as ``np.add.accumulate`` along the rows does, and a block
 continues the sum by adding it to its first row. At d = 1 ``sum(axis=0)`` is
 pairwise, and the projection's BLAS ``V @ uhat`` may round a row by its
 place in the call, so those chunks are one block.
+
+The estimator and d-factor checks draw their sphere blocks on one helper
+thread, ``READ_AHEAD`` blocks ahead of the block the caller's thread
+evaluates (numpy's Gaussian draw releases the GIL). One thread draws from
+the stream, in the order of a sequential loop, so the draws and every
+reduction are those of one thread; where the process can run on one CPU
+only, the caller's thread draws them itself. The helper's thread stops
+before the check returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -61,10 +74,50 @@ RS_ESTIMATOR_LEAST_N = 2
 SA_DFACTOR_LEAST_N = 1
 
 
+#: Items the read-ahead helper computes beyond the one its caller takes.
+READ_AHEAD = 2
+
+
 def _chunks(n: int, size: int) -> Iterator[int]:
     """Sizes of the successive pieces of at most ``size`` that make up ``n`` draws."""
     for done in range(0, n, size):
         yield min(size, n - done)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _read_ahead(items: Iterator) -> Iterator[Iterator]:
+    """The items of ``items`` in order, each computed on one helper thread ``READ_AHEAD`` items ahead.
+
+    An error raised computing an item is raised when the caller takes that
+    item. On leaving the block the queued items are cancelled and the thread
+    stops. On one CPU the caller's thread computes the items as it takes them.
+    """
+    if _usable_cpus() < 2:
+        yield items
+        return
+    end = object()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatmin-read-ahead")
+
+    def taken():
+        while True:
+            ahead.append(pool.submit(next, items, end))
+            item = ahead.popleft().result()
+            if item is end:
+                return
+            yield item
+
+    try:
+        ahead = deque(pool.submit(next, items, end) for _ in range(READ_AHEAD))
+        yield taken()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -150,6 +203,8 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
     rows = CHUNK if d == 1 or uhat is not None else max(1, BLOCK // d)
     X = np.tile(x, (min(rows, n_pairs), 1))
     P = np.empty_like(X)
+    layout = [list(_chunks(m, rows)) for m in _chunks(n_pairs, CHUNK)]
+    draws = (sample_sphere_batch(d, b, rng) for sizes in layout for b in sizes)
 
     def shifted_sum(G, rho, shift, carry):
         """Sum of the projected gradients at ``shift(x, rho * G)`` after ``carry``, the chunk's rows before ``G``'s."""
@@ -166,16 +221,16 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
         return np.add.accumulate(V, axis=0, out=V)[-1].copy()
 
     totals = [np.zeros(d) for _ in rhos]
-    for m in _chunks(n_pairs, CHUNK):
-        sums = [[None, None] for _ in rhos]
-        for b in _chunks(m, rows):
-            G = sample_sphere_batch(d, b, rng)
-            for carry, rho in zip(sums, rhos):
-                carry[0] = shifted_sum(G, rho, np.add, carry[0])
-                carry[1] = shifted_sum(G, rho, np.subtract, carry[1])
-        for total, (plus, minus) in zip(totals, sums):
-            total += plus
-            total += minus
+    with _read_ahead(draws) as spheres:
+        for sizes in layout:
+            sums = [[None, None] for _ in rhos]
+            for G in islice(spheres, len(sizes)):
+                for carry, rho in zip(sums, rhos):
+                    carry[0] = shifted_sum(G, rho, np.add, carry[0])
+                    carry[1] = shifted_sum(G, rho, np.subtract, carry[1])
+            for total, (plus, minus) in zip(totals, sums):
+                total += plus
+                total += minus
 
     ref_dir = base.normalized_trace_grad(x)
     if uhat is not None:
@@ -287,15 +342,19 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
     rows = max(1, BLOCK // d)
     X = np.tile(x_star, (min(rows, n_samples), 1))
     P = np.empty_like(X)
+    layout = [list(_chunks(m, rows)) for m in _chunks(n_samples, CHUNK)]
+    spheres = (sample_sphere_batch(d, b, rng) for sizes in layout for b in sizes)
+    draws = (np.multiply(rho, S, out=S) for S in spheres)
 
-    def second_differences(b):
-        D = rho * sample_sphere_batch(d, b, rng)
+    def second_differences(D):
+        b = len(D)
         vp = base.value_many(np.add(X[:b], D, out=P[:b]))
         return vp - 2.0 * f0 + base.value_many(np.subtract(X[:b], D, out=P[:b]))
 
     total = 0.0
-    for m in _chunks(n_samples, CHUNK):
-        total += float(np.sum(np.concatenate([second_differences(b) for b in _chunks(m, rows)])))
+    with _read_ahead(draws) as shifts:
+        for sizes in layout:
+            total += float(np.sum(np.concatenate([second_differences(D) for D in islice(shifts, len(sizes))])))
     measured_rs = total / (n_samples * rho**2)
 
     tr_bar = normalized_trace(base, x_star)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -187,9 +188,15 @@ def _dfactor_blob(check, d, n, n_samples, rng):
     return json.dumps(check(build_landscape(spec), canonical_minimum(spec), 0.01, n_samples, rng).to_dict())
 
 
+def _cpus(n):
+    """Patch the oracle's CPU probe: 1 draws in the caller's thread, 2 on the read-ahead helper."""
+    return mock.patch.object(oracle, "_usable_cpus", lambda: n)
+
+
 class TestSaDfactorBlocks:
     """Evaluating a chunk in row blocks gives the report of the unblocked loop, bit for bit."""
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
         chunk=st.integers(3, 50),
@@ -198,11 +205,11 @@ class TestSaDfactorBlocks:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, seed, data):
+    def test_blocks_match_unblocked_loop(self, cpus, chunk, d, n_samples, seed, data):
         # BLOCK counts values: blocks of 1 to chunk + 3 rows, and 1 row below d values.
         block = data.draw(st.integers(1, (chunk + 3) * d), label="block")
         n = data.draw(st.integers(1, min(d, 4)), label="n")
-        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
+        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block), _cpus(cpus):
             blocked = _dfactor_blob(check_sa_dfactor, d, n, n_samples, RngStream(seed))
         reference = _dfactor_blob(lambda *a: unblocked_check_sa_dfactor(*a, chunk=chunk), d, n, n_samples, RngStream(seed))
         assert blocked == reference
@@ -251,6 +258,7 @@ def _estimator_bytes(means):
 class TestEstimatorBlocks:
     """The estimator's block-carried chunk sums give the means of the unblocked loop, bit for bit."""
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
         chunk=st.integers(3, 50),
@@ -260,14 +268,14 @@ class TestEstimatorBlocks:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, rhos, seed, data):
+    def test_blocks_match_unblocked_loop(self, cpus, chunk, d, n_samples, rhos, seed, data):
         spec, x_flat = data.draw(st.sampled_from(_ESTIMATOR_LANDSCAPES[d]), label="landscape")
         off = data.draw(st.booleans(), label="off")
         coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
         x = np.array(data.draw(st.lists(coord, min_size=d, max_size=d), label="x") if off else x_flat)
         block = data.draw(st.integers(1, (chunk + 3) * d), label="block")
         obj = build_landscape(spec)
-        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
+        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block), _cpus(cpus):
             blocked = oracle._estimator_means(obj, x, rhos, n_samples, RngStream(seed))
         reference = unblocked_estimator_means(obj, x, rhos, n_samples, RngStream(seed), chunk=chunk)
         assert _estimator_bytes(blocked) == _estimator_bytes(reference)
@@ -302,6 +310,138 @@ class TestEstimatorBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class _FailingStream:
+    """An ``RngStream`` whose ``k``-th ``normal`` call raises."""
+
+    def __init__(self, seed, k):
+        self.inner = RngStream(seed)
+        self.k = k
+        self.calls = 0
+
+    @property
+    def generator(self):
+        return self.inner.generator
+
+    def normal(self, size):
+        self.calls += 1
+        if self.calls == self.k:
+            raise RuntimeError(f"draw {self.k} failed")
+        return self.inner.normal(size)
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("flatmin-read-ahead")]
+
+
+def _read_ahead_cases():
+    """Per check that draws on the read-ahead helper, ``(check, reference)``.
+
+    ``check(rng, wrap)`` runs it with its evaluation callable (``grad_many``
+    or ``value_many``) replaced by ``wrap`` of it; ``reference(rng)`` runs the
+    sequential loop of ``tests/references.py``. Under ``small_blocks`` each
+    check evaluates 10 chunks of 3 blocks (4, 4 and 2 rows at d = 2).
+    """
+    hyp, x = build_hyperbola(), np.array([1.2, 1 / 1.2])
+    spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 2, "n": 2, "y": [0.5, 1.0]})
+    sample_sum, x_min = build_landscape(spec), canonical_minimum(spec)
+
+    def with_grad_many(wrap):
+        return dataclasses.replace(hyp, grad_many=wrap(hyp.grad_many))
+
+    def with_value_many(wrap):
+        base = dataclasses.replace(sample_sum.base, value_many=wrap(sample_sum.base.value_many))
+        return dataclasses.replace(sample_sum, base=base)
+
+    return {
+        "rs-estimator": (
+            lambda rng, wrap=lambda f: f: check_rs_estimator(with_grad_many(wrap), x, 0.01, 200, rng),
+            lambda rng: unblocked_estimator_means(hyp, x, [0.01], 200, rng, chunk=10),
+        ),
+        "two-radii": (
+            lambda rng, wrap=lambda f: f: oracle._estimator_means(with_grad_many(wrap), x, [0.02, 0.01], 200, rng),
+            lambda rng: unblocked_estimator_means(hyp, x, [0.02, 0.01], 200, rng, chunk=10),
+        ),
+        "sa-dfactor": (
+            lambda rng, wrap=lambda f: f: check_sa_dfactor(with_value_many(wrap), x_min, 0.01, 100, rng),
+            lambda rng: unblocked_check_sa_dfactor(sample_sum, x_min, 0.01, 100, rng, chunk=10),
+        ),
+    }
+
+
+@pytest.fixture
+def small_blocks():
+    with mock.patch.object(oracle, "CHUNK", 10), mock.patch.object(oracle, "BLOCK", 8):
+        yield
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReadAhead:
+    """The helper thread draws what a sequential loop draws, raises its errors and stops with its check."""
+
+    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_stream_ends_where_the_sequential_loop_ends(self, case, cpus):
+        check, reference = _read_ahead_cases()[case]
+        rng, ref_rng = RngStream(11), RngStream(11)
+        with _cpus(cpus):
+            check(rng)
+        reference(ref_rng)
+        assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draw_error_is_raised_and_the_thread_stops(self, case, k, cpus):
+        check, _ = _read_ahead_cases()[case]
+        before = threading.active_count()
+        with _cpus(cpus), pytest.raises(RuntimeError, match=f"draw {k} failed"):
+            check(_FailingStream(11, k))
+        assert threading.active_count() == before
+        assert not _helper_threads()
+
+    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_evaluation_error_is_raised_and_the_thread_stops(self, case, cpus):
+        # Each block is evaluated twice per radius (x + D and x - D): the first call of the third block fails.
+        check, _ = _read_ahead_cases()[case]
+        radii = 2 if case == "two-radii" else 1
+        calls = []
+
+        def failing(f):
+            def wrapped(X):
+                calls.append(len(X))
+                if len(calls) == 2 * 2 * radii + 1:
+                    raise FloatingPointError("third block failed")
+                return f(X)
+
+            return wrapped
+
+        before = threading.active_count()
+        with _cpus(cpus), pytest.raises(FloatingPointError, match="third block failed"):
+            check(RngStream(11), failing)
+        assert threading.active_count() == before
+        assert not _helper_threads()
+
+    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    @pytest.mark.parametrize("cpus, extra", [(1, 0), (2, 1)])
+    def test_one_cpu_starts_no_thread(self, case, cpus, extra):
+        check, _ = _read_ahead_cases()[case]
+        before = threading.active_count()
+        seen = []
+
+        def counting(f):
+            def wrapped(X):
+                seen.append(threading.active_count())
+                return f(X)
+
+            return wrapped
+
+        with _cpus(cpus):
+            check(RngStream(11), counting)
+        assert set(seen) == {before + extra}
+        assert threading.active_count() == before
 
 
 class TestSampleRegion:
