@@ -23,18 +23,18 @@ The estimator and d-factor checks draw their sphere blocks on one helper
 thread, ``READ_AHEAD`` blocks ahead of the block the caller's thread
 evaluates (numpy's Gaussian draw releases the GIL). One thread draws from
 the stream, in the order of a sequential loop, so the draws and every
-reduction are those of one thread; where the process can run on one CPU
-only, the caller's thread draws them itself. The helper's thread stops
-before the check returns or raises.
+reduction are those of one thread. Checks that draw whole chunks (sphere
+moments, and the estimator at d = 1 or off the minima set) draw them in the
+caller's thread, where a read-ahead would hold ``READ_AHEAD`` more ``CHUNK x
+d`` arrays. The helper's thread stops before the check returns or raises.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, asdict
 from itertools import islice
 from typing import Callable, Iterator
@@ -74,7 +74,8 @@ RS_ESTIMATOR_LEAST_N = 2
 SA_DFACTOR_LEAST_N = 1
 
 
-#: Items the read-ahead helper computes beyond the one its caller takes.
+#: Items the read-ahead helper computes beyond the one its caller takes. With
+#: one, the helper idles between finishing a block and the caller taking it.
 READ_AHEAD = 2
 
 
@@ -84,24 +85,14 @@ def _chunks(n: int, size: int) -> Iterator[int]:
         yield min(size, n - done)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextmanager
 def _read_ahead(items: Iterator) -> Iterator[Iterator]:
     """The items of ``items`` in order, each computed on one helper thread ``READ_AHEAD`` items ahead.
 
     An error raised computing an item is raised when the caller takes that
     item. On leaving the block the queued items are cancelled and the thread
-    stops. On one CPU the caller's thread computes the items as it takes them.
+    stops.
     """
-    if _usable_cpus() < 2:
-        yield items
-        return
     end = object()
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatmin-read-ahead")
 
@@ -221,7 +212,9 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
         return np.add.accumulate(V, axis=0, out=V)[-1].copy()
 
     totals = [np.zeros(d) for _ in rhos]
-    with _read_ahead(draws) as spheres:
+    # A read-ahead of whole chunks would hold READ_AHEAD more (CHUNK, d) arrays:
+    # such chunks are drawn in the caller's thread.
+    with _read_ahead(draws) if rows < CHUNK else nullcontext(draws) as spheres:
         for sizes in layout:
             sums = [[None, None] for _ in rhos]
             for G in islice(spheres, len(sizes)):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from flatmin import LandscapeSpec, SampleRegion, build_landscape
-from flatmin.oracle import _usable_cpus
 
 #: Landscape specs with exact Hessians, used by the derivative cross-checks.
 ALL_LANDSCAPE_SPECS = [
@@ -21,8 +22,9 @@ ALL_LANDSCAPE_SPECS = [
 def pytest_report_header(config):
     """numpy and BLAS build, and whether a 2-vector ``np.dot`` is fused: the SHA-256 pins depend on them.
 
-    Also the CPUs the process may run on: the oracle draws on a helper thread
-    only where at least two are usable, so its timings depend on that count.
+    Also the CPUs the process may run on: the oracle's helper thread overlaps
+    its draws with evaluation only where two are usable, so its timings depend
+    on that count.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # 1 * -1 + (1 + e)(1 - e) is -e**2 with one rounding (fused) and 0 with two.
@@ -30,7 +32,7 @@ def pytest_report_header(config):
     fused = float(np.dot([1.0, 1.0 + e], [-1.0, 1.0 - e])) != 0.0
     return (
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-        f"2-vector np.dot {'fused (fma)' if fused else 'not fused'}, usable CPUs {_usable_cpus()}"
+        f"2-vector np.dot {'fused (fma)' if fused else 'not fused'}, usable CPUs {len(os.sched_getaffinity(0))}"
     )
 
 

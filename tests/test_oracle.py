@@ -188,15 +188,9 @@ def _dfactor_blob(check, d, n, n_samples, rng):
     return json.dumps(check(build_landscape(spec), canonical_minimum(spec), 0.01, n_samples, rng).to_dict())
 
 
-def _cpus(n):
-    """Patch the oracle's CPU probe: 1 draws in the caller's thread, 2 on the read-ahead helper."""
-    return mock.patch.object(oracle, "_usable_cpus", lambda: n)
-
-
 class TestSaDfactorBlocks:
     """Evaluating a chunk in row blocks gives the report of the unblocked loop, bit for bit."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
         chunk=st.integers(3, 50),
@@ -205,11 +199,11 @@ class TestSaDfactorBlocks:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_blocks_match_unblocked_loop(self, cpus, chunk, d, n_samples, seed, data):
+    def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, seed, data):
         # BLOCK counts values: blocks of 1 to chunk + 3 rows, and 1 row below d values.
         block = data.draw(st.integers(1, (chunk + 3) * d), label="block")
         n = data.draw(st.integers(1, min(d, 4)), label="n")
-        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block), _cpus(cpus):
+        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
             blocked = _dfactor_blob(check_sa_dfactor, d, n, n_samples, RngStream(seed))
         reference = _dfactor_blob(lambda *a: unblocked_check_sa_dfactor(*a, chunk=chunk), d, n, n_samples, RngStream(seed))
         assert blocked == reference
@@ -258,7 +252,6 @@ def _estimator_bytes(means):
 class TestEstimatorBlocks:
     """The estimator's block-carried chunk sums give the means of the unblocked loop, bit for bit."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
         chunk=st.integers(3, 50),
@@ -268,14 +261,14 @@ class TestEstimatorBlocks:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_blocks_match_unblocked_loop(self, cpus, chunk, d, n_samples, rhos, seed, data):
+    def test_blocks_match_unblocked_loop(self, chunk, d, n_samples, rhos, seed, data):
         spec, x_flat = data.draw(st.sampled_from(_ESTIMATOR_LANDSCAPES[d]), label="landscape")
         off = data.draw(st.booleans(), label="off")
         coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
         x = np.array(data.draw(st.lists(coord, min_size=d, max_size=d), label="x") if off else x_flat)
         block = data.draw(st.integers(1, (chunk + 3) * d), label="block")
         obj = build_landscape(spec)
-        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block), _cpus(cpus):
+        with mock.patch.object(oracle, "CHUNK", chunk), mock.patch.object(oracle, "BLOCK", block):
             blocked = oracle._estimator_means(obj, x, rhos, n_samples, RngStream(seed))
         reference = unblocked_estimator_means(obj, x, rhos, n_samples, RngStream(seed), chunk=chunk)
         assert _estimator_bytes(blocked) == _estimator_bytes(reference)
@@ -310,6 +303,20 @@ class TestEstimatorBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_whole_chunks_are_not_read_ahead(self):
+        # Off the minima set a chunk is one block: drawn in the caller's thread the check
+        # peaks at 43.3 MB; with the chunks read ahead on the helper it peaked at 52-61 MB
+        # (one or two more 8.4 MB (CHUNK, 16) arrays, as the two threads' timing falls).
+        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 16, "n": 4, "y": [0.5] * 4})
+        obj, x = build_landscape(spec), canonical_minimum(spec) + 0.05
+        tracemalloc.start()
+        try:
+            check_rs_estimator(obj, x, 0.01, 8 * oracle.CHUNK, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 47e6
 
 
 class _FailingStream:
@@ -381,29 +388,25 @@ class TestReadAhead:
     """The helper thread draws what a sequential loop draws, raises its errors and stops with its check."""
 
     @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_stream_ends_where_the_sequential_loop_ends(self, case, cpus):
+    def test_stream_ends_where_the_sequential_loop_ends(self, case):
         check, reference = _read_ahead_cases()[case]
         rng, ref_rng = RngStream(11), RngStream(11)
-        with _cpus(cpus):
-            check(rng)
+        check(rng)
         reference(ref_rng)
         assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
     @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
     @pytest.mark.parametrize("k", [1, 3, 25])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_draw_error_is_raised_and_the_thread_stops(self, case, k, cpus):
+    def test_draw_error_is_raised_and_the_thread_stops(self, case, k):
         check, _ = _read_ahead_cases()[case]
         before = threading.active_count()
-        with _cpus(cpus), pytest.raises(RuntimeError, match=f"draw {k} failed"):
+        with pytest.raises(RuntimeError, match=f"draw {k} failed"):
             check(_FailingStream(11, k))
         assert threading.active_count() == before
         assert not _helper_threads()
 
     @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_evaluation_error_is_raised_and_the_thread_stops(self, case, cpus):
+    def test_evaluation_error_is_raised_and_the_thread_stops(self, case):
         # Each block is evaluated twice per radius (x + D and x - D): the first call of the third block fails.
         check, _ = _read_ahead_cases()[case]
         radii = 2 if case == "two-radii" else 1
@@ -419,15 +422,26 @@ class TestReadAhead:
             return wrapped
 
         before = threading.active_count()
-        with _cpus(cpus), pytest.raises(FloatingPointError, match="third block failed"):
+        with pytest.raises(FloatingPointError, match="third block failed"):
             check(RngStream(11), failing)
         assert threading.active_count() == before
         assert not _helper_threads()
 
-    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
-    @pytest.mark.parametrize("cpus, extra", [(1, 0), (2, 1)])
-    def test_one_cpu_starts_no_thread(self, case, cpus, extra):
-        check, _ = _read_ahead_cases()[case]
+    @pytest.mark.parametrize(
+        "case, extra", [(case, 1) for case in sorted(_read_ahead_cases())] + [("rs-estimator off the set", 0)]
+    )
+    def test_one_helper_thread_runs_during_evaluation_of_blocks(self, case, extra):
+        # Off the minima set a chunk is one block, drawn in the caller's thread.
+        cases = _read_ahead_cases()
+        if case == "rs-estimator off the set":
+            hyp = build_hyperbola()
+
+            def check(rng, wrap):
+                obj = dataclasses.replace(hyp, grad_many=wrap(hyp.grad_many))
+                return check_rs_estimator(obj, np.array([1.3, 0.9]), 0.01, 200, rng)
+
+        else:
+            check, _ = cases[case]
         before = threading.active_count()
         seen = []
 
@@ -438,8 +452,7 @@ class TestReadAhead:
 
             return wrapped
 
-        with _cpus(cpus):
-            check(RngStream(11), counting)
+        check(RngStream(11), counting)
         assert set(seen) == {before + extra}
         assert threading.active_count() == before
 
