@@ -200,6 +200,16 @@ def _build(spec: LandscapeSpec, point: list, key: str):
     return obj
 
 
+def _out_dir(path) -> Path:
+    """``path``, made a directory now, so a path that cannot be one fails before any computing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
+    return out
+
+
 def build_schedule(cfg: ExperimentConfig):
     obj = _build(cfg.landscape, cfg.x0, "x0")
     base = base_of(obj)
@@ -266,10 +276,10 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     """Fan the config's seeds out to at most ``threads`` worker processes and write the joined summary.
 
     A config that builds no landscape or schedule raises :class:`ConfigError`
-    before ``out_dir`` is made.
+    before ``out_dir`` is made, as does an ``out_dir`` that cannot be made.
     """
     build_schedule(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
     # The pool starts all its workers up front; one per seed is the most that can work.
     workers = min(threads, len(cfg.seeds))
     if workers > 1:
@@ -346,18 +356,17 @@ def cmd_sweep(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"in combo {label}: {exc}") from None
             combos.append((label, cfg))
+        out_root = _out_dir(args.out or combos[0][1].out or "flatmin_sweep")
+        worst = EXIT_OK
+        index = []
+        for k, (label, cfg) in enumerate(combos):
+            sub = out_root / f"combo_{k:03d}_{label}"
+            code = execute_run(cfg, sub, threads=args.threads)
+            worst = max(worst, code)
+            index.append({"combo": label, "dir": sub.name, "exit": code})
+            print(f"[{k + 1}/{len(combos)}] {label}: exit {code}")
     except ConfigError as exc:
         return _usage_error(exc)
-    out_root = Path(args.out or combos[0][1].out or "flatmin_sweep")
-    worst = EXIT_OK
-    index = []
-    for k, (label, cfg) in enumerate(combos):
-        sub = out_root / f"combo_{k:03d}_{label}"
-        code = execute_run(cfg, sub, threads=args.threads)
-        worst = max(worst, code)
-        index.append({"combo": label, "dir": sub.name, "exit": code})
-        print(f"[{k + 1}/{len(combos)}] {label}: exit {code}")
-    out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "sweep_index.json").write_text(json.dumps(index, indent=2))
     return worst
 
@@ -385,6 +394,7 @@ def cmd_certify(args) -> int:
         x = _point("x", data.pop("x", None))
         bounds = _certify("certify", data)
         obj = _build(spec, x, "x")
+        out = _out_dir(args.out) if args.out else None
     except ConfigError as exc:
         return _usage_error(exc)
     try:
@@ -393,9 +403,7 @@ def cmd_certify(args) -> int:
         print(f"flow failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(cert.to_json())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "certificate.json").write_text(cert.to_json())
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
@@ -483,14 +491,16 @@ def cmd_verify(args) -> int:
         return _usage_error(ConfigError(f"--n must be at least {least}, the least sample count of {check}; got {args.n}"))
     if args.seed < 0:
         return _usage_error(ConfigError(f"--seed must be an integer >= 0, got {args.seed}"))
+    try:
+        out = _out_dir(args.out) if args.out else None
+    except ConfigError as exc:
+        return _usage_error(exc)
     reports = [checks[name][1]() for name in names]
     width = max(len(r.name) for r in reports)
     for r in reports:
         status = "n/a " if r.not_applicable else ("PASS" if r.passed else "FAIL")
         print(f"{r.name:<{width}}  {status}  n={r.n_samples:<9d} err={r.rel_error:.3e}  tol={r.tolerance:.3e}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "verify.json").write_text(json.dumps([r.to_dict() for r in reports], indent=2))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERICAL
 

@@ -8,25 +8,21 @@ rather than tautology. All Monte-Carlo loops reduce over fixed-size chunks in
 a fixed order, making every report deterministic given (seed, N).
 
 A chunk (``CHUNK`` draws) is the reduction unit: its sum is added to the
-running total. A chunk is evaluated in blocks of ``BLOCK`` float64 values
-(``max(1, BLOCK // d)`` rows), the evaluation unit, which bounds the working
-arrays; a block changes no result, since successive sphere batches are the
-rows of one batch and every step before the chunk's sum is row-wise. The
-estimator check carries a chunk's sum across its blocks: numpy's
-``sum(axis=0)`` of a C-order ``(m, d)`` array with d >= 2 adds the rows one
-after another, as ``np.add.accumulate`` along the rows does, and a block
-continues the sum by adding it to its first row. At d = 1 ``sum(axis=0)`` is
-pairwise, and the projection's BLAS ``V @ uhat`` may round a row by its
-place in the call, so those chunks are one block.
+running total. The estimator and d-factor checks evaluate a chunk in blocks
+of ``BLOCK`` float64 values (``max(1, BLOCK // d)`` rows), which bounds the
+working arrays; a block changes no result, since successive sphere batches
+are the rows of one batch and every step before the chunk's sum is
+row-wise. The estimator's projection is row-local ``np.vecdot``, since a
+BLAS ``V @ uhat`` may round a row by its place in the call, and it carries a
+chunk's sum across the blocks: ``np.add.accumulate`` adds the rows one after
+another, and a block continues the sum by adding it to its first row.
 
-The estimator and d-factor checks draw their sphere blocks on one helper
-thread, ``READ_AHEAD`` blocks ahead of the block the caller's thread
-evaluates (numpy's Gaussian draw releases the GIL). One thread draws from
-the stream, in the order of a sequential loop, so the draws and every
-reduction are those of one thread. Checks that draw whole chunks (sphere
-moments, and the estimator at d = 1 or off the minima set) draw them in the
-caller's thread, where a read-ahead would hold ``READ_AHEAD`` more ``CHUNK x
-d`` arrays. The helper's thread stops before the check returns or raises.
+Those two checks draw their sphere blocks on one helper thread,
+``READ_AHEAD`` blocks ahead of the block the caller's thread evaluates
+(numpy's Gaussian draw releases the GIL). One thread draws from the stream,
+in the order of a sequential loop, so the draws and every reduction are
+those of one thread. The helper's thread stops before the check returns or
+raises.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from itertools import islice
 from typing import Callable, Iterator
@@ -86,27 +82,33 @@ def _chunks(n: int, size: int) -> Iterator[int]:
 
 
 @contextmanager
-def _read_ahead(items: Iterator) -> Iterator[Iterator]:
-    """The items of ``items`` in order, each computed on one helper thread ``READ_AHEAD`` items ahead.
+def _sphere_blocks(x: np.ndarray, radius: float, n: int, rng: RngStream):
+    """``(X, chunks)`` for ``n`` draws on the sphere of ``radius`` at the dimension d of ``x``.
 
-    An error raised computing an item is raised when the caller takes that
-    item. On leaving the block the queued items are cancelled and the thread
-    stops.
+    ``chunks`` yields, per chunk of ``CHUNK`` draws, the iterator of its
+    blocks of ``max(1, BLOCK // d)`` rows, and ``X`` is ``x`` tiled over the
+    rows of the largest block. The blocks are drawn and scaled in order on
+    one helper thread, ``READ_AHEAD`` blocks ahead of the one the caller
+    takes. A draw's error is raised when the caller takes its block. On
+    leaving the block the queued draws are cancelled and the thread stops.
     """
-    end = object()
+    d = x.size
+    rows = min(max(1, BLOCK // d), n)
+    sizes = (b for m in _chunks(n, CHUNK) for b in _chunks(m, rows))
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatmin-read-ahead")
 
-    def taken():
-        while True:
-            ahead.append(pool.submit(next, items, end))
-            item = ahead.popleft().result()
-            if item is end:
-                return
-            yield item
+    def draw(b):
+        G = sample_sphere_batch(d, b, rng)
+        return G if radius == 1.0 else np.multiply(radius, G, out=G)
+
+    def blocks(m):
+        for _ in _chunks(m, rows):
+            ahead.extend(pool.submit(draw, b) for b in islice(sizes, 1))
+            yield ahead.popleft().result()
 
     try:
-        ahead = deque(pool.submit(next, items, end) for _ in range(READ_AHEAD))
-        yield taken()
+        ahead = deque(pool.submit(draw, b) for b in islice(sizes, READ_AHEAD))
+        yield np.tile(x, (rows, 1)), (blocks(m) for m in _chunks(n, CHUNK))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -188,36 +190,25 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
     nu = float(np.linalg.norm(u))
     uhat = u / nu if nu > U_TOL else None
 
-    n_pairs = n_samples // 2
-    # At d = 1 a chunk's sum(axis=0) is pairwise, and a BLAS V @ uhat may
-    # round a row by its place in the call; such a chunk is one block.
-    rows = CHUNK if d == 1 or uhat is not None else max(1, BLOCK // d)
-    X = np.tile(x, (min(rows, n_pairs), 1))
-    P = np.empty_like(X)
-    layout = [list(_chunks(m, rows)) for m in _chunks(n_pairs, CHUNK)]
-    draws = (sample_sphere_batch(d, b, rng) for sizes in layout for b in sizes)
-
     def shifted_sum(G, rho, shift, carry):
         """Sum of the projected gradients at ``shift(x, rho * G)`` after ``carry``, the chunk's rows before ``G``'s."""
         Pb = np.multiply(rho, G, out=P[: len(G)])
         V = base.grad_many(shift(X[: len(G)], Pb, out=Pb))
         if uhat is not None:
-            s = V @ uhat
+            s = np.vecdot(V, uhat)
             for j in range(d):
                 V[:, j] -= s * uhat[j]
-        if d == 1:
-            return V.sum(axis=0)
         if carry is not None:
             V[0] += carry
         return np.add.accumulate(V, axis=0, out=V)[-1].copy()
 
+    n_pairs = n_samples // 2
     totals = [np.zeros(d) for _ in rhos]
-    # A read-ahead of whole chunks would hold READ_AHEAD more (CHUNK, d) arrays:
-    # such chunks are drawn in the caller's thread.
-    with _read_ahead(draws) if rows < CHUNK else nullcontext(draws) as spheres:
-        for sizes in layout:
+    with _sphere_blocks(x, 1.0, n_pairs, rng) as (X, chunks):
+        P = np.empty_like(X)
+        for blocks in chunks:
             sums = [[None, None] for _ in rhos]
-            for G in islice(spheres, len(sizes)):
+            for G in blocks:
                 for carry, rho in zip(sums, rhos):
                     carry[0] = shifted_sum(G, rho, np.add, carry[0])
                     carry[1] = shifted_sum(G, rho, np.subtract, carry[1])
@@ -332,22 +323,16 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
 
     f0 = base.value(x_star)
 
-    rows = max(1, BLOCK // d)
-    X = np.tile(x_star, (min(rows, n_samples), 1))
-    P = np.empty_like(X)
-    layout = [list(_chunks(m, rows)) for m in _chunks(n_samples, CHUNK)]
-    spheres = (sample_sphere_batch(d, b, rng) for sizes in layout for b in sizes)
-    draws = (np.multiply(rho, S, out=S) for S in spheres)
-
     def second_differences(D):
         b = len(D)
         vp = base.value_many(np.add(X[:b], D, out=P[:b]))
         return vp - 2.0 * f0 + base.value_many(np.subtract(X[:b], D, out=P[:b]))
 
     total = 0.0
-    with _read_ahead(draws) as shifts:
-        for sizes in layout:
-            total += float(np.sum(np.concatenate([second_differences(D) for D in islice(shifts, len(sizes))])))
+    with _sphere_blocks(x_star, rho, n_samples, rng) as (X, chunks):
+        P = np.empty_like(X)
+        for shifts in chunks:
+            total += float(np.sum(np.concatenate([second_differences(D) for D in shifts])))
     measured_rs = total / (n_samples * rho**2)
 
     tr_bar = normalized_trace(base, x_star)

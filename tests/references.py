@@ -238,10 +238,11 @@ def unblocked_check_sa_dfactor(obj, x_star, rho: float, n_samples: int, rng, chu
 
 
 def unblocked_estimator_means(obj, x, rhos, n_samples: int, rng: RngStream, chunk: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``oracle._estimator_means`` as it was before its chunks were evaluated in blocks, with chunk size ``chunk``.
+    """``oracle._estimator_means`` with its chunks evaluated whole, with chunk size ``chunk``.
 
-    Each chunk's shifts broadcast ``x`` over the rows, the projection is an
-    ``np.outer`` and each chunk sum is one ``sum(axis=0)``.
+    Each chunk's shifts broadcast ``x`` over the rows, the projection is a
+    row-local ``np.vecdot`` and an ``np.outer``, and each chunk sum adds the
+    chunk's rows in order.
     """
 
     def _chunks(n):
@@ -260,7 +261,7 @@ def unblocked_estimator_means(obj, x, rhos, n_samples: int, rng: RngStream, chun
     def project_rows(V):
         if uhat is None:
             return V
-        return V - np.outer(V @ uhat, uhat)
+        return V - np.outer(np.vecdot(V, uhat), uhat)
 
     n_pairs = n_samples // 2
     totals = [np.zeros(d) for _ in rhos]
@@ -268,8 +269,8 @@ def unblocked_estimator_means(obj, x, rhos, n_samples: int, rng: RngStream, chun
         G = sample_sphere_batch(d, m, rng)
         for total, rho in zip(totals, rhos):
             D = rho * G
-            total += project_rows(base.grad_many(x[None, :] + D)).sum(axis=0)
-            total += project_rows(base.grad_many(x[None, :] - D)).sum(axis=0)
+            total += np.add.accumulate(project_rows(base.grad_many(x[None, :] + D)))[-1]
+            total += np.add.accumulate(project_rows(base.grad_many(x[None, :] - D)))[-1]
 
     ref_dir = base.normalized_trace_grad(x)
     if uhat is not None:

@@ -560,6 +560,30 @@ class TestSweepCommand:
             assert "sweep must map keys" in capsys.readouterr().err
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify", "certify"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_path_that_cannot_be_a_directory_is_usage_error_before_computing(self, tmp_path, capsys, command, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / below if below else afile
+        cfg = tiny_run_config(budget_cap=100, seeds=[1])
+        if command == "sweep":
+            cfg["sweep"] = {"eps": [0.01]}
+        args = {
+            "run": ["--config", write_config(tmp_path, cfg)],
+            "sweep": ["--config", write_config(tmp_path, cfg)],
+            "verify": ["--suite", "sphere-moments", "--n", "10000"],
+            "certify": ["--landscape", '{"kind": "hyperbola"}', "--x", "1,1", "--eps", "0.01", "--eps-prime", "0.1"],
+        }[command]
+        assert main([command, *args, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert afile.read_text() == "kept"
+
+
 class TestConsoleScript:
     def test_entry_point_help(self):
         proc = subprocess.run(

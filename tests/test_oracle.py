@@ -224,7 +224,8 @@ class TestSaDfactorBlocks:
 
 
 #: Per dimension, landscapes for the estimator's byte checks, each with a
-#: point where its gradient vanishes (the unprojected, blocked path).
+#: point where its gradient vanishes (no projection); drawn points off it
+#: take the projection.
 _ESTIMATOR_LANDSCAPES = {
     1: [
         (LandscapeSpec("convex_quadratic", {"eigenvalues": [1.5]}), [0.0]),
@@ -275,9 +276,9 @@ class TestEstimatorBlocks:
 
     @pytest.mark.parametrize("x", [[1.2, 1 / 1.2], [1.3, 0.9]])
     def test_zero_row_is_redrawn_in_place(self, x):
-        # Chunks of 10 pairs; on the minima set in blocks of 4 (8 values at d = 2), where
-        # row 5 sits inside the second block of the first chunk and row 17 inside the
-        # second chunk. Off it a chunk is one block.
+        # Chunks of 10 pairs in blocks of 4 (8 values at d = 2), on and off the minima
+        # set: row 5 sits inside the second block of the first chunk, row 17 inside the
+        # second chunk.
         zero_rows = [5, 17]
         obj, x = build_hyperbola(), np.array(x)
         with mock.patch.object(oracle, "CHUNK", 10), mock.patch.object(oracle, "BLOCK", 8):
@@ -291,32 +292,19 @@ class TestEstimatorBlocks:
         unstubbed = unblocked_estimator_means(obj, x, [0.02, 0.01], 50, RngStream(3), chunk=10)
         assert _estimator_bytes(blocked) != _estimator_bytes(unstubbed)
 
-    def test_peak_memory_does_not_scale_with_chunk(self):
-        # One (CHUNK, 16) float64 array takes 8.4 MB; whole-chunk passes peaked at 38.6 MB,
-        # blocks at 2.2 MB.
+    @pytest.mark.parametrize("offset", [0.0, 0.05], ids=["on-the-set", "off-the-set"])
+    def test_peak_memory_does_not_scale_with_chunk(self, offset):
+        # One (CHUNK, 16) float64 array takes 8.4 MB; whole-chunk passes peaked at 38.6 MB
+        # on the minima set and 42.5 MB off it (projected), blocks at under 3 MB.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 16, "n": 4, "y": [0.5] * 4})
-        obj, x_min = build_landscape(spec), canonical_minimum(spec)
-        tracemalloc.start()
-        try:
-            check_rs_estimator(obj, x_min, 0.01, 4 * oracle.CHUNK, RngStream(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
-
-    def test_whole_chunks_are_not_read_ahead(self):
-        # Off the minima set a chunk is one block: drawn in the caller's thread the check
-        # peaks at 43.3 MB; with the chunks read ahead on the helper it peaked at 52-61 MB
-        # (one or two more 8.4 MB (CHUNK, 16) arrays, as the two threads' timing falls).
-        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 16, "n": 4, "y": [0.5] * 4})
-        obj, x = build_landscape(spec), canonical_minimum(spec) + 0.05
+        obj, x = build_landscape(spec), canonical_minimum(spec) + offset
         tracemalloc.start()
         try:
             check_rs_estimator(obj, x, 0.01, 8 * oracle.CHUNK, RngStream(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 47e6
+        assert peak < 4e6
 
 
 class _FailingStream:
@@ -350,7 +338,7 @@ def _read_ahead_cases():
     sequential loop of ``tests/references.py``. Under ``small_blocks`` each
     check evaluates 10 chunks of 3 blocks (4, 4 and 2 rows at d = 2).
     """
-    hyp, x = build_hyperbola(), np.array([1.2, 1 / 1.2])
+    hyp, x, x_off = build_hyperbola(), np.array([1.2, 1 / 1.2]), np.array([1.3, 0.9])
     spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 2, "n": 2, "y": [0.5, 1.0]})
     sample_sum, x_min = build_landscape(spec), canonical_minimum(spec)
 
@@ -365,6 +353,10 @@ def _read_ahead_cases():
         "rs-estimator": (
             lambda rng, wrap=lambda f: f: check_rs_estimator(with_grad_many(wrap), x, 0.01, 200, rng),
             lambda rng: unblocked_estimator_means(hyp, x, [0.01], 200, rng, chunk=10),
+        ),
+        "rs-estimator off the set": (
+            lambda rng, wrap=lambda f: f: check_rs_estimator(with_grad_many(wrap), x_off, 0.01, 200, rng),
+            lambda rng: unblocked_estimator_means(hyp, x_off, [0.01], 200, rng, chunk=10),
         ),
         "two-radii": (
             lambda rng, wrap=lambda f: f: oracle._estimator_means(with_grad_many(wrap), x, [0.02, 0.01], 200, rng),
@@ -427,21 +419,9 @@ class TestReadAhead:
         assert threading.active_count() == before
         assert not _helper_threads()
 
-    @pytest.mark.parametrize(
-        "case, extra", [(case, 1) for case in sorted(_read_ahead_cases())] + [("rs-estimator off the set", 0)]
-    )
-    def test_one_helper_thread_runs_during_evaluation_of_blocks(self, case, extra):
-        # Off the minima set a chunk is one block, drawn in the caller's thread.
-        cases = _read_ahead_cases()
-        if case == "rs-estimator off the set":
-            hyp = build_hyperbola()
-
-            def check(rng, wrap):
-                obj = dataclasses.replace(hyp, grad_many=wrap(hyp.grad_many))
-                return check_rs_estimator(obj, np.array([1.3, 0.9]), 0.01, 200, rng)
-
-        else:
-            check, _ = cases[case]
+    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    def test_one_helper_thread_runs_during_evaluation_of_blocks(self, case):
+        check, _ = _read_ahead_cases()[case]
         before = threading.active_count()
         seen = []
 
@@ -453,7 +433,7 @@ class TestReadAhead:
             return wrapped
 
         check(RngStream(11), counting)
-        assert set(seen) == {before + extra}
+        assert set(seen) == {before + 1}
         assert threading.active_count() == before
 
 
