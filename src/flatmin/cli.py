@@ -89,6 +89,7 @@ _text = _rule(lambda v: isinstance(v, str), "a string", str)
 _positive = _rule(lambda v: _real(v) and 0.0 < v < math.inf, "a positive finite number", float)
 _unit_interval = _rule(lambda v: _real(v) and 0.0 < v < 1.0, "a number in (0, 1)", float)
 _count = _rule(lambda v: _integer(v) and v >= 1, "an integer >= 1", int)
+_natural = _rule(lambda v: _integer(v) and v >= 0, "an integer >= 0", int)
 _point = _rule(
     lambda v: isinstance(v, list) and v and all(_real(c) and math.isfinite(c) for c in v),
     "a nonempty list of finite numbers",
@@ -300,21 +301,13 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _usage_error(exc: ConfigError) -> int:
-    print(f"config error: {exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_run(args) -> int:
-    try:
-        _count("--threads", args.threads)
-        cfg = ExperimentConfig.from_dict(read_json(args.config))
-        if args.seed is not None:
-            cfg.seeds = _seeds("--seed", [args.seed])
-        out_dir = Path(args.out or cfg.out or "flatmin_out")
-        code = execute_run(cfg, out_dir, threads=args.threads)
-    except ConfigError as exc:
-        return _usage_error(exc)
+    _count("--threads", args.threads)
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
+    if args.seed is not None:
+        cfg.seeds = [_natural("--seed", args.seed)]
+    out_dir = Path(args.out or cfg.out or "flatmin_out")
+    code = execute_run(cfg, out_dir, threads=args.threads)
     print(f"wrote artifacts to {out_dir}")
     return code
 
@@ -343,30 +336,27 @@ def _expand_sweep(data: dict) -> list[tuple[str, dict]]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        _count("--threads", args.threads)
-        data = _object("config", read_json(args.config))
-        if "sweep" not in data:
-            raise ConfigError("sweep command needs a 'sweep' block")
-        combos = []
-        for label, combo in _expand_sweep(data):
-            try:
-                cfg = ExperimentConfig.from_dict(combo)
-                build_schedule(cfg)
-            except ConfigError as exc:
-                raise ConfigError(f"in combo {label}: {exc}") from None
-            combos.append((label, cfg))
-        out_root = _out_dir(args.out or combos[0][1].out or "flatmin_sweep")
-        worst = EXIT_OK
-        index = []
-        for k, (label, cfg) in enumerate(combos):
-            sub = out_root / f"combo_{k:03d}_{label}"
-            code = execute_run(cfg, sub, threads=args.threads)
-            worst = max(worst, code)
-            index.append({"combo": label, "dir": sub.name, "exit": code})
-            print(f"[{k + 1}/{len(combos)}] {label}: exit {code}")
-    except ConfigError as exc:
-        return _usage_error(exc)
+    _count("--threads", args.threads)
+    data = _object("config", read_json(args.config))
+    if "sweep" not in data:
+        raise ConfigError("sweep command needs a 'sweep' block")
+    combos = []
+    for label, combo in _expand_sweep(data):
+        try:
+            cfg = ExperimentConfig.from_dict(combo)
+            build_schedule(cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"in combo {label}: {exc}") from None
+        combos.append((label, cfg))
+    out_root = _out_dir(args.out or combos[0][1].out or "flatmin_sweep")
+    subs = [_out_dir(out_root / f"combo_{k:03d}_{label}") for k, (label, _) in enumerate(combos)]
+    worst = EXIT_OK
+    index = []
+    for k, ((label, cfg), sub) in enumerate(zip(combos, subs)):
+        code = execute_run(cfg, sub, threads=args.threads)
+        worst = max(worst, code)
+        index.append({"combo": label, "dir": sub.name, "exit": code})
+        print(f"[{k + 1}/{len(combos)}] {label}: exit {code}")
     (out_root / "sweep_index.json").write_text(json.dumps(index, indent=2))
     return worst
 
@@ -386,17 +376,13 @@ def _certify_flags(args) -> dict:
 
 def cmd_certify(args) -> int:
     if not (args.config or (args.landscape and args.x and args.eps is not None and args.eps_prime is not None)):
-        print("certify needs --config or all of --landscape/--x/--eps/--eps-prime", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        data = _object("config", read_json(args.config) if args.config else _certify_flags(args))
-        spec = _landscape("landscape", data.pop("landscape", None))
-        x = _point("x", data.pop("x", None))
-        bounds = _certify("certify", data)
-        obj = _build(spec, x, "x")
-        out = _out_dir(args.out) if args.out else None
-    except ConfigError as exc:
-        return _usage_error(exc)
+        raise ConfigError("certify needs --config or all of --landscape/--x/--eps/--eps-prime")
+    data = _object("config", read_json(args.config) if args.config else _certify_flags(args))
+    spec = _landscape("landscape", data.pop("landscape", None))
+    x = _point("x", data.pop("x", None))
+    bounds = _certify("certify", data)
+    obj = _build(spec, x, "x")
+    out = _out_dir(args.out) if args.out else None
     try:
         cert = certify_flat(obj, np.array(x), bounds["eps"], bounds["eps_prime"])
     except FlowConvergenceError as exc:
@@ -414,20 +400,18 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
     descent-lemma and pl-constants do not read ``n_samples``; they take any
     count from 0.
     """
-    hyperbola_spec = LandscapeSpec("hyperbola")
+    hyperbola = build_landscape(LandscapeSpec("hyperbola"))
+    # The estimator checks' point on the hyperbola's minima set.
+    x = np.array([1.2, 1.0 / 1.2])
 
     def sphere_moments():
         return oracle.check_sphere_moments(5, n_samples, RngStream(seed))
 
     def rs_estimator():
-        obj = build_landscape(hyperbola_spec)
-        x = np.array([1.2, 1.0 / 1.2])
-        return oracle.check_rs_estimator(obj, x, 0.01, n_samples, RngStream(seed))
+        return oracle.check_rs_estimator(hyperbola, x, 0.01, n_samples, RngStream(seed))
 
     def rs_decay():
-        obj = build_landscape(hyperbola_spec)
-        x = np.array([1.2, 1.0 / 1.2])
-        return oracle.check_rs_decay(obj, x, 0.02, 0.01, n_samples, seed)
+        return oracle.check_rs_decay(hyperbola, x, 0.02, 0.01, n_samples, seed)
 
     def sa_dfactor():
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]})
@@ -435,16 +419,13 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
         return oracle.check_sa_dfactor(obj, canonical_minimum(spec), 0.01, n_samples, RngStream(seed))
 
     def descent_lemma():
-        obj = build_landscape(hyperbola_spec)
-        sched = rs_schedule(0.01, 0.2, obj.lipschitz_grad_hint, budget_cap=2000)
+        sched = rs_schedule(0.01, 0.2, hyperbola.lipschitz_grad_hint, budget_cap=2000)
         # The check reads no trace column; a cadence of the whole budget leaves 2 trace solves of 201.
         x0 = np.array([1.5, 1 / 1.5])
-        traj = run_algorithm(obj, "RS", x0, sched, RngStream(seed), log_cadence=1, tr_cadence=sched.steps)
-        return oracle.check_descent_lemma(traj, obj.lipschitz_grad_hint)
+        traj = run_algorithm(hyperbola, "RS", x0, sched, RngStream(seed), log_cadence=1, tr_cadence=sched.steps)
+        return oracle.check_descent_lemma(traj, hyperbola.lipschitz_grad_hint)
 
     def pl_constants():
-        obj = build_landscape(hyperbola_spec)
-
         def near_manifold(p):
             u, v = p
             return 0.5 <= abs(u) <= 2.0 and abs(u * v - 1.0) / np.hypot(u, v) <= 0.1
@@ -452,7 +433,7 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
         region = oracle.SampleRegion(
             low=(-2.2, -2.2), high=(2.2, 2.2), predicate=near_manifold, axis_probes=False
         )
-        alpha, beta = oracle.estimate_pl_constants(obj, region, 200, RngStream(seed))
+        alpha, beta = oracle.estimate_pl_constants(hyperbola, region, 200, RngStream(seed))
         ok = 0.0 < alpha <= beta
         return oracle.OracleReport(
             name="pl-constants",
@@ -475,26 +456,20 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.n, args.seed)
+    checks = _verify_checks(args.n, _natural("--seed", args.seed))
     if args.suite == "all":
         names = list(checks)
     else:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         unknown = [n for n in names if n not in checks]
         if unknown:
-            print(f"unknown checks {unknown}; known: {sorted(checks)}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError(f"unknown checks {unknown}; known: {sorted(checks)}")
         if not names:
-            return _usage_error(ConfigError(f"--suite names no check; known: {sorted(checks)}"))
+            raise ConfigError(f"--suite names no check; known: {sorted(checks)}")
     least, check = max((checks[c][0], c) for c in names)
     if args.n < least:
-        return _usage_error(ConfigError(f"--n must be at least {least}, the least sample count of {check}; got {args.n}"))
-    if args.seed < 0:
-        return _usage_error(ConfigError(f"--seed must be an integer >= 0, got {args.seed}"))
-    try:
-        out = _out_dir(args.out) if args.out else None
-    except ConfigError as exc:
-        return _usage_error(exc)
+        raise ConfigError(f"--n must be at least {least}, the least sample count of {check}; got {args.n}")
+    out = _out_dir(args.out) if args.out else None
     reports = [checks[name][1]() for name in names]
     width = max(len(r.name) for r in reports)
     for r in reports:
@@ -505,8 +480,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises its usage errors as :class:`ConfigError`; its subparsers are ``_Parser`` too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flatmin", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="flatmin", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute seeded runs from a JSON config")
@@ -541,8 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run the command of ``argv``; every usage error ends here as one ``config error:`` line and exit 1."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

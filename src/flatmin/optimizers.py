@@ -437,9 +437,6 @@ def run(
             g = base.grad(x)
             for t in range(T):
                 gn = math.sqrt(np.dot(g, g))
-                snapshot = None
-                if t % log_cadence == 0:
-                    snapshot = (fval, gn)
                 perturbed = perturbs and gn <= eps0
                 if perturbed:
                     if displacements is not None:
@@ -466,15 +463,15 @@ def run(
                         max_slack = slack
                     if slack > DESCENT_SLACK:
                         violations += 1
-                if snapshot is not None:
+                if t % log_cadence == 0:
                     if t % tr_cadence == 0:
                         pending.append((len(records), x))
                     records.append(
                         IterateRecord(
                             t,
                             branch,
-                            snapshot[0],
-                            snapshot[1],
+                            fval,
+                            gn,
                             v_norm,
                             None,
                             f_next,

@@ -392,7 +392,8 @@ def test_orthogonal_d12_trajectory_bytes_are_pinned():
 def test_criterion_10_determinism(escape_artifacts, tmp_path_factory):
     out_b = tmp_path_factory.mktemp("escape_run_b")
     cfg = ExperimentConfig.from_dict(ESCAPE_CONFIG)
-    code = execute_run(cfg, out_b)
+    # The fixture ran the seeds serially; this rerun goes through the worker pool.
+    code = execute_run(cfg, out_b, threads=2)
     assert code == 0
     out_a = escape_artifacts["out"]
     identical = all(

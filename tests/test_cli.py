@@ -281,7 +281,7 @@ class TestRunCommand:
         path = write_config(tmp_path, tiny_run_config())
         code = main(["run", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"])
         assert code == EXIT_USAGE
-        assert "--seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: --seed must be an integer >= 0, got -1\n"
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         path = write_config(tmp_path, tiny_run_config())
@@ -420,6 +420,7 @@ class TestCertifyCommand:
     def test_incomplete_flags_usage_error(self, capsys):
         code = main(["certify", "--landscape", '{"kind": "hyperbola"}'])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: certify needs --config or all of --landscape/--x/--eps/--eps-prime\n"
 
     @pytest.mark.parametrize(
         "landscape,x,eps,message",
@@ -468,7 +469,7 @@ class TestVerifyCommand:
     def test_unknown_check_usage_error(self, capsys):
         code = main(["verify", "--suite", "nonexistent-check"])
         assert code == EXIT_USAGE
-        assert "unknown checks" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: unknown checks ['nonexistent-check']; known: {KNOWN_CHECKS}\n"
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -550,6 +551,19 @@ class TestSweepCommand:
         assert "in combo eps=0.01: unknown config keys ['_label']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_combo_directory_is_usage_error_before_any_run(self, tmp_path, capsys):
+        # The second combination's label makes a directory name longer than a filesystem allows.
+        cfg = tiny_run_config()
+        cfg["sweep"] = {"seeds": [[0], list(range(80))]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write ") and captured.err.count("\n") == 1
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert not (out / "sweep_index.json").exists()
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_run_config())
         code = main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
@@ -584,6 +598,27 @@ class TestOutputDirectory:
         assert afile.read_text() == "kept"
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+            (["verify", "--n", "1e6"], "argument --n: invalid int value: '1e6'"),
+            (["run"], "the following arguments are required: --config"),
+            (["certify", "--eps", "x"], "argument --eps: invalid float value: 'x'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["n-not-integer", "n-float-literal", "run-without-config", "eps-not-number", "unknown-subcommand", "no-subcommand"],
+    )
+    def test_is_one_usage_line(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.err.count("\n") == 1
+
+
 class TestConsoleScript:
     def test_entry_point_help(self):
         proc = subprocess.run(
@@ -591,3 +626,18 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "certify" in proc.stdout
+
+    def test_subcommand_help_exits_zero(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatmin.cli", "run", "-h"], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_OK
+        assert "--config" in proc.stdout
+
+    def test_argument_error_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatmin.cli", "verify", "--n", "abc"], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == "config error: argument --n: invalid int value: 'abc'\n"
