@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -206,7 +207,7 @@ def _out_dir(path) -> Path:
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot write {out}: {exc}") from None
     return out
 
@@ -343,6 +344,8 @@ def cmd_sweep(args) -> int:
     combos = []
     for label, combo in _expand_sweep(data):
         try:
+            if any(ch in label for ch in ("/", os.sep, "\0")):
+                raise ConfigError(f"label {label!r} is not one directory name (it has a path separator or NUL)")
             cfg = ExperimentConfig.from_dict(combo)
             build_schedule(cfg)
         except ConfigError as exc:

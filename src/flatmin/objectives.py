@@ -23,7 +23,7 @@ TEST_REGION_HALF_WIDTH = 3.0
 
 @dataclass(frozen=True)
 class Objective:
-    """Differentiable function bundle; every field is required.
+    """Differentiable function bundle; every field but the ``float_*`` formulas is required.
 
     The per-point callables take ``x`` as a 1-d float64 ndarray of length ``dim``.
 
@@ -44,6 +44,11 @@ class Objective:
         Vectorized evaluation over an (m, dim) batch of points.
     normalized_trace_grad : callable
         Closed-form gradient of trace(hess(x)) / dim.
+    float_value, float_grad : callables or None
+        Optional, on a d = 2 landscape only: f and its gradient at the point
+        ``(x0, x1)`` given as two Python floats, the gradient as a pair of
+        floats, rounded as ``value`` and ``grad``. Where they are set,
+        ``run`` and ``gradient_flow_limit`` step on Python floats.
     """
 
     dim: int
@@ -54,6 +59,8 @@ class Objective:
     value_many: Callable[[Matrix], Vector]
     grad_many: Callable[[Matrix], Matrix]
     normalized_trace_grad: Callable[[Vector], Vector]
+    float_value: Callable[[float, float], float] | None = None
+    float_grad: Callable[[float, float], tuple[float, float]] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.lipschitz_grad_hint < math.inf:
@@ -64,9 +71,14 @@ class Objective:
 class SampleSumObjective:
     """Training loss of the form f(x) = (1/n) * sum_i loss(p_i(x), y_i).
 
-    Every field is required. ``sample_*`` callables address the per-sample
-    losses f_i; ``pred_grad`` is the gradient of the model output p_i. Each
-    takes a sample index and ``x`` as a 1-d float64 ndarray of length ``dim``.
+    Every field but the ``float_*`` formulas is required. ``sample_*``
+    callables address the per-sample losses f_i; ``pred_grad`` is the
+    gradient of the model output p_i. Each takes a sample index and ``x`` as
+    a 1-d float64 ndarray of length ``dim``. The optional
+    ``float_sample_grad`` and ``float_pred_grad`` take the index and, on a
+    d = 2 landscape, the point as two Python floats, and return a pair of
+    floats rounded as ``sample_grad`` and ``pred_grad``; with the base's
+    float formulas they let ``run`` step SA on Python floats.
     """
 
     base: Objective
@@ -74,6 +86,8 @@ class SampleSumObjective:
     sample_value: Callable[[int, Vector], float]
     sample_grad: Callable[[int, Vector], Vector]
     pred_grad: Callable[[int, Vector], Vector]
+    float_sample_grad: Callable[[int, float, float], tuple[float, float]] | None = None
+    float_pred_grad: Callable[[int, float, float], tuple[float, float]] | None = None
 
     @property
     def dim(self) -> int:
@@ -187,17 +201,31 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         raise ValueError(f"a and c must give a positive finite Lipschitz hint, got {beta}")
 
     # Python floats cost less per call than numpy scalars and round the same.
+    # Each per-point formula is written once, on two floats; the ndarray
+    # callables wrap it.
     a_list = a.tolist()
     a_sq = [_square(ai) for ai in a_list]
 
-    def value(x):
-        x0, x1 = x.tolist()
+    def float_value(x0, x1):
         return m2 * _square(x0 * x1 - c)
 
-    def grad(x):
-        x0, x1 = x.tolist()
+    def float_grad(x0, x1):
         r = 2.0 * m2 * (x0 * x1 - c)
-        return np.array([r * x1, r * x0])
+        return r * x1, r * x0
+
+    def float_sample_grad(i, x0, x1):
+        r = 2.0 * a_sq[i] * (x0 * x1 - c)
+        return r * x1, r * x0
+
+    def float_pred_grad(i, x0, x1):
+        ai = a_list[i]
+        return ai * x1, ai * x0
+
+    def value(x):
+        return float_value(*x.tolist())
+
+    def grad(x):
+        return np.array(float_grad(*x.tolist()))
 
     def hess(x):
         off = 2.0 * m2 * (2.0 * x[0] * x[1] - c)
@@ -225,13 +253,10 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         return a_sq[i] * _square(x0 * x1 - c)
 
     def sample_grad(i, x):
-        x0, x1 = x.tolist()
-        r = 2.0 * a_sq[i] * (x0 * x1 - c)
-        return np.array([r * x1, r * x0])
+        return np.array(float_sample_grad(i, *x.tolist()))
 
     def pred_grad(i, x):
-        x0, x1 = x.tolist()
-        return np.array([a_list[i] * x1, a_list[i] * x0])
+        return np.array(float_pred_grad(i, *x.tolist()))
 
     base = Objective(
         dim=2,
@@ -242,6 +267,8 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         value_many=value_many,
         grad_many=grad_many,
         normalized_trace_grad=trace_grad,
+        float_value=float_value,
+        float_grad=float_grad,
     )
     return SampleSumObjective(
         base=base,
@@ -249,6 +276,8 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         sample_value=sample_value,
         sample_grad=sample_grad,
         pred_grad=pred_grad,
+        float_sample_grad=float_sample_grad,
+        float_pred_grad=float_pred_grad,
     )
 
 

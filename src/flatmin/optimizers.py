@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import RngStream, normalized_trace, proj_out_normed, sample_sphere, sphere_directions
+from .geometry import U_TOL, RngStream, _dot2, normalized_trace, proj_out_normed, sample_sphere, sphere_directions
 from .objectives import Objective, SampleSumObjective, base_of
 from .flow import gradient_flow_limits
 
@@ -202,10 +202,15 @@ def _sa_perturbation(
     p = obj.pred_grad(i, x)
     npn = math.sqrt(np.dot(p, p))
     if npn == 0.0:
-        raise DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x.tolist()}")
+        raise _degenerate(i, x.tolist())
     direction = p / npn
     v = proj_out_normed(g, gn, obj.sample_grad(i, x + rho * sigma * direction))
     return v, math.sqrt(np.dot(v, v)), direction
+
+
+def _degenerate(i: int, x: list) -> DegenerateSampleError:
+    """The error of an SA step whose sample ``i`` has a zero prediction gradient at ``x``."""
+    return DegenerateSampleError(f"sample {i} has a zero prediction gradient at {x}")
 
 
 def _sa_draws(n: int, rng: RngStream) -> Iterator[tuple[int, float]]:
@@ -278,9 +283,12 @@ def sa_step(
     return _checked_step(x, eta, grad_x, v), diag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterateRecord:
-    """Per-step log entry; ``f``/``grad_norm`` describe the pre-step iterate."""
+    """Per-step log entry; ``f``/``grad_norm`` describe the pre-step iterate.
+
+    Slotted: a trajectory holds up to one record per step.
+    """
 
     t: int
     branch: str
@@ -353,6 +361,114 @@ def trajectory_csv(traj: Trajectory) -> str:
 ALGORITHMS = ("RS", "SA", "GD")
 
 
+class _Kernel(NamedTuple):
+    """The step arithmetic of ``run`` on one representation of the iterate.
+
+    ``point`` takes the start as a float64 ndarray, ``coords`` gives an
+    iterate's coordinates as a tuple of Python floats, ``grad_norm`` its
+    gradient and the gradient's norm, and ``step(x, g, gn, perturbed)`` the
+    next iterate, ``|v|`` (None on a descent step) and f at the next iterate.
+    """
+
+    point: Callable
+    coords: Callable
+    value: Callable
+    grad_norm: Callable
+    step: Callable
+
+
+def _array_kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> _Kernel:
+    """Steps on float64 ndarrays, for any landscape."""
+    base = base_of(obj)
+    value, grad = base.value, base.grad
+    eta, eta_prime, rho = sched.eta, sched.eta_prime, sched.rho
+    displacements = sphere_directions(base.dim, rho, rng) if algorithm == "RS" else None
+    draws = _sa_draws(obj.n, rng) if algorithm == "SA" else None
+
+    def grad_norm(x):
+        g = grad(x)
+        return g, math.sqrt(np.dot(g, g))
+
+    def step(x, g, gn, perturbed):
+        if not perturbed:
+            x_next = x - eta_prime * g
+            v_norm = None
+        else:
+            if displacements is not None:
+                v, v_norm = _rs_perturbation(base, x, g, gn, next(displacements))
+            else:
+                v, v_norm, _ = _sa_perturbation(obj, x, g, gn, rho, *next(draws))
+            x_next = x - eta * (g + v)
+        return x_next, v_norm, float(value(x_next))
+
+    return _Kernel(lambda x: x, lambda x: tuple(x.tolist()), lambda x: float(value(x)), grad_norm, step)
+
+
+def _float_kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> _Kernel:
+    """Steps on pairs of Python floats, through the objective's ``float_*`` formulas.
+
+    The arithmetic of :func:`_array_kernel`, operation for operation, with
+    its 2-vector dot products taken by ``geometry._dot2``, so every iterate
+    is bit for bit the same.
+    """
+    base = base_of(obj)
+    f_value, f_grad = base.float_value, base.float_grad
+    eta, eta_prime, rho = sched.eta, sched.eta_prime, sched.rho
+    dot2, sqrt = _dot2, math.sqrt
+
+    def grad_norm(x):
+        g0, g1 = g = f_grad(*x)
+        return g, sqrt(dot2(g0, g1, g0, g1))
+
+    if algorithm == "RS":
+        displacements = map(np.ndarray.tolist, sphere_directions(2, rho, rng))
+
+        def perturbation_grad(x0, x1):
+            u0, u1 = next(displacements)
+            return f_grad(x0 + u0, x1 + u1)
+
+    elif algorithm == "SA":
+        f_sample_grad, f_pred_grad = obj.float_sample_grad, obj.float_pred_grad
+        draws = _sa_draws(obj.n, rng)
+
+        def perturbation_grad(x0, x1):
+            i, sigma = next(draws)
+            p0, p1 = f_pred_grad(i, x0, x1)
+            npn = sqrt(dot2(p0, p1, p0, p1))
+            if npn == 0.0:
+                raise _degenerate(i, [x0, x1])
+            s = rho * sigma
+            return f_sample_grad(i, x0 + s * (p0 / npn), x1 + s * (p1 / npn))
+
+    def step(x, g, gn, perturbed):
+        x0, x1 = x
+        g0, g1 = g
+        if not perturbed:
+            x_next = (x0 - eta_prime * g0, x1 - eta_prime * g1)
+            v_norm = None
+        else:
+            v0, v1 = perturbation_grad(x0, x1)
+            if gn > U_TOL:
+                # v projected off g, as proj_out_normed.
+                h0, h1 = g0 / gn, g1 / gn
+                k = dot2(h0, h1, v0, v1)
+                v0, v1 = v0 - k * h0, v1 - k * h1
+            v_norm = sqrt(dot2(v0, v1, v0, v1))
+            x_next = (x0 - eta * (g0 + v0), x1 - eta * (g1 + v1))
+        return x_next, v_norm, f_value(*x_next)
+
+    return _Kernel(lambda x: tuple(x.tolist()), tuple, lambda x: f_value(*x), grad_norm, step)
+
+
+def _has_float_formulas(obj, algorithm: str) -> bool:
+    """Whether ``obj`` carries the float formulas that ``algorithm`` steps with."""
+    base = base_of(obj)
+    formulas = [base.float_value, base.float_grad]
+    if algorithm == "SA":
+        formulas += [obj.float_sample_grad, obj.float_pred_grad]
+    return None not in formulas
+
+
 def run(
     obj,
     algorithm: str,
@@ -372,6 +488,13 @@ def run(
     terminal record. Records carry the iterate ``x`` when the dimension is
     at most 8. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
+
+    Where the objective carries its ``float_*`` formulas (the d = 2
+    factorization family; for SA the sample-sum ones too), the steps are
+    taken on pairs of Python floats; otherwise on float64 ndarrays. The two
+    kernels round every operation alike, their 2-vector dot products
+    included (see ``geometry._dot2``), so the choice changes no byte of the
+    trajectory, only its cost.
 
     The trace column holds ``trace_at_flow_limit`` of the logged iterate,
     bit for bit, but the iterates are landed ``TRACE_BLOCK`` at a time by
@@ -393,7 +516,6 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
     if algorithm == "SA" and not isinstance(obj, SampleSumObjective):
         raise ValueError("SA requires a SampleSumObjective")
-    ss = obj if isinstance(obj, SampleSumObjective) else None
     base = base_of(obj)
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -406,15 +528,15 @@ def run(
     keep_x = base.dim <= 8
 
     returned_index = rng.integers(1, T + 1)
-    returned_x: np.ndarray | None = None
+    returned_x: tuple | None = None
     records: list[IterateRecord] = []
-    # (index into records, iterate) of the logged steps whose trace is not landed yet.
-    pending: list[tuple[int, np.ndarray]] = []
+    # (index into records, coordinates) of the logged steps whose trace is not landed yet.
+    pending: list[tuple[int, tuple]] = []
 
     def land_pending() -> None:
         if not pending:
             return
-        limits = gradient_flow_limits(base, np.stack([xk for _, xk in pending]))
+        limits = gradient_flow_limits(base, np.array([xk for _, xk in pending]))
         with np.errstate(over="ignore", invalid="ignore"):
             for (k, _), phi in zip(pending, limits):
                 records[k] = replace(records[k], tr_phi=normalized_trace(base, phi))
@@ -424,38 +546,34 @@ def run(
     violations = 0
     max_slack = -math.inf
     perturbs = algorithm != "GD"
-    eta, eta_prime, rho, eps0 = sched.eta, sched.eta_prime, sched.rho, sched.eps0
-    displacements = sphere_directions(base.dim, rho, rng) if algorithm == "RS" else None
-    draws = _sa_draws(ss.n, rng) if algorithm == "SA" else None
-    half_eta = 0.5 * eta
-    half_beta_eta_sq = 0.5 * sched.beta_hat * eta**2
+    eps0 = sched.eps0
+    half_eta = 0.5 * sched.eta
+    half_beta_eta_sq = 0.5 * sched.beta_hat * sched.eta**2
+    kernel = (_float_kernel if _has_float_formulas(obj, algorithm) else _array_kernel)(obj, algorithm, sched, rng)
+    coords, grad_norm, step = kernel.coords, kernel.grad_norm, kernel.step
+    isfinite = math.isfinite
 
     try:
         # A diverging run overflows before the finite checks below report it.
         with np.errstate(over="ignore", invalid="ignore"):
-            fval = float(base.value(x))
-            g = base.grad(x)
+            x = kernel.point(x)
+            xc = coords(x)
+            fval = kernel.value(x)
+            g, gn = grad_norm(x)
             for t in range(T):
-                gn = math.sqrt(np.dot(g, g))
                 perturbed = perturbs and gn <= eps0
+                x_next, v_norm, f_next = step(x, g, gn, perturbed)
                 if perturbed:
-                    if displacements is not None:
-                        v, v_norm = _rs_perturbation(base, x, g, gn, next(displacements))
-                    else:
-                        v, v_norm, _ = _sa_perturbation(ss, x, g, gn, rho, *next(draws))
-                    x_next = x - eta * (g + v)
                     n_perturbed += 1
                     branch = "perturbed"
                 else:
-                    x_next = x - eta_prime * g
-                    v_norm = None
                     n_gd += 1
                     branch = "gd"
-                f_next = float(base.value(x_next))
-                if not (math.isfinite(f_next) and all(map(math.isfinite, x_next.tolist()))):
+                xc_next = coords(x_next)
+                if not (isfinite(f_next) and all(map(isfinite, xc_next))):
                     raise DivergenceError(
                         f"divergence at step {t}",
-                        IterateRecord(t, branch, fval, gn, v_norm, None, None, tuple(map(float, x))),
+                        IterateRecord(t, branch, fval, gn, v_norm, None, None, xc),
                     )
                 if perturbed:
                     slack = f_next - (fval - half_eta * gn * gn + half_beta_eta_sq * v_norm * v_norm)
@@ -465,54 +583,30 @@ def run(
                         violations += 1
                 if t % log_cadence == 0:
                     if t % tr_cadence == 0:
-                        pending.append((len(records), x))
-                    records.append(
-                        IterateRecord(
-                            t,
-                            branch,
-                            fval,
-                            gn,
-                            v_norm,
-                            None,
-                            f_next,
-                            tuple(map(float, x)) if keep_x else None,
-                        )
-                    )
+                        pending.append((len(records), xc))
+                    records.append(IterateRecord(t, branch, fval, gn, v_norm, None, f_next, xc if keep_x else None))
                     if len(pending) == TRACE_BLOCK:
                         land_pending()
                 if t + 1 == returned_index:
-                    returned_x = x_next.copy()
-                x = x_next
-                fval = f_next
-                g = base.grad(x)
+                    returned_x = xc_next
+                x, xc, fval = x_next, xc_next, f_next
+                g, gn = grad_norm(x)
     except (DivergenceError, DegenerateSampleError):
         # A trace solve at an earlier logged step fails first, as it would
         # have had it run at its own step.
         land_pending()
         raise
 
-    gn = math.sqrt(np.dot(g, g))
     branch = "gd" if (algorithm == "GD" or gn > sched.eps0) else "perturbed"
-    pending.append((len(records), x))
-    records.append(
-        IterateRecord(
-            T,
-            branch,
-            fval,
-            gn,
-            None,
-            None,
-            None,
-            tuple(map(float, x)) if keep_x else None,
-        )
-    )
+    pending.append((len(records), xc))
+    records.append(IterateRecord(T, branch, fval, gn, None, None, None, xc if keep_x else None))
     land_pending()
     assert returned_x is not None
     return Trajectory(
         records=tuple(records),
         returned_index=returned_index,
-        returned_x=tuple(map(float, returned_x)),
-        final_x=tuple(map(float, x)),
+        returned_x=returned_x,
+        final_x=xc,
         seed=rng.seed,
         stream=rng.stream,
         algorithm=algorithm,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 
-from flatmin import LandscapeSpec, SampleRegion, build_landscape
+from flatmin import LandscapeSpec, SampleRegion, build_landscape, geometry
 
 #: Landscape specs with exact Hessians, used by the derivative cross-checks.
 ALL_LANDSCAPE_SPECS = [
@@ -22,18 +23,29 @@ ALL_LANDSCAPE_SPECS = [
 def pytest_report_header(config):
     """numpy and BLAS build, and whether a 2-vector ``np.dot`` is fused: the SHA-256 pins depend on them.
 
+    The fused check is ``geometry``'s import-time probe, which also picks the
+    form of the float 2-vector dot that the d = 2 step and flow loops use.
     Also the CPUs the process may run on: the oracle's helper thread overlaps
     its draws with evaluation only where two are usable, so its timings depend
     on that count.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    # 1 * -1 + (1 + e)(1 - e) is -e**2 with one rounding (fused) and 0 with two.
-    e = 2.0**-30
-    fused = float(np.dot([1.0, 1.0 + e], [-1.0, 1.0 - e])) != 0.0
+    fused = "fused (fma)" if geometry.DOT_FUSED else "not fused"
     return (
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-        f"2-vector np.dot {'fused (fma)' if fused else 'not fused'}, usable CPUs {len(os.sched_getaffinity(0))}"
+        f"2-vector np.dot {fused}, float dot {geometry._dot2.__name__}, "
+        f"usable CPUs {len(os.sched_getaffinity(0))}"
     )
+
+
+def without_float_formulas(obj):
+    """``obj`` with its ``float_*`` formulas set to None, so ``run`` and the flow step on ndarrays."""
+    floats = {"float_value": None, "float_grad": None}
+    if hasattr(obj, "base"):
+        return dataclasses.replace(
+            obj, base=dataclasses.replace(obj.base, **floats), float_sample_grad=None, float_pred_grad=None
+        )
+    return dataclasses.replace(obj, **floats)
 
 
 def base_objective(spec: LandscapeSpec):

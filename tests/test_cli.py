@@ -564,6 +564,24 @@ class TestSweepCommand:
         assert [p for p in out.rglob("*") if p.is_file()] == []
         assert not (out / "sweep_index.json").exists()
 
+    @pytest.mark.parametrize(
+        "values",
+        [["a/b", "c"], ["c", "x/../../y"], ["a\x00b"]],
+        ids=["nested", "escapes-out", "nul"],
+    )
+    def test_label_that_is_not_one_directory_name_is_usage_error_before_any_directory(self, tmp_path, capsys, values):
+        # Each combination's label names its directory under --out.
+        cfg = tiny_run_config(budget_cap=100, seeds=[1])
+        cfg["sweep"] = {"out": values}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "root" / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: in combo out=") and captured.err.count("\n") == 1
+        assert "not one directory name" in captured.err
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["config.json"]
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_run_config())
         code = main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
@@ -596,6 +614,20 @@ class TestOutputDirectory:
         assert captured.err.startswith(f"config error: cannot write {out}: ")
         assert captured.err.count("\n") == 1
         assert afile.read_text() == "kept"
+
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_key_with_nul_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        # No path can hold a NUL; the directory is named by the config's "out".
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_run_config(budget_cap=100, seeds=[1], out="a\x00b")
+        if command == "sweep":
+            cfg["sweep"] = {"eps": [0.01]}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write ") and captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestArgumentErrors:

@@ -12,6 +12,7 @@ from flatmin import (
     FlowConvergenceError,
     LandscapeSpec,
     build_convex_quadratic,
+    build_landscape,
     build_hyperbola,
     certify_flat,
     estimate_pl_constants,
@@ -22,7 +23,13 @@ from flatmin import (
     trace_at_flow_limit,
 )
 from flatmin import flow
-from conftest import base_objective, hyperbola_manifold_point, hyperbola_tube_region, near_manifold_points
+from conftest import (
+    base_objective,
+    hyperbola_manifold_point,
+    hyperbola_tube_region,
+    near_manifold_points,
+    without_float_formulas,
+)
 from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian, fixed_step_flow
 
 
@@ -91,6 +98,39 @@ class TestGradientFlowLimit:
         obj = build_hyperbola()
         with pytest.raises(FlowConvergenceError):
             gradient_flow_limit(obj, np.array([40.0, -40.0]))
+
+
+def _flow_outcome(obj, x0, grad_tol):
+    """The landing point's bytes, or the error's message, last iterate, gradient norm and steps."""
+    try:
+        return gradient_flow_limit(obj, x0, grad_tol).tobytes()
+    except FlowConvergenceError as exc:
+        return str(exc), exc.x_last.tobytes(), np.float64(exc.grad_norm).tobytes(), exc.steps
+
+
+class TestFloatFlowMatchesArrayFlow:
+    """``gradient_flow_limit`` on Python floats and on ndarrays (the float formulas removed) end alike."""
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 0.7, 1.3, 1.6]], ids=["hyperbola", "factorization-n4"])
+    @pytest.mark.parametrize(
+        "x0,grad_tol,outcome",
+        [
+            ((1.5, 0.7), DEFAULT_FLOW, "landed"),
+            ((3.0, 1 / 3.0), ORACLE_FLOW, "landed"),
+            ((-2.0, -0.4), ORACLE_FLOW, "landed"),
+            ((1.0, 1.0), DEFAULT_FLOW, "landed"),
+            ((0.0, 0.0), DEFAULT_FLOW, "landed"),
+            ((1.5, 0.7), 1e-300, "flow stalled"),
+            ((30.0, 30.0), DEFAULT_FLOW, "non-finite gradient during"),
+            ((1e200, 1e200), DEFAULT_FLOW, "non-finite gradient at start"),
+        ],
+    )
+    def test_same_landing_or_error(self, a, x0, grad_tol, outcome):
+        obj = flow.base_of(build_landscape(LandscapeSpec("scalar_factorization", {"a": a, "c": 1.0})))
+        got = _flow_outcome(obj, np.array(x0), grad_tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert got == _flow_outcome(without_float_formulas(obj), np.array(x0), grad_tol)
+        assert isinstance(got, bytes) if outcome == "landed" else got[0].startswith(outcome)
 
 
 class TestLandingProperty:

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from flatmin import (
     sample_sphere,
     sample_sphere_batch,
 )
+from flatmin import geometry
 from flatmin.geometry import SPHERE_BLOCK, U_TOL, sphere_directions
 
 from conftest import random_points
@@ -149,6 +154,58 @@ class TestBlockSphereDraws:
         directions = sphere_directions(d, 1.0, _ScriptedStream(values))
         streamed = [next(directions) for _ in range(SPHERE_BLOCK)]
         assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
+
+
+def _np_dot2(a0, a1, b0, b1) -> float:
+    return float(np.dot(np.array([a0, a1]), np.array([b0, b1])))
+
+
+def _bits64(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+#: Inputs outside the range where the split product is exact: zeros,
+#: subnormals, magnitudes beyond 2**±450, infinities and NaN.
+_DOT_EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 2.0**-600, -(2.0**-460), 2.0**600, -(2.0**460), math.inf, -math.inf, math.nan]
+
+
+class TestFloatDot:
+    """``geometry._dot2`` is ``np.dot`` of two 2-vectors, bit for bit, on any input."""
+
+    def test_form_follows_the_import_probe(self):
+        assert geometry._dot2 is (geometry._dot2_fused if geometry.DOT_FUSED else geometry._dot2_numpy)
+        e = 2.0**-30
+        assert geometry.DOT_FUSED == (_np_dot2(1.0, 1.0 + e, -1.0, 1.0 - e) != 0.0)
+
+    @settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+    @given(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4))
+    def test_equals_numpy_dot(self, q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits64(geometry._dot2(*q)) == _bits64(_np_dot2(*q))
+
+    def test_equals_numpy_dot_on_full_mantissas(self):
+        # Hypothesis favours short mantissas, whose products are exact.
+        gen = np.random.Generator(np.random.PCG64(31))
+        n = 300_000
+        Q = gen.uniform(1.0, 2.0, (n, 4)) * np.exp(gen.uniform(-20.0, 20.0, (n, 4))) * gen.choice([-1.0, 1.0], (n, 4))
+        dot2 = geometry._dot2
+        got = np.array([dot2(a0, a1, b0, b1) for a0, a1, b0, b1 in Q.tolist()])
+        want = np.array([np.dot(q[:2], q[2:]) for q in Q])
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_inputs_take_the_numpy_branch(self):
+        values = _DOT_EDGES + [1.5, -0.7]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q in itertools.product(values, repeat=4):
+                assert _bits64(geometry._dot2(*q)) == _bits64(_np_dot2(*q)), q
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(st.tuples(*[st.floats(2.0**-449, 2.0**449) | st.floats(-(2.0**449), -(2.0**-449))] * 4))
+    def test_fused_form_rounds_once(self, q):
+        # fma(a1, b1, a0*b0) computed exactly and rounded once, on any build.
+        a0, a1, b0, b1 = q
+        exact = Fraction(a0 * b0) + Fraction(a1) * Fraction(b1)
+        assert _bits64(geometry._dot2_fused(*q)) == _bits64(float(exact))
 
 
 class TestRngStream:

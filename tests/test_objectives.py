@@ -163,10 +163,31 @@ def _assert_same_bits(ss, ref, i, x):
     assert _bits(ss.sample_value(i, x)) == _bits(ref["sample_value"](i, x))
     assert _bits(ss.sample_grad(i, x)) == _bits(ref["sample_grad"](i, x))
     assert _bits(ss.pred_grad(i, x)) == _bits(ref["pred_grad"](i, x))
+    # Each float formula is its ndarray callable on the point's two floats.
+    x0, x1 = x.tolist()
+    pairs = [
+        (ss.base.float_value(x0, x1), ss.base.value(x)),
+        (ss.base.float_grad(x0, x1), ss.base.grad(x)),
+        (ss.float_sample_grad(i, x0, x1), ss.sample_grad(i, x)),
+        (ss.float_pred_grad(i, x0, x1), ss.pred_grad(i, x)),
+    ]
+    for got, want in pairs:
+        assert all(type(v) is float for v in (got if isinstance(got, tuple) else (got,)))
+        assert _bits(got) == _bits(want)
 
 
 class TestFloatPathBitEquality:
-    """The factorization's Python-float callables round as its numpy-scalar expressions did."""
+    """The factorization's Python-float callables and float formulas round as its numpy-scalar expressions did."""
+
+    def test_float_formulas_only_on_the_factorization_family(self):
+        for spec in ALL_LANDSCAPE_SPECS:
+            obj = build_landscape(spec)
+            base = obj.base if isinstance(obj, SampleSumObjective) else obj
+            fields = [base.float_value, base.float_grad]
+            if isinstance(obj, SampleSumObjective):
+                fields += [obj.float_sample_grad, obj.float_pred_grad]
+            carried = spec.kind in ("hyperbola", "scalar_factorization")
+            assert all((f is not None) == carried for f in fields), spec
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,10 +28,10 @@ from flatmin import (
 )
 from flatmin import flow
 from flatmin.geometry import SPHERE_BLOCK, sphere_directions
-from flatmin.optimizers import SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
+from flatmin.optimizers import ALGORITHMS, SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
 from flatmin.objectives import LandscapeSpec
 
-from conftest import hyperbola_manifold_point
+from conftest import hyperbola_manifold_point, without_float_formulas
 from references import sample_hess
 
 
@@ -444,6 +445,106 @@ class TestRunMatchesPublicSteps:
             ss, x0, sched, 0, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, None, rng)
         )
         self._assert_same(traj, expected)
+
+    def test_sa_run_on_the_factorization_equals_sa_step_loop(self):
+        # run steps on Python floats here; sa_step on ndarrays.
+        ss = build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)
+        beta = ss.base.lipschitz_grad_hint
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=1500, beta_hat=beta)
+        x0 = np.array([1.5, 1 / 1.5])
+        traj = run(ss, "SA", x0, sched, RngStream(2), log_cadence=1)
+        assert traj.n_perturbed > SA_DRAW_BLOCK and traj.n_gd > 0
+        expected = _hand_loop(
+            ss, x0, sched, 2, lambda x, rng: sa_step(ss, x, sched.eta, sched.rho, None, rng)
+        )
+        self._assert_same(traj, expected)
+
+
+def _outcome(call):
+    """The trajectory's JSON, or the raised error's type, message and last record."""
+    try:
+        traj = call()
+    except (DivergenceError, DegenerateSampleError) as exc:
+        return type(exc).__name__, str(exc), repr(getattr(exc, "last_record", None))
+    except FlowConvergenceError as exc:
+        return type(exc).__name__, str(exc), exc.x_last.tobytes(), np.float64(exc.grad_norm).tobytes(), exc.steps
+    return json.dumps(traj.to_dict())
+
+
+def _first_difference(a: str, b: str) -> str:
+    k = next((k for k, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+    return f"character {k}: {a[max(0, k - 80):k + 80]!r} != {b[max(0, k - 80):k + 80]!r}"
+
+
+#: The d = 2 factorization family: the hyperbola (as a sample sum, so SA
+#: runs on it) and the n = 4 factorization.
+_FLOAT_LANDSCAPES = {
+    "hyperbola": build_scalar_factorization([1.0], 1.0),
+    "factorization-n4": build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0),
+}
+
+
+class TestFloatKernelMatchesArrayKernel:
+    """``run`` on Python floats and on ndarrays (the float formulas removed) give the same bytes or the same error."""
+
+    def _both(self, obj, algorithm, x0, sched, seed, tr_cadence=None):
+        def call(o):
+            return lambda: run(o, algorithm, x0, sched, RngStream(seed), log_cadence=1, tr_cadence=tr_cadence)
+
+        floats, arrays = _outcome(call(obj)), _outcome(call(without_float_formulas(obj)))
+        # A bool, so a failure does not make pytest diff two long JSON strings.
+        same = floats == arrays
+        assert same, f"first difference at {_first_difference(str(floats), str(arrays))}"
+        return floats
+
+    @pytest.mark.parametrize("landscape", sorted(_FLOAT_LANDSCAPES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_across_draw_blocks(self, landscape, algorithm):
+        obj = _FLOAT_LANDSCAPES[landscape]
+        beta = obj.base.lipschitz_grad_hint
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=1500, beta_hat=beta)
+        traj = json.loads(self._both(obj, algorithm, np.array([1.5, 1 / 1.5]), sched, 2))
+        if algorithm != "GD":
+            assert traj["n_perturbed"] > max(SPHERE_BLOCK, SA_DRAW_BLOCK) and traj["n_gd"] > 0
+        assert any(r["tr_phi"] is not None for r in traj["records"][1:-1])
+
+    @pytest.mark.parametrize("landscape", sorted(_FLOAT_LANDSCAPES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_from_an_exact_minimum(self, landscape, algorithm):
+        # The gradient is exactly zero, so the projection is the identity.
+        obj = _FLOAT_LANDSCAPES[landscape]
+        beta = obj.base.lipschitz_grad_hint
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=300, beta_hat=beta)
+        traj = json.loads(self._both(obj, algorithm, np.array([1.0, 1.0]), sched, 5))
+        assert traj["records"][0]["grad_norm"] == 0.0
+
+    @pytest.mark.parametrize("landscape", sorted(_FLOAT_LANDSCAPES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_diverging_start(self, landscape, algorithm):
+        obj = _FLOAT_LANDSCAPES[landscape]
+        # Only the start is traced; its flow lands, and the steps overflow a few steps later.
+        sched = Schedule(eta=10.0, eta_prime=10.0, rho=0.05, eps0=1e300, steps=200, beta_hat=1.0)
+        kind, _, record = self._both(obj, algorithm, np.array([1.2, 1.0]), sched, 1, tr_cadence=200)
+        assert kind == "DivergenceError" and record.startswith("IterateRecord(")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_earlier_trace_failure(self, algorithm):
+        # Every step is traced; a flow from an early iterate fails before the steps overflow.
+        obj = _FLOAT_LANDSCAPES["factorization-n4"]
+        sched = Schedule(eta=10.0, eta_prime=10.0, rho=0.05, eps0=1e300, steps=200, beta_hat=1.0)
+        kind, *_ = self._both(obj, algorithm, np.array([1.2, 1.0]), sched, 1, tr_cadence=1)
+        assert kind == "FlowConvergenceError"
+
+    @pytest.mark.parametrize("landscape", sorted(_FLOAT_LANDSCAPES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_from_the_saddle(self, landscape, algorithm):
+        # At the origin the gradient is (-0.0, -0.0) and, for SA, every prediction gradient vanishes.
+        obj = _FLOAT_LANDSCAPES[landscape]
+        beta = obj.base.lipschitz_grad_hint
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=300, beta_hat=beta)
+        out = self._both(obj, algorithm, np.array([0.0, 0.0]), sched, 3)
+        if algorithm == "SA":
+            assert out[0] == "DegenerateSampleError" and out[1].endswith("zero prediction gradient at [0.0, 0.0]")
 
 
 class TestTrajectorySerialization:
