@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _dot2, fd_gradient, normalized_trace
-from .objectives import base_of
+from .geometry import fd_gradient, normalized_trace
+from .objectives import base_of, iterates
 
 
 class FlowConvergenceError(RuntimeError):
@@ -88,38 +87,12 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     the iteration stalls at floating-point resolution before reaching the
     tolerance. :func:`gradient_flow_limits` lands many starts at once.
 
-    Where the objective carries ``float_grad`` (the d = 2 factorization
-    family), the steps are taken on pairs of Python floats, with the same
-    rounding as on ndarrays, 2-vector dot products included.
+    The iterates are held as :func:`~flatmin.objectives.iterates` chooses.
     """
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    x = np.array(x0, dtype=float)
-    f_grad = obj.float_grad
-    if f_grad is None:
-        grad = obj.grad
-
-        def grad_norm(x):
-            g = grad(x)
-            return g, math.sqrt(np.dot(g, g))
-
-        def descend(x, g):
-            return x - h * g
-
-        def unmoved(x_new, x):
-            return x_new.tolist() == x.tolist()
-
-    else:
-        x = tuple(x.tolist())
-
-        def grad_norm(x):
-            g0, g1 = g = f_grad(*x)
-            return g, math.sqrt(_dot2(g0, g1, g0, g1))
-
-        def descend(x, g):
-            return x[0] - h * g[0], x[1] - h * g[1]
-
-        unmoved = operator.eq
+    point, coords, _, grad_norm, descend = iterates(obj)
+    x = point(np.array(x0, dtype=float))
 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
@@ -130,8 +103,8 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         if gn <= grad_tol:
             return np.asarray(x)
         for step in range(1, FLOW_MAX_STEPS + 1):
-            x_new = descend(x, g)
-            if unmoved(x_new, x):
+            x_new = descend(x, g, h)
+            if coords(x_new) == coords(x):
                 # Step underflows at this resolution; nothing further can move.
                 raise _flow_error("stalled", x, gn, step, grad_tol)
             x = x_new

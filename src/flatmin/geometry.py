@@ -22,7 +22,9 @@ class RngStream:
     """Seeded, counter-addressed random stream.
 
     Identical (seed, stream) pairs reproduce the identical draw sequence
-    across runs and platforms. Distinct streams derived from the same seed
+    from run to run under one numpy version. The values computed from the
+    draws repeat byte for byte only on one numpy and BLAS build and CPU
+    family (README, Notes). Distinct streams derived from the same seed
     are statistically independent; one stream must never be shared between
     concurrent consumers. A verification check hands its stream to one
     helper thread for the length of the check, which draws from it while
@@ -41,7 +43,8 @@ class RngStream:
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
-    # Thin draw helpers so callers never touch the generator's full surface.
+    # Per-call draws; the block draws of run's SA steps, the oracle and
+    # SampleRegion take ``generator`` itself.
     def normal(self, size) -> np.ndarray:
         return self.generator.standard_normal(size)
 

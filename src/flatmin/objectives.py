@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import _dot2
+
 Vector = np.ndarray
 Matrix = np.ndarray
 
@@ -47,8 +49,8 @@ class Objective:
     float_value, float_grad : callables or None
         Optional, on a d = 2 landscape only: f and its gradient at the point
         ``(x0, x1)`` given as two Python floats, the gradient as a pair of
-        floats, rounded as ``value`` and ``grad``. Where they are set,
-        ``run`` and ``gradient_flow_limit`` step on Python floats.
+        floats, rounded as ``value`` and ``grad``. :func:`iterates` reads
+        them to choose how ``run`` and the flow hold the iterates.
     """
 
     dim: int
@@ -77,8 +79,9 @@ class SampleSumObjective:
     a 1-d float64 ndarray of length ``dim``. The optional
     ``float_sample_grad`` and ``float_pred_grad`` take the index and, on a
     d = 2 landscape, the point as two Python floats, and return a pair of
-    floats rounded as ``sample_grad`` and ``pred_grad``; with the base's
-    float formulas they let ``run`` step SA on Python floats.
+    floats rounded as ``sample_grad`` and ``pred_grad``. :func:`iterates`
+    holds the iterates as Python floats only where these and the base's
+    two are all set.
     """
 
     base: Objective
@@ -422,3 +425,49 @@ def canonical_minimum(spec: LandscapeSpec) -> np.ndarray:
 def base_of(obj) -> Objective:
     """The full-loss Objective behind either objective flavor."""
     return obj.base if isinstance(obj, SampleSumObjective) else obj
+
+
+def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable]:
+    """``(point, coords, value, grad_norm, descend)``: the one choice of how the iterates of ``obj`` are held.
+
+    Where ``obj`` carries every one of its own ``float_*`` formulas (an
+    Objective its two; a SampleSumObjective its two and its base's two),
+    an iterate is a pair of Python floats, stepped through those formulas;
+    that is the d = 2 factorization family. Otherwise it is a 1-d float64
+    ndarray. Both forms round every operation alike, their 2-vector dot
+    products included (``geometry._dot2`` equals ``np.dot``), so the choice
+    changes no byte of a trajectory or landing point, only its cost: numpy
+    spends more per call on a length-2 array than the arithmetic itself.
+
+    ``point(x)`` is the iterate at the float64 ndarray ``x``; ``coords(x)``
+    its coordinates as a tuple of Python floats; ``value(x)`` f as a Python
+    float; ``grad_norm(x)`` the base gradient and its norm; and
+    ``descend(x, g, h)`` the step ``x - h * g``. ``run`` and
+    ``gradient_flow_limit`` step through them.
+    """
+    base = base_of(obj)
+    formulas = [base.float_value, base.float_grad]
+    if isinstance(obj, SampleSumObjective):
+        formulas += [obj.float_sample_grad, obj.float_pred_grad]
+    if None in formulas:
+        value, grad = base.value, base.grad
+
+        def grad_norm(x):
+            g = grad(x)
+            return g, math.sqrt(np.dot(g, g))
+
+        return lambda x: x, lambda x: tuple(x.tolist()), lambda x: float(value(x)), grad_norm, lambda x, g, h: x - h * g
+
+    f_value, f_grad = base.float_value, base.float_grad
+    sqrt = math.sqrt
+
+    def float_grad_norm(x):
+        g0, g1 = g = f_grad(*x)
+        return g, sqrt(_dot2(g0, g1, g0, g1))
+
+    def descend(x, g, h):
+        x0, x1 = x
+        g0, g1 = g
+        return x0 - h * g0, x1 - h * g1
+
+    return lambda x: tuple(x.tolist()), tuple, lambda x: f_value(*x), float_grad_norm, descend

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .geometry import U_TOL, RngStream, _dot2, normalized_trace, proj_out_normed, sample_sphere, sphere_directions
-from .objectives import Objective, SampleSumObjective, base_of
+from .objectives import Objective, SampleSumObjective, base_of, iterates
 from .flow import gradient_flow_limits
 
 #: Additive slack allowed when checking the per-step descent inequality.
@@ -361,65 +361,47 @@ def trajectory_csv(traj: Trajectory) -> str:
 ALGORITHMS = ("RS", "SA", "GD")
 
 
-class _Kernel(NamedTuple):
-    """The step arithmetic of ``run`` on one representation of the iterate.
+def _cadence(name: str, cadence, steps: int) -> int:
+    """``cadence`` checked to be an integer >= 1, or ``max(1, steps // 200)`` for None."""
+    if cadence is None:
+        return max(1, steps // 200)
+    if isinstance(cadence, bool) or not isinstance(cadence, (int, np.integer)) or cadence < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {cadence!r}")
+    return int(cadence)
 
-    ``point`` takes the start as a float64 ndarray, ``coords`` gives an
-    iterate's coordinates as a tuple of Python floats, ``grad_norm`` its
-    gradient and the gradient's norm, and ``step(x, g, gn, perturbed)`` the
-    next iterate, ``|v|`` (None on a descent step) and f at the next iterate.
+
+def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats: bool) -> Callable:
+    """The perturbed step of ``algorithm`` ("RS" or "SA"), on iterates held as ``floats`` says.
+
+    Returns ``step(x, g, gn)``, which gives the next iterate and ``|v|``
+    from the iterate ``x``, its gradient ``g`` and ``gn = |g|``. On pairs
+    of Python floats it takes the arithmetic of the ndarray step, operation
+    for operation, its 2-vector dot products by ``geometry._dot2``, so every
+    iterate is bit for bit the same.
     """
-
-    point: Callable
-    coords: Callable
-    value: Callable
-    grad_norm: Callable
-    step: Callable
-
-
-def _array_kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> _Kernel:
-    """Steps on float64 ndarrays, for any landscape."""
     base = base_of(obj)
-    value, grad = base.value, base.grad
-    eta, eta_prime, rho = sched.eta, sched.eta_prime, sched.rho
-    displacements = sphere_directions(base.dim, rho, rng) if algorithm == "RS" else None
-    draws = _sa_draws(obj.n, rng) if algorithm == "SA" else None
+    eta, rho = sched.eta, sched.rho
+    if not floats:
+        if algorithm == "RS":
+            displacements = sphere_directions(base.dim, rho, rng)
 
-    def grad_norm(x):
-        g = grad(x)
-        return g, math.sqrt(np.dot(g, g))
+            def perturbation(x, g, gn):
+                return _rs_perturbation(base, x, g, gn, next(displacements))
 
-    def step(x, g, gn, perturbed):
-        if not perturbed:
-            x_next = x - eta_prime * g
-            v_norm = None
         else:
-            if displacements is not None:
-                v, v_norm = _rs_perturbation(base, x, g, gn, next(displacements))
-            else:
-                v, v_norm, _ = _sa_perturbation(obj, x, g, gn, rho, *next(draws))
-            x_next = x - eta * (g + v)
-        return x_next, v_norm, float(value(x_next))
+            draws = _sa_draws(obj.n, rng)
 
-    return _Kernel(lambda x: x, lambda x: tuple(x.tolist()), lambda x: float(value(x)), grad_norm, step)
+            def perturbation(x, g, gn):
+                return _sa_perturbation(obj, x, g, gn, rho, *next(draws))[:2]
 
+        def array_step(x, g, gn):
+            v, v_norm = perturbation(x, g, gn)
+            return x - eta * (g + v), v_norm
 
-def _float_kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> _Kernel:
-    """Steps on pairs of Python floats, through the objective's ``float_*`` formulas.
+        return array_step
 
-    The arithmetic of :func:`_array_kernel`, operation for operation, with
-    its 2-vector dot products taken by ``geometry._dot2``, so every iterate
-    is bit for bit the same.
-    """
-    base = base_of(obj)
-    f_value, f_grad = base.float_value, base.float_grad
-    eta, eta_prime, rho = sched.eta, sched.eta_prime, sched.rho
+    f_grad = base.float_grad
     dot2, sqrt = _dot2, math.sqrt
-
-    def grad_norm(x):
-        g0, g1 = g = f_grad(*x)
-        return g, sqrt(dot2(g0, g1, g0, g1))
-
     if algorithm == "RS":
         displacements = map(np.ndarray.tolist, sphere_directions(2, rho, rng))
 
@@ -427,7 +409,7 @@ def _float_kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> _Kern
             u0, u1 = next(displacements)
             return f_grad(x0 + u0, x1 + u1)
 
-    elif algorithm == "SA":
+    else:
         f_sample_grad, f_pred_grad = obj.float_sample_grad, obj.float_pred_grad
         draws = _sa_draws(obj.n, rng)
 
@@ -440,33 +422,18 @@ def _float_kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> _Kern
             s = rho * sigma
             return f_sample_grad(i, x0 + s * (p0 / npn), x1 + s * (p1 / npn))
 
-    def step(x, g, gn, perturbed):
+    def float_step(x, g, gn):
         x0, x1 = x
         g0, g1 = g
-        if not perturbed:
-            x_next = (x0 - eta_prime * g0, x1 - eta_prime * g1)
-            v_norm = None
-        else:
-            v0, v1 = perturbation_grad(x0, x1)
-            if gn > U_TOL:
-                # v projected off g, as proj_out_normed.
-                h0, h1 = g0 / gn, g1 / gn
-                k = dot2(h0, h1, v0, v1)
-                v0, v1 = v0 - k * h0, v1 - k * h1
-            v_norm = sqrt(dot2(v0, v1, v0, v1))
-            x_next = (x0 - eta * (g0 + v0), x1 - eta * (g1 + v1))
-        return x_next, v_norm, f_value(*x_next)
+        v0, v1 = perturbation_grad(x0, x1)
+        if gn > U_TOL:
+            # v projected off g, as proj_out_normed.
+            h0, h1 = g0 / gn, g1 / gn
+            k = dot2(h0, h1, v0, v1)
+            v0, v1 = v0 - k * h0, v1 - k * h1
+        return (x0 - eta * (g0 + v0), x1 - eta * (g1 + v1)), sqrt(dot2(v0, v1, v0, v1))
 
-    return _Kernel(lambda x: tuple(x.tolist()), tuple, lambda x: f_value(*x), grad_norm, step)
-
-
-def _has_float_formulas(obj, algorithm: str) -> bool:
-    """Whether ``obj`` carries the float formulas that ``algorithm`` steps with."""
-    base = base_of(obj)
-    formulas = [base.float_value, base.float_grad]
-    if algorithm == "SA":
-        formulas += [obj.float_sample_grad, obj.float_pred_grad]
-    return None not in formulas
+    return float_step
 
 
 def run(
@@ -489,12 +456,10 @@ def run(
     at most 8. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
 
-    Where the objective carries its ``float_*`` formulas (the d = 2
-    factorization family; for SA the sample-sum ones too), the steps are
-    taken on pairs of Python floats; otherwise on float64 ndarrays. The two
-    kernels round every operation alike, their 2-vector dot products
-    included (see ``geometry._dot2``), so the choice changes no byte of the
-    trajectory, only its cost.
+    The iterates are held as :func:`~flatmin.objectives.iterates` chooses;
+    the choice changes no byte of the trajectory. ``log_cadence`` and
+    ``tr_cadence`` must be integers >= 1 (or None, for ``max(1, steps //
+    200)``); any other value raises ``ValueError``.
 
     The trace column holds ``trace_at_flow_limit`` of the logged iterate,
     bit for bit, but the iterates are landed ``TRACE_BLOCK`` at a time by
@@ -521,10 +486,8 @@ def run(
     if not np.all(np.isfinite(x)):
         raise ValueError(f"non-finite starting point {x.tolist()}")
     T = sched.steps
-    if log_cadence is None:
-        log_cadence = max(1, T // 200)
-    if tr_cadence is None:
-        tr_cadence = max(1, T // 200)
+    log_cadence = _cadence("log_cadence", log_cadence, T)
+    tr_cadence = _cadence("tr_cadence", tr_cadence, T)
     keep_x = base.dim <= 8
 
     returned_index = rng.integers(1, T + 1)
@@ -546,29 +509,31 @@ def run(
     violations = 0
     max_slack = -math.inf
     perturbs = algorithm != "GD"
-    eps0 = sched.eps0
+    eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * sched.eta**2
-    kernel = (_float_kernel if _has_float_formulas(obj, algorithm) else _array_kernel)(obj, algorithm, sched, rng)
-    coords, grad_norm, step = kernel.coords, kernel.grad_norm, kernel.step
+    point, coords, value, grad_norm, descend = iterates(obj)
+    x = point(x)
+    step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
     isfinite = math.isfinite
 
     try:
         # A diverging run overflows before the finite checks below report it.
         with np.errstate(over="ignore", invalid="ignore"):
-            x = kernel.point(x)
             xc = coords(x)
-            fval = kernel.value(x)
+            fval = value(x)
             g, gn = grad_norm(x)
             for t in range(T):
                 perturbed = perturbs and gn <= eps0
-                x_next, v_norm, f_next = step(x, g, gn, perturbed)
                 if perturbed:
+                    x_next, v_norm = step(x, g, gn)
                     n_perturbed += 1
                     branch = "perturbed"
                 else:
+                    x_next, v_norm = descend(x, g, eta_prime), None
                     n_gd += 1
                     branch = "gd"
+                f_next = value(x_next)
                 xc_next = coords(x_next)
                 if not (isfinite(f_next) and all(map(isfinite, xc_next))):
                     raise DivergenceError(

@@ -20,22 +20,27 @@ ALL_LANDSCAPE_SPECS = [
 ]
 
 
-def pytest_report_header(config):
+def build_facts() -> str:
     """numpy and BLAS build, and whether a 2-vector ``np.dot`` is fused: the SHA-256 pins depend on them.
 
-    The fused check is ``geometry``'s import-time probe, which also picks the
-    form of the float 2-vector dot that the d = 2 step and flow loops use.
-    Also the CPUs the process may run on: the oracle's helper thread overlaps
-    its draws with evaluation only where two are usable, so its timings depend
-    on that count.
+    The fused check is ``geometry.DOT_FUSED``, the import-time probe that also
+    picks the form of the float 2-vector dot that the d = 2 step and flow
+    loops use. The pins were recorded where it is True.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    fused = "fused (fma)" if geometry.DOT_FUSED else "not fused"
     return (
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-        f"2-vector np.dot {fused}, float dot {geometry._dot2.__name__}, "
-        f"usable CPUs {len(os.sched_getaffinity(0))}"
+        f"geometry.DOT_FUSED {geometry.DOT_FUSED}, float dot {geometry._dot2.__name__}"
     )
+
+
+def pytest_report_header(config):
+    """The build facts, and the CPUs the process may run on.
+
+    The oracle's helper thread overlaps its draws with evaluation only where
+    two CPUs are usable, so its timings depend on that count.
+    """
+    return f"{build_facts()}, usable CPUs {len(os.sched_getaffinity(0))}"
 
 
 def without_float_formulas(obj):

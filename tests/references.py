@@ -1,6 +1,7 @@
 """Reference computations that only the tests use.
 
-Finite-difference Jacobians, a small-step gradient flow and the exact
+Finite-difference Jacobians, a small-step gradient flow, the closed-form
+trace at the flow's landing point on the factorization family, the exact
 per-sample Hessians of the sample-sum landscapes, and the earlier forms of
 code the package replaced with faster code of the same bits. The package
 does not need them to run, escape or certify.
@@ -46,6 +47,16 @@ def fixed_step_flow(obj, x0: np.ndarray, step_fraction: float, grad_tol: float) 
         x = x_new
         g = obj.grad(x)
     return x
+
+
+def landing_trace(x, m2: float, c: float) -> float:
+    """Normalized Hessian trace where the gradient flow of m2*(u*v - c)^2 from ``x`` lands.
+
+    The flow conserves D = u^2 - v^2 and lands on u*v = c, where the trace
+    m2*(u^2 + v^2) is m2*sqrt(D^2 + 4c^2).
+    """
+    d = x[0] * x[0] - x[1] * x[1]
+    return m2 * math.sqrt(d * d + 4.0 * c * c)
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from flatmin.cli import ExperimentConfig, execute_run, main
 from flatmin.objectives import LandscapeSpec
 from flatmin.oracle import CHUNK
 
-from conftest import near_manifold_points
+from conftest import build_facts, near_manifold_points
 from references import ACCURATE_FLOW, fd_jacobian, fixed_step_flow
 
 
@@ -313,7 +313,7 @@ def test_escape_artifact_bytes_are_pinned(escape_artifacts):
         name for name, digest in ESCAPE_SHA256.items()
         if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
     ]
-    assert changed == [], f"escape artifacts changed bytes: {changed}"
+    assert changed == [], f"escape artifacts changed bytes: {changed}; {build_facts()}"
 
 
 #: Full SHA-256 of the JSON of the 40 criterion-5 trajectories and of the
@@ -325,12 +325,12 @@ VERIFY_SHA256 = "484acb47c45f6f274493dfa71a7bcbfd86d2c295d661e305aa04677bed70348
 
 def test_sa_vs_rs_trajectory_bytes_are_pinned(sa_vs_rs_runs):
     blob = json.dumps({a: [t.to_dict() for t in ts] for a, ts in sa_vs_rs_runs["trajs"].items()})
-    assert hashlib.sha256(blob.encode()).hexdigest() == SA_VS_RS_SHA256
+    assert hashlib.sha256(blob.encode()).hexdigest() == SA_VS_RS_SHA256, build_facts()
 
 
 def test_verify_report_bytes_are_pinned(tmp_path, capsys):
     assert main(["verify", "--n", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256
+    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256, build_facts()
 
 
 #: Full SHA-256 of ``json.dumps(check_sa_dfactor(...).to_dict())`` on the
@@ -348,7 +348,7 @@ def test_dfactor_report_bytes_are_pinned(d, n):
     spec = LandscapeSpec("orthogonal_quadratic_model", {"d": d, "n": n, "y": [0.5] * n})
     # Two whole chunks and a tail that ends inside an evaluation block.
     rep = check_sa_dfactor(build_landscape(spec), canonical_minimum(spec), 0.01, 2 * CHUNK + 5_000, RngStream(d))
-    assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == DFACTOR_SHA256[(d, n)]
+    assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == DFACTOR_SHA256[(d, n)], build_facts()
 
 
 #: Full SHA-256 of the concatenated certificates at CERTIFY_PIN_POINTS and of
@@ -374,7 +374,7 @@ def test_certificate_bytes_are_pinned():
     blob = "".join(
         certify_flat(obj, x, 0.05, 0.3).to_json() for obj in landscapes for x in _certify_pin_points()
     )
-    assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_SHA256
+    assert hashlib.sha256(blob.encode()).hexdigest() == CERTIFY_SHA256, build_facts()
 
 
 def test_orthogonal_d12_trajectory_bytes_are_pinned():
@@ -386,7 +386,7 @@ def test_orthogonal_d12_trajectory_bytes_are_pinned():
     assert sched.steps == 20_000
     trajs = {a: run(obj, a, x0, sched, RngStream(0)).to_dict() for a in ("RS", "SA", "GD")}
     assert all(t["n_perturbed"] > 0 for a, t in trajs.items() if a != "GD")
-    assert hashlib.sha256(json.dumps(trajs).encode()).hexdigest() == ORTHOGONAL_D12_SHA256
+    assert hashlib.sha256(json.dumps(trajs).encode()).hexdigest() == ORTHOGONAL_D12_SHA256, build_facts()
 
 
 def test_criterion_10_determinism(escape_artifacts, tmp_path_factory):

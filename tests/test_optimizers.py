@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -29,10 +30,10 @@ from flatmin import (
 from flatmin import flow
 from flatmin.geometry import SPHERE_BLOCK, sphere_directions
 from flatmin.optimizers import ALGORITHMS, SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
-from flatmin.objectives import LandscapeSpec
+from flatmin.objectives import LandscapeSpec, iterates
 
 from conftest import hyperbola_manifold_point, without_float_formulas
-from references import sample_hess
+from references import landing_trace, sample_hess
 
 
 class TestRsSchedule:
@@ -349,6 +350,21 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run(obj, "ADAM", np.array([1.0, 1.0]), sched, RngStream(0))
 
+    @pytest.mark.parametrize("cadence", [0, -3, 2.5, 1.0, True, "10"])
+    @pytest.mark.parametrize("name", ["log_cadence", "tr_cadence"])
+    def test_cadence_must_be_a_positive_integer(self, name, cadence):
+        obj = build_hyperbola()
+        sched = rs_schedule(0.01, 0.2, 56.0, budget_cap=10)
+        with pytest.raises(ValueError, match=name):
+            run(obj, "RS", np.array([1.0, 1.0]), sched, RngStream(0), **{name: cadence})
+
+    def test_numpy_integer_cadence_accepted(self):
+        obj = build_hyperbola()
+        sched = rs_schedule(0.01, 0.2, 56.0, budget_cap=10)
+        a = run(obj, "RS", np.array([1.2, 1.0]), sched, RngStream(0), log_cadence=np.int64(3), tr_cadence=np.int64(6))
+        b = run(obj, "RS", np.array([1.2, 1.0]), sched, RngStream(0), log_cadence=3, tr_cadence=6)
+        assert a.records == b.records
+
     def test_sa_stays_at_flat_minimum_where_sample_gradients_vanish(self):
         # Every per-sample gradient vanishes at x0 = (1, 1), the flattest
         # minimum (trace 2*mean(a^2)); the prediction gradients do not.
@@ -547,6 +563,42 @@ class TestFloatKernelMatchesArrayKernel:
             assert out[0] == "DegenerateSampleError" and out[1].endswith("zero prediction gradient at [0.0, 0.0]")
 
 
+class TestIterateForm:
+    """Which form ``objectives.iterates`` holds the iterates in, and that the form changes no byte."""
+
+    @staticmethod
+    def _floats(obj) -> bool:
+        point = iterates(obj)[0]
+        held = point(np.zeros(obj.dim))
+        assert isinstance(held, (tuple, np.ndarray))
+        return isinstance(held, tuple)
+
+    def test_factorization_family_on_floats(self):
+        for obj in (build_hyperbola(), *_FLOAT_LANDSCAPES.values()):
+            assert self._floats(obj)
+            assert not self._floats(without_float_formulas(obj))
+
+    def test_other_landscapes_on_ndarrays(self):
+        spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 6, "n": 3, "y": [0.5, 1.0, 2.0]})
+        for obj in (build_convex_quadratic([1.0, 2.0]), build_landscape(spec)):
+            assert not self._floats(obj)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_sample_sum_without_its_own_formulas_on_ndarrays(self, algorithm):
+        # The base still carries its two formulas; the sample sum lacks its two.
+        obj = _FLOAT_LANDSCAPES["factorization-n4"]
+        mixed = dataclasses.replace(obj, float_sample_grad=None, float_pred_grad=None)
+        assert self._floats(mixed.base) and not self._floats(mixed)
+        beta = obj.base.lipschitz_grad_hint
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=1500, beta_hat=beta)
+
+        def outcome(o):
+            return _outcome(lambda: run(o, algorithm, np.array([1.5, 1 / 1.5]), sched, RngStream(2), log_cadence=1))
+
+        same = outcome(mixed) == outcome(obj)
+        assert same
+
+
 class TestTrajectorySerialization:
     def _small_traj(self):
         obj = build_hyperbola()
@@ -599,3 +651,23 @@ class TestTraceLogging:
         traced = [r for r in traj.records if r.tr_phi is not None]
         assert len(traced) == len(traj.records) == sched.steps + 1
         assert [r.tr_phi for r in traced] == [trace_at_flow_limit(obj, np.array(r.x)) for r in traced]
+
+    @pytest.mark.parametrize("floats", [True, False], ids=["floats", "ndarrays"])
+    @pytest.mark.parametrize("algorithm", ["RS", "SA"])
+    @pytest.mark.parametrize("landscape", sorted(_FLOAT_LANDSCAPES))
+    def test_trace_column_equals_the_flow_invariant_closed_form(self, landscape, algorithm, floats):
+        # The flow of m2*(u*v - c)^2 conserves u^2 - v^2, which fixes the
+        # trace where it lands. The tolerance is the benchmark's check of the
+        # same column; the fixed-step flow agrees to about 1e-12 here.
+        obj = _FLOAT_LANDSCAPES[landscape]
+        if not floats:
+            obj = without_float_formulas(obj)
+        m2 = obj.base.value(np.zeros(2))  # m2 * (0*0 - c)^2 with c = 1
+        consts = ScheduleConstants(c_eta=5.0, c_rho=2.5, c_eps0=10.0)
+        sched = rs_schedule(0.01, 0.2, obj.base.lipschitz_grad_hint, consts, budget_cap=3000)
+        traj = run(obj, algorithm, np.array([3.0, 1 / 3.0]), sched, RngStream(0), log_cadence=100, tr_cadence=100)
+        assert traj.n_perturbed > 0
+        traced = [r for r in traj.records if r.tr_phi is not None]
+        assert len(traced) == 31
+        worst = max(abs(r.tr_phi - landing_trace(r.x, m2, 1.0)) / landing_trace(r.x, m2, 1.0) for r in traced)
+        assert worst <= 1e-8
