@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import fd_gradient, normalized_trace
-from .objectives import base_of, iterates
+from .geometry import _SQUARE_TOP, _square_band, fd_gradient, normalized_trace
+from .objectives import as_start, base_of, iterates
 
 
 class FlowConvergenceError(RuntimeError):
@@ -85,35 +85,45 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     :class:`FlowConvergenceError` (carrying the last iterate and gradient
     norm) if the gradient is not finite, ``FLOW_MAX_STEPS`` is exhausted or
     the iteration stalls at floating-point resolution before reaching the
-    tolerance. :func:`gradient_flow_limits` lands many starts at once.
+    tolerance, and ``ValueError`` if ``x0`` is not of shape ``(dim,)``.
+    :func:`gradient_flow_limits` lands many starts at once.
 
     The iterates are held as :func:`~flatmin.objectives.iterates` chooses.
+    Each step tests the gradient's square sum against the band of
+    :func:`~flatmin.geometry._square_band` around ``grad_tol**2``; only a
+    sum inside the band, a non-finite one or a failure takes the exact
+    norm. The outcome is that of testing the exact norm at every step, bit
+    for bit, and every error reports the exact norm.
     """
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    point, coords, _, grad_norm, descend = iterates(obj)
-    x = point(np.array(x0, dtype=float))
+    point, coords, _, grad_norm, grad_sq, descend = iterates(obj)
+    x = point(as_start(obj, x0))
+    lo, hi = _square_band(grad_tol)
+    max_steps = FLOW_MAX_STEPS
 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        g, gn = grad_norm(x)
-        if not math.isfinite(gn):
-            raise _flow_error("non-finite", x, gn, 0, grad_tol)
-        if gn <= grad_tol:
-            return np.asarray(x)
-        for step in range(1, FLOW_MAX_STEPS + 1):
+        g, q = grad_sq(x)
+        step = 0
+        while not q < lo:
+            if not hi < q < _SQUARE_TOP:
+                gn = grad_norm(x)[1]
+                if not math.isfinite(gn):
+                    raise _flow_error("non-finite", x, gn, step, grad_tol)
+                if gn <= grad_tol:
+                    break
+            if step == max_steps:
+                raise _flow_error("capped", x, grad_norm(x)[1], step, grad_tol)
+            step += 1
             x_new = descend(x, g, h)
             if coords(x_new) == coords(x):
                 # Step underflows at this resolution; nothing further can move.
-                raise _flow_error("stalled", x, gn, step, grad_tol)
+                raise _flow_error("stalled", x, grad_norm(x)[1], step, grad_tol)
             x = x_new
-            g, gn = grad_norm(x)
-            if not math.isfinite(gn):
-                raise _flow_error("non-finite", x, gn, step, grad_tol)
-            if gn <= grad_tol:
-                return np.asarray(x)
-    raise _flow_error("capped", x, gn, FLOW_MAX_STEPS, grad_tol)
+            g, q = grad_sq(x)
+    return np.asarray(x)
 
 
 def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
@@ -126,9 +136,10 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     :class:`FlowConvergenceError` of the lowest-index failing row is raised:
     the one a loop over the rows would raise first. Rows after a failing
     row stop stepping, since their landing points are never returned.
+    ``ValueError`` if ``X`` is not of shape ``(k, dim)``.
     """
     obj = base_of(obj)
-    out = np.array(X, dtype=float)
+    out = as_start(obj, X, rows=True)
     rows = np.arange(len(out))
     x = out
     error = None

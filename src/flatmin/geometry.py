@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 # stationary points; identity preserves the perturbation estimator there).
 U_TOL = 1e-12
 
-#: Gaussian rows drawn per generator call by :func:`sphere_directions`.
+#: Gaussian rows drawn per generator call by :func:`sphere_blocks`.
 SPHERE_BLOCK = 512
 
 
@@ -104,6 +105,29 @@ def _dot2_fused(a0: float, a1: float, b0: float, b1: float) -> float:
 #: a fraction of its per-call cost where the build fuses it.
 _dot2 = _dot2_fused if DOT_FUSED else _dot2_numpy
 
+#: Plain square sums below this have a finite ``_dot2``; one just below the largest float may not.
+_SQUARE_TOP = 2.0**1023
+
+
+def _square_band(tol: float) -> tuple[float, float]:
+    """``(lo, hi)``: where the plain square sum ``q = g0*g0 + g1*g1`` decides ``sqrt(_dot2(g0, g1, g0, g1)) <= tol``.
+
+    ``q < lo`` means it holds, and ``hi < q < _SQUARE_TOP`` that it fails
+    with a finite ``_dot2``; only ``q`` between, or non-finite, needs the
+    exact test. For ``tol`` in [2**-500, 2**500], ``lo`` and ``hi`` are
+    ``tol*tol`` times ``1 -/+ 2**-48``. The bound: each square is within
+    u = 2**-53 of exact, relatively, or 2**-1075 absolutely if subnormal,
+    so ``q`` and ``_dot2`` (fused or not) differ by at most 3u·q plus
+    2**-1072. That, the roundings of ``tol*tol``, of the band ends and of
+    the square root, and ``tol*tol >= 2**-1000`` all fit in the band's
+    relative half-width of 2**-48 = 32u. For any other ``tol`` the band
+    is everything (``lo`` = -1, ``hi`` = inf), so every test is exact.
+    """
+    if not 2.0**-500 <= tol <= 2.0**500:
+        return -1.0, math.inf
+    t2 = tol * tol
+    return t2 * (1.0 - 2.0**-48), t2 * (1.0 + 2.0**-48)
+
 
 def proj_out(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Remove from ``v`` its component along ``u``.
@@ -156,14 +180,19 @@ def sample_sphere_batch(d: int, m: int, rng: RngStream) -> np.ndarray:
         G = np.concatenate([kept, rng.normal((m - len(kept), d))])
 
 
+def sphere_blocks(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]:
+    """Endless ``(SPHERE_BLOCK, d)`` blocks of uniform vectors on the sphere of ``radius`` in R^d."""
+    while True:
+        yield radius * sample_sphere_batch(d, SPHERE_BLOCK, rng)
+
+
 def sphere_directions(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]:
-    """Endless uniform vectors on the sphere of ``radius`` in R^d, drawn ``SPHERE_BLOCK`` at a time.
+    """Endless uniform vectors on the sphere of ``radius`` in R^d: the rows of :func:`sphere_blocks`.
 
     Yields ``radius * sample_sphere(d, rng)`` of successive calls, bit for
     bit, but draws from ``rng`` and scales a block at a time.
     """
-    while True:
-        yield from radius * sample_sphere_batch(d, SPHERE_BLOCK, rng)
+    return chain.from_iterable(sphere_blocks(d, radius, rng))
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:

@@ -427,8 +427,18 @@ def base_of(obj) -> Objective:
     return obj.base if isinstance(obj, SampleSumObjective) else obj
 
 
-def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable]:
-    """``(point, coords, value, grad_norm, descend)``: the one choice of how the iterates of ``obj`` are held.
+def as_start(obj, x, rows: bool = False) -> np.ndarray:
+    """``x`` as a new float64 array of shape ``(dim,)``, or ``(k, dim)`` for ``rows``; ValueError for any other shape."""
+    x = np.array(x, dtype=float)
+    d = base_of(obj).dim
+    if x.ndim != 1 + rows or x.shape[-1] != d:
+        expected = f"starts of shape (k, {d})" if rows else f"a start of shape ({d},)"
+        raise ValueError(f"expected {expected}, got {x.shape}")
+    return x
+
+
+def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Callable]:
+    """``(point, coords, value, grad_norm, grad_sq, descend)``: the one choice of how the iterates of ``obj`` are held.
 
     Where ``obj`` carries every one of its own ``float_*`` formulas (an
     Objective its two; a SampleSumObjective its two and its base's two),
@@ -441,9 +451,16 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable]:
 
     ``point(x)`` is the iterate at the float64 ndarray ``x``; ``coords(x)``
     its coordinates as a tuple of Python floats; ``value(x)`` f as a Python
-    float; ``grad_norm(x)`` the base gradient and its norm; and
-    ``descend(x, g, h)`` the step ``x - h * g``. ``run`` and
-    ``gradient_flow_limit`` step through them.
+    float; ``grad_norm(x)`` the base gradient and its norm; ``grad_sq(x)``
+    the base gradient and its square sum; and ``descend(x, g, h)`` the step
+    ``x - h * g``. ``run`` and ``gradient_flow_limit`` step through them.
+
+    The norm is exact in both forms: ``sqrt`` of the dot product as
+    ``np.dot`` rounds it. The ndarray form's square sum is that dot
+    product too; the float form's is the plain ``g0*g0 + g1*g1``, which
+    skips the exact ``_dot2``. The flow decides its stopping test from the
+    square sum with ``geometry._square_band`` and takes ``grad_norm`` only
+    where the band leaves the test open.
     """
     base = base_of(obj)
     formulas = [base.float_value, base.float_grad]
@@ -456,7 +473,18 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable]:
             g = grad(x)
             return g, math.sqrt(np.dot(g, g))
 
-        return lambda x: x, lambda x: tuple(x.tolist()), lambda x: float(value(x)), grad_norm, lambda x, g, h: x - h * g
+        def grad_sq(x):
+            g = grad(x)
+            return g, float(np.dot(g, g))
+
+        return (
+            lambda x: x,
+            lambda x: tuple(x.tolist()),
+            lambda x: float(value(x)),
+            grad_norm,
+            grad_sq,
+            lambda x, g, h: x - h * g,
+        )
 
     f_value, f_grad = base.float_value, base.float_grad
     sqrt = math.sqrt
@@ -465,9 +493,13 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable]:
         g0, g1 = g = f_grad(*x)
         return g, sqrt(_dot2(g0, g1, g0, g1))
 
+    def float_grad_sq(x):
+        g0, g1 = g = f_grad(*x)
+        return g, g0 * g0 + g1 * g1
+
     def descend(x, g, h):
         x0, x1 = x
         g0, g1 = g
         return x0 - h * g0, x1 - h * g1
 
-    return lambda x: tuple(x.tolist()), tuple, lambda x: f_value(*x), float_grad_norm, descend
+    return lambda x: tuple(x.tolist()), tuple, lambda x: f_value(*x), float_grad_norm, float_grad_sq, descend

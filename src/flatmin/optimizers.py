@@ -14,12 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import U_TOL, RngStream, _dot2, normalized_trace, proj_out_normed, sample_sphere, sphere_directions
-from .objectives import Objective, SampleSumObjective, base_of, iterates
+from .geometry import (
+    U_TOL,
+    RngStream,
+    _dot2,
+    normalized_trace,
+    proj_out_normed,
+    sample_sphere,
+    sphere_blocks,
+    sphere_directions,
+)
+from .objectives import Objective, SampleSumObjective, as_start, base_of, iterates
 from .flow import gradient_flow_limits
 
 #: Additive slack allowed when checking the per-step descent inequality.
@@ -403,7 +413,7 @@ def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats
     f_grad = base.float_grad
     dot2, sqrt = _dot2, math.sqrt
     if algorithm == "RS":
-        displacements = map(np.ndarray.tolist, sphere_directions(2, rho, rng))
+        displacements = chain.from_iterable(map(np.ndarray.tolist, sphere_blocks(2, rho, rng)))
 
         def perturbation_grad(x0, x1):
             u0, u1 = next(displacements)
@@ -482,7 +492,7 @@ def run(
     if algorithm == "SA" and not isinstance(obj, SampleSumObjective):
         raise ValueError("SA requires a SampleSumObjective")
     base = base_of(obj)
-    x = np.array(x0, dtype=float)
+    x = as_start(obj, x0)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"non-finite starting point {x.tolist()}")
     T = sched.steps
@@ -512,7 +522,7 @@ def run(
     eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * sched.eta**2
-    point, coords, value, grad_norm, descend = iterates(obj)
+    point, coords, value, grad_norm, _, descend = iterates(obj)
     x = point(x)
     step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
     isfinite = math.isfinite

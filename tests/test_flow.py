@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from flatmin import (
     restricted_trace_gradient,
     trace_at_flow_limit,
 )
-from flatmin import flow
+from flatmin import flow, objectives
 from conftest import (
     base_objective,
     hyperbola_manifold_point,
@@ -121,6 +122,7 @@ class TestFloatFlowMatchesArrayFlow:
             ((1.0, 1.0), DEFAULT_FLOW, "landed"),
             ((0.0, 0.0), DEFAULT_FLOW, "landed"),
             ((1.5, 0.7), 1e-300, "flow stalled"),
+            ((1.5, 0.7), 2.0**-499, "flow stalled"),
             ((30.0, 30.0), DEFAULT_FLOW, "non-finite gradient during"),
             ((1e200, 1e200), DEFAULT_FLOW, "non-finite gradient at start"),
         ],
@@ -131,6 +133,39 @@ class TestFloatFlowMatchesArrayFlow:
         with np.errstate(over="ignore", invalid="ignore"):
             assert got == _flow_outcome(without_float_formulas(obj), np.array(x0), grad_tol)
         assert isinstance(got, bytes) if outcome == "landed" else got[0].startswith(outcome)
+
+    @pytest.mark.parametrize("max_steps", [flow.FLOW_MAX_STEPS, 40], ids=["uncapped", "capped-at-40"])
+    @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 0.7, 1.3, 1.6]], ids=["hyperbola", "factorization-n4"])
+    def test_seeded_starts_in_the_test_box(self, monkeypatch, a, grad_tol, max_steps):
+        # The ndarray copy's square sum is np.dot itself, so its every stopping test is the exact one.
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", max_steps)
+        obj = flow.base_of(build_landscape(LandscapeSpec("scalar_factorization", {"a": a, "c": 1.0})))
+        array_obj = without_float_formulas(obj)
+        landed = []
+        for x0 in np.random.default_rng(7).uniform(-3.0, 3.0, (64, 2)):
+            got = _landing_or_error(lambda: gradient_flow_limit(obj, x0, grad_tol).tobytes())
+            assert got == _landing_or_error(lambda: gradient_flow_limit(array_obj, x0, grad_tol).tobytes()), x0
+            landed.append(isinstance(got, bytes))
+        assert all(landed) if max_steps > 40 else not all(landed)
+
+
+class TestExactNormOnlyNearTheTolerance:
+    """A float flow tests its stopping rule on the plain square sum; the exact dot runs at most twice a solve."""
+
+    @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
+    @pytest.mark.parametrize("offset", [(1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)])
+    def test_landing_near_the_escape_start(self, monkeypatch, grad_tol, offset):
+        # (3, 1/3) lies on the minima set; the certifier probes it TRACE_FD_STEP away.
+        obj = build_hyperbola()
+        x0 = np.array([3.0, 1.0 / 3.0]) + offset
+        dots, steps = [], []
+        exact_dot = objectives._dot2
+        monkeypatch.setattr(objectives, "_dot2", lambda *q: (dots.append(q), exact_dot(*q))[1])
+        counted = dataclasses.replace(obj, float_grad=lambda x0, x1, _g=obj.float_grad: (steps.append(x0), _g(x0, x1))[1])
+        landing = gradient_flow_limit(counted, x0, grad_tol)
+        assert len(steps) > 50 and len(dots) <= 2
+        assert landing.tobytes() == gradient_flow_limit(without_float_formulas(obj), x0, grad_tol).tobytes()
 
 
 class TestLandingProperty:
@@ -222,6 +257,35 @@ class TestBatchedLanding:
         looped = _landing_or_error(lambda: [gradient_flow_limit(obj, x, grad_tol) for x in X])
         assert kind in looped[1] and looped[4] == steps
         assert batched == looped
+
+
+class TestStartShape:
+    """Each flow entry point rejects a start whose shape does not fit the objective, with one ValueError."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [build_hyperbola(), without_float_formulas(build_hyperbola()), build_convex_quadratic([1.0, 2.0])],
+        ids=["hyperbola-floats", "hyperbola-ndarrays", "quadratic"],
+    )
+    @pytest.mark.parametrize("x0", [[1.0, 1.0, 1.0], [1.0], 1.0, [[1.0, 1.0]]], ids=["3", "1", "scalar", "1x2"])
+    @pytest.mark.parametrize("entry", ["limit", "certify"])
+    def test_single_start(self, obj, x0, entry):
+        shape = np.shape(x0)
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (2,), got {shape}")):
+            if entry == "limit":
+                gradient_flow_limit(obj, x0)
+            else:
+                certify_flat(obj, x0, eps=0.01, eps_prime=0.1)
+
+    @pytest.mark.parametrize("obj", [build_hyperbola(), build_convex_quadratic([1.0, 2.0])], ids=["hyperbola", "quadratic"])
+    @pytest.mark.parametrize("X", [[[1.0, 1.0, 1.0]], [1.0, 1.0], [[[1.0, 1.0]]], []], ids=["1x3", "2", "1x1x2", "empty"])
+    def test_batched_starts(self, obj, X):
+        shape = np.shape(X)
+        with pytest.raises(ValueError, match=re.escape(f"expected starts of shape (k, 2), got {shape}")):
+            gradient_flow_limits(obj, X)
+
+    def test_no_rows_land_to_no_rows(self):
+        assert gradient_flow_limits(build_hyperbola(), np.empty((0, 2))).shape == (0, 2)
 
 
 class TestRestrictedTraceGradient:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatmin import (
+    DEFAULT_FLOW,
+    ORACLE_FLOW,
     RngStream,
     build_convex_quadratic,
     build_hyperbola,
@@ -206,6 +208,64 @@ class TestFloatDot:
         a0, a1, b0, b1 = q
         exact = Fraction(a0 * b0) + Fraction(a1) * Fraction(b1)
         assert _bits64(geometry._dot2_fused(*q)) == _bits64(float(exact))
+
+
+def _dot2_two_roundings(a0, a1, b0, b1) -> float:
+    """``np.dot`` of two 2-vectors on a build that does not fuse it: each product rounded, then the sum."""
+    return a0 * b0 + a1 * b1
+
+
+#: Tolerances inside [2**-500, 2**500], where the band decides, and outside, where it must not.
+_BAND_TOLS = [DEFAULT_FLOW, ORACLE_FLOW, 1.0, 2.0**-500, 2.0**500, 1e-200, 2.0**-501, 1e200, 2.0**501, 0.0]
+
+#: Zero, subnormal, huge and non-finite gradient components.
+_BAND_EDGES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e200, -1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _band_cases(draw):
+    """A tolerance and a gradient near its circle, ``tol*(cos t, sin t)*(1 + k*2**-52)``, or with edge components."""
+    tol = draw(st.sampled_from(_BAND_TOLS))
+    t = draw(st.floats(0.0, 2.0 * math.pi))
+    s = 1.0 + draw(st.integers(-4, 4)) * 2.0**-52
+    g = [tol * math.cos(t) * s, tol * math.sin(t) * s]
+    for j in draw(st.sampled_from([(), (0,), (1,), (0, 1)])):
+        g[j] = draw(st.sampled_from(_BAND_EDGES))
+    return tol, g[0], g[1]
+
+
+class TestSquareBand:
+    """``geometry._square_band`` decides ``sqrt(dot2(g, g)) <= tol`` from the plain square sum only where that is certain.
+
+    ``_dot2_numpy`` is this build's ``np.dot``; ``_dot2_fused`` and the
+    two-rounding sum stand for a fused and a non-fused build on any machine.
+    """
+
+    @pytest.mark.parametrize(
+        "dot2", [geometry._dot2_fused, geometry._dot2_numpy, _dot2_two_roundings], ids=["fused", "numpy", "two-roundings"]
+    )
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(_band_cases())
+    # A finite plain sum whose fused dot overflows: why the band stops at _SQUARE_TOP.
+    @example((1.0, 3.8689536468547147e146, 1.3407807929942591e154))
+    def test_decided_outcomes_equal_the_exact_test(self, dot2, case):
+        tol, g0, g1 = case
+        lo, hi = geometry._square_band(tol)
+        q = g0 * g0 + g1 * g1
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = math.sqrt(dot2(g0, g1, g0, g1))
+        if q < lo:
+            assert exact <= tol, (tol, g0, g1)
+        elif hi < q < geometry._SQUARE_TOP:
+            assert tol < exact < math.inf, (tol, g0, g1)
+
+    @pytest.mark.parametrize("tol", _BAND_TOLS)
+    def test_band_is_everything_outside_the_tolerance_range(self, tol):
+        lo, hi = geometry._square_band(tol)
+        inside = 2.0**-500 <= tol <= 2.0**500
+        assert (lo < 0.0 and hi == math.inf) != inside
+        if inside:
+            assert lo < tol * tol < hi
 
 
 class TestRngStream:

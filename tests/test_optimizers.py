@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,18 @@ class TestRun:
         sched = rs_schedule(0.01, 0.2, 56.0, budget_cap=10)
         with pytest.raises(ValueError, match="unknown algorithm"):
             run(obj, "ADAM", np.array([1.0, 1.0]), sched, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [build_hyperbola(), without_float_formulas(build_hyperbola()), build_convex_quadratic([1.0, 2.0])],
+        ids=["hyperbola-floats", "hyperbola-ndarrays", "quadratic"],
+    )
+    @pytest.mark.parametrize("x0", [[1.0, 1.0, 1.0], [1.0], 1.0, [[1.0, 1.0]]], ids=["3", "1", "scalar", "1x2"])
+    @pytest.mark.parametrize("algorithm", ["RS", "GD"])
+    def test_start_shape_must_fit_the_objective(self, obj, x0, algorithm):
+        sched = rs_schedule(0.01, 0.2, 56.0, budget_cap=10)
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (2,), got {np.shape(x0)}")):
+            run(obj, algorithm, x0, sched, RngStream(0))
 
     @pytest.mark.parametrize("cadence", [0, -3, 2.5, 1.0, True, "10"])
     @pytest.mark.parametrize("name", ["log_cadence", "tr_cadence"])
