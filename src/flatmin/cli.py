@@ -122,10 +122,11 @@ def _landscape(key: str, value) -> LandscapeSpec:
 
 def _constants(key: str, value) -> ScheduleConstants:
     data = {k: _positive(f"{key}.{k}", v) for k, v in _object(key, value).items()}
-    try:
-        return ScheduleConstants.from_dict(data)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    known = sorted(f.name for f in fields(ScheduleConstants))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"{key}: unknown schedule constants {unknown}; known: {known}")
+    return ScheduleConstants(**data)
 
 
 def _certify(key: str, value) -> dict:

@@ -85,7 +85,8 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     :class:`FlowConvergenceError` (carrying the last iterate and gradient
     norm) if the gradient is not finite, ``FLOW_MAX_STEPS`` is exhausted or
     the iteration stalls at floating-point resolution before reaching the
-    tolerance, and ``ValueError`` if ``x0`` is not of shape ``(dim,)``.
+    tolerance, and ``ValueError`` if ``x0`` is not of shape ``(dim,)`` or
+    ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
 
     The iterates are held as :func:`~flatmin.objectives.iterates` chooses.
@@ -95,6 +96,8 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     norm. The outcome is that of testing the exact norm at every step, bit
     for bit, and every error reports the exact norm.
     """
+    if not 0.0 < grad_tol < math.inf:
+        raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
     point, coords, _, grad_norm, grad_sq, descend = iterates(obj)
@@ -136,8 +139,11 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     :class:`FlowConvergenceError` of the lowest-index failing row is raised:
     the one a loop over the rows would raise first. Rows after a failing
     row stop stepping, since their landing points are never returned.
-    ``ValueError`` if ``X`` is not of shape ``(k, dim)``.
+    ``ValueError`` if ``X`` is not of shape ``(k, dim)`` or ``grad_tol`` is
+    not positive and finite.
     """
+    if not 0.0 < grad_tol < math.inf:
+        raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
     out = as_start(obj, X, rows=True)
     rows = np.arange(len(out))
@@ -220,9 +226,10 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
 
     Computes the flow landing point, the distance to it, and the norm of the
     restricted trace gradient there; passes iff both thresholds hold.
+    ``eps`` and ``eps_prime`` must be positive and finite.
     """
-    if eps <= 0 or eps_prime <= 0:
-        raise ValueError("eps and eps_prime must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < eps_prime < math.inf):
+        raise ValueError("eps and eps_prime must be positive and finite")
     base = base_of(obj)
     x = np.asarray(x, dtype=float)
     phi_x = gradient_flow_limit(base, x)

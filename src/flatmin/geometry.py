@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -51,10 +50,6 @@ class RngStream:
 
     def integers(self, low: int, high: int) -> int:
         return int(self.generator.integers(low, high))
-
-    def sign(self) -> float:
-        """Uniform draw from {-1.0, +1.0}."""
-        return 1.0 if self.generator.integers(0, 2) == 1 else -1.0
 
 
 def _dot_is_fused() -> bool:
@@ -184,15 +179,6 @@ def sphere_blocks(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]
     """Endless ``(SPHERE_BLOCK, d)`` blocks of uniform vectors on the sphere of ``radius`` in R^d."""
     while True:
         yield radius * sample_sphere_batch(d, SPHERE_BLOCK, rng)
-
-
-def sphere_directions(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]:
-    """Endless uniform vectors on the sphere of ``radius`` in R^d: the rows of :func:`sphere_blocks`.
-
-    Yields ``radius * sample_sphere(d, rng)`` of successive calls, bit for
-    bit, but draws from ``rng`` and scales a block at a time.
-    """
-    return chain.from_iterable(sphere_blocks(d, radius, rng))
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:

@@ -27,7 +27,6 @@ from .geometry import (
     proj_out_normed,
     sample_sphere,
     sphere_blocks,
-    sphere_directions,
 )
 from .objectives import Objective, SampleSumObjective, as_start, base_of, iterates
 from .flow import gradient_flow_limits
@@ -58,23 +57,26 @@ class DegenerateSampleError(RuntimeError):
     """A sampled prediction gradient vanishes, so SA has no direction."""
 
 
+def _count(name: str, value) -> int:
+    """``value`` checked to be an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScheduleConstants:
-    """User multipliers applied on top of the asymptotic-order formulas."""
+    """User multipliers applied on top of the asymptotic-order formulas; each must be positive and finite."""
 
     c_eta: float = 1.0
     c_rho: float = 1.0
     c_eps0: float = 1.0
     c_T: float = 1.0
 
-    @staticmethod
-    def from_dict(data: dict | None) -> "ScheduleConstants":
-        data = data or {}
-        known = {"c_eta", "c_rho", "c_eps0", "c_T"}
-        bad = set(data) - known
-        if bad:
-            raise ValueError(f"unknown schedule constants {sorted(bad)}; known: {sorted(known)}")
-        return ScheduleConstants(**{k: float(v) for k, v in data.items()})
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"schedule constant {name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,10 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("eta", "eta_prime", "rho", "eps0", "beta_hat"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"schedule field {name} must be positive")
-        if self.steps < 1:
-            raise ValueError("schedule needs at least one step")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"schedule field {name} must be {'finite' if value == math.inf else 'positive'}")
+        _count("steps", self.steps)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,18 +116,8 @@ def rs_schedule(
     rho = c_rho * delta * sqrt(eps), eps0 = c_eps0 * delta^1.5 * eps,
     and a step budget of c_T * eps^-3 * delta^-4 capped at ``budget_cap``.
     """
-    _validate_schedule_inputs(eps, delta, beta_hat)
-    c = constants or ScheduleConstants()
-    raw_steps = c.c_T * eps**-3 * delta**-4
-    return Schedule(
-        eta=c.c_eta * delta * eps,
-        eta_prime=1.0 / beta_hat,
-        rho=c.c_rho * delta * math.sqrt(eps),
-        eps0=c.c_eps0 * delta**1.5 * eps,
-        steps=max(1, int(min(raw_steps, budget_cap))),
-        beta_hat=beta_hat,
-        constants=c,
-    )
+    c = _checked_constants(eps, delta, beta_hat, constants)
+    return _schedule(eps, delta, beta_hat, None, c.c_T * eps**-3 * delta**-4, c, budget_cap)
 
 
 def sa_schedule(
@@ -138,35 +130,42 @@ def sa_schedule(
 ) -> Schedule:
     """Schedule for the sharpness-aware perturbation algorithm.
 
-    The RS formulas are scaled by the dimension-capped factor
-    nu = min(d, eps^(-1/3)); the step budget is
-    c_T * d^-1 * eps^-2 * max(1, 1/(d^3 * eps)) * delta^-4, capped.
+    The RS law with eta and rho scaled by nu = min(d, eps^(-1/3)) and eps0
+    by nu^1.5, and its own budget c_T * d^-1 * eps^-2 * max(1, 1/(d^3 *
+    eps)) * delta^-4, capped.
     """
-    _validate_schedule_inputs(eps, delta, beta_hat)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    c = constants or ScheduleConstants()
+    c = _checked_constants(eps, delta, beta_hat, constants)
+    d = _count("d", d)
     nu = min(float(d), eps ** (-1.0 / 3.0))
     raw_steps = c.c_T * eps**-2 * delta**-4 * max(1.0, 1.0 / (d**3 * eps)) / d
+    return _schedule(eps, delta, beta_hat, nu, raw_steps, c, budget_cap)
+
+
+def _checked_constants(eps: float, delta: float, beta_hat: float, constants) -> ScheduleConstants:
+    """``constants``, or the defaults, once ``eps``, ``delta`` and ``beta_hat`` are checked."""
+    for name, value in (("eps", eps), ("beta_hat", beta_hat)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return constants or ScheduleConstants()
+
+
+def _schedule(
+    eps: float, delta: float, beta_hat: float, nu: float | None, raw_steps: float, c: ScheduleConstants, budget_cap: int
+) -> Schedule:
+    """The schedule law of RS (``nu`` None, a factor of 1) and SA, with the budget ``raw_steps`` capped."""
+    k = 1.0 if nu is None else nu
     return Schedule(
-        eta=c.c_eta * nu * delta * eps,
+        eta=c.c_eta * k * delta * eps,
         eta_prime=1.0 / beta_hat,
-        rho=c.c_rho * nu * delta * math.sqrt(eps),
-        eps0=c.c_eps0 * nu**1.5 * delta**1.5 * eps,
-        steps=max(1, int(min(raw_steps, budget_cap))),
+        rho=c.c_rho * k * delta * math.sqrt(eps),
+        eps0=c.c_eps0 * k**1.5 * delta**1.5 * eps,
+        steps=max(1, int(min(raw_steps, _count("budget_cap", budget_cap)))),
         beta_hat=beta_hat,
         nu=nu,
         constants=c,
     )
-
-
-def _validate_schedule_inputs(eps: float, delta: float, beta_hat: float) -> None:
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if beta_hat <= 0:
-        raise ValueError(f"beta_hat must be positive, got {beta_hat}")
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,10 @@ def _degenerate(i: int, x: list) -> DegenerateSampleError:
 def _sa_draws(n: int, rng: RngStream) -> Iterator[tuple[int, float]]:
     """Endless SA (sample index, sign) pairs, drawn ``SA_DRAW_BLOCK`` pairs at a time.
 
-    Yields the values of successive ``rng.integers(0, n)``, ``rng.sign()``
-    call pairs: numpy draws an array of bounds element by element, so one
-    call with bounds ``[n, 2, n, 2, ...]`` gives the same values.
+    Yields the values of successive ``rng.integers(0, n)``,
+    ``rng.integers(0, 2)`` call pairs, as ``sa_step`` draws them: numpy
+    draws an array of bounds element by element, so one call with bounds
+    ``[n, 2, n, 2, ...]`` gives the same values.
     """
     bounds = np.tile([n, 2], SA_DRAW_BLOCK)
     while True:
@@ -254,8 +254,8 @@ def rs_step(
     x + rho*g orthogonally to grad(x), and returns x - eta*(grad(x) + v)
     together with the draw diagnostics.
     """
-    if eta <= 0 or rho < 0:
-        raise ValueError("need eta > 0 and rho >= 0")
+    if not (0.0 < eta < math.inf and 0.0 <= rho < math.inf):
+        raise ValueError("need a finite eta > 0 and a finite rho >= 0")
     base = base_of(obj)
     x = np.asarray(x, dtype=float)
     grad_x = base.grad(x)
@@ -280,14 +280,14 @@ def sa_step(
     gradient orthogonally to the full gradient. ``jitter`` is
     unused; the slot keeps positional callers working.
     """
-    if eta <= 0 or rho < 0:
-        raise ValueError("need eta > 0 and rho >= 0")
+    if not (0.0 < eta < math.inf and 0.0 <= rho < math.inf):
+        raise ValueError("need a finite eta > 0 and a finite rho >= 0")
     if not isinstance(obj, SampleSumObjective):
         raise TypeError("sharpness-aware step needs a SampleSumObjective")
     x = np.asarray(x, dtype=float)
     grad_x = obj.base.grad(x)
     i = rng.integers(0, obj.n)
-    sigma = rng.sign()
+    sigma = 1.0 if rng.integers(0, 2) == 1 else -1.0
     v, v_norm, direction = _sa_perturbation(obj, x, grad_x, math.sqrt(np.dot(grad_x, grad_x)), rho, i, sigma)
     diag = PerturbationDiagnostics(v=v, v_norm=v_norm, sample_index=i, sigma=sigma, direction=direction)
     return _checked_step(x, eta, grad_x, v), diag
@@ -373,11 +373,7 @@ ALGORITHMS = ("RS", "SA", "GD")
 
 def _cadence(name: str, cadence, steps: int) -> int:
     """``cadence`` checked to be an integer >= 1, or ``max(1, steps // 200)`` for None."""
-    if cadence is None:
-        return max(1, steps // 200)
-    if isinstance(cadence, bool) or not isinstance(cadence, (int, np.integer)) or cadence < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {cadence!r}")
-    return int(cadence)
+    return max(1, steps // 200) if cadence is None else _count(name, cadence)
 
 
 def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats: bool) -> Callable:
@@ -393,7 +389,7 @@ def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats
     eta, rho = sched.eta, sched.rho
     if not floats:
         if algorithm == "RS":
-            displacements = sphere_directions(base.dim, rho, rng)
+            displacements = chain.from_iterable(sphere_blocks(base.dim, rho, rng))
 
             def perturbation(x, g, gn):
                 return _rs_perturbation(base, x, g, gn, next(displacements))
@@ -482,8 +478,8 @@ def run(
     per-step solves would have raised.
 
     RS takes its sphere directions and SA its (sample, sign) pairs from
-    ``rng`` in blocks (the same values as per-step ``sample_sphere``, or
-    ``integers`` and ``sign``, calls), so the state of ``rng`` after ``run``
+    ``rng`` in blocks (the same values as the per-step draws of
+    ``rs_step`` and ``sa_step``), so the state of ``rng`` after ``run``
     returns is unspecified.
     """
     algorithm = algorithm.upper()

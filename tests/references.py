@@ -3,8 +3,8 @@
 Finite-difference Jacobians, a small-step gradient flow, the closed-form
 trace at the flow's landing point on the factorization family, the exact
 per-sample Hessians of the sample-sum landscapes, and the earlier forms of
-code the package replaced with faster code of the same bits. The package
-does not need them to run, escape or certify.
+code the package replaced with faster or shorter code of the same bits.
+The package does not need them to run, escape or certify.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from flatmin import LandscapeSpec, RngStream, SampleSumObjective
+from flatmin import LandscapeSpec, RngStream, SampleSumObjective, Schedule
 from flatmin.objectives import base_of
 from flatmin.geometry import U_TOL, normalized_trace, sample_sphere_batch
 from flatmin.oracle import REL_TOL, RS_ESTIMATOR_LEAST_N, SA_DFACTOR_LEAST_N, OracleReport
@@ -57,6 +57,33 @@ def landing_trace(x, m2: float, c: float) -> float:
     """
     d = x[0] * x[0] - x[1] * x[1]
     return m2 * math.sqrt(d * d + 4.0 * c * c)
+
+
+def landing_point(x, c: float) -> tuple[float, float]:
+    """Where the gradient flow of m2*(u*v - c)^2 from ``x`` lands, for c > 0.
+
+    The landing point has u*v = c and the start's D = u^2 - v^2, so
+    u^2 = (D + sqrt(D^2 + 4c^2)) / 2. The coordinate of larger magnitude
+    never crosses zero and keeps its sign; it is solved for first, and the
+    other is c over it, so neither cancels.
+    """
+    d = x[0] * x[0] - x[1] * x[1]
+    s = math.sqrt(d * d + 4.0 * c * c)
+    if d >= 0.0:
+        u = math.copysign(math.sqrt(0.5 * (s + d)), x[0])
+        return u, c / u
+    v = math.copysign(math.sqrt(0.5 * (s - d)), x[1])
+    return c / v, v
+
+
+def flat_grad_norm(phi, m2: float, c: float) -> float:
+    """Norm of the gradient of x -> landing_trace(x, m2, c), at a landing point ``phi``.
+
+    The map is m2*sqrt(D^2 + 4c^2) with grad D = 2*(u, -v), so its
+    gradient's norm is 2*m2*|D|*|phi| / sqrt(D^2 + 4c^2).
+    """
+    d = phi[0] * phi[0] - phi[1] * phi[1]
+    return 2.0 * m2 * abs(d) * math.hypot(phi[0], phi[1]) / math.sqrt(d * d + 4.0 * c * c)
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
@@ -287,3 +314,33 @@ def unblocked_estimator_means(obj, x, rhos, n_samples: int, rng: RngStream, chun
     if uhat is not None:
         ref_dir = ref_dir - np.dot(ref_dir, uhat) * uhat
     return [(total / (2 * n_pairs), 0.5 * rho**2 * ref_dir) for total, rho in zip(totals, rhos)]
+
+
+def two_block_rs_schedule(eps, delta, beta_hat, c, budget_cap) -> Schedule:
+    """``rs_schedule``'s formulas as written before RS and SA shared one builder; inputs unchecked."""
+    raw_steps = c.c_T * eps**-3 * delta**-4
+    return Schedule(
+        eta=c.c_eta * delta * eps,
+        eta_prime=1.0 / beta_hat,
+        rho=c.c_rho * delta * math.sqrt(eps),
+        eps0=c.c_eps0 * delta**1.5 * eps,
+        steps=max(1, int(min(raw_steps, budget_cap))),
+        beta_hat=beta_hat,
+        constants=c,
+    )
+
+
+def two_block_sa_schedule(eps, delta, d, beta_hat, c, budget_cap) -> Schedule:
+    """``sa_schedule``'s formulas as written before RS and SA shared one builder; inputs unchecked."""
+    nu = min(float(d), eps ** (-1.0 / 3.0))
+    raw_steps = c.c_T * eps**-2 * delta**-4 * max(1.0, 1.0 / (d**3 * eps)) / d
+    return Schedule(
+        eta=c.c_eta * nu * delta * eps,
+        eta_prime=1.0 / beta_hat,
+        rho=c.c_rho * nu * delta * math.sqrt(eps),
+        eps0=c.c_eps0 * nu**1.5 * delta**1.5 * eps,
+        steps=max(1, int(min(raw_steps, budget_cap))),
+        beta_hat=beta_hat,
+        nu=nu,
+        constants=c,
+    )

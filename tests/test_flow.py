@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from flatmin import (
     build_convex_quadratic,
     build_landscape,
     build_hyperbola,
+    build_scalar_factorization,
     certify_flat,
     estimate_pl_constants,
     gradient_flow_limit,
@@ -31,7 +33,7 @@ from conftest import (
     near_manifold_points,
     without_float_formulas,
 )
-from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian, fixed_step_flow
+from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian, fixed_step_flow, flat_grad_norm, landing_point
 
 
 class TestGradientFlowLimit:
@@ -99,6 +101,23 @@ class TestGradientFlowLimit:
         obj = build_hyperbola()
         with pytest.raises(FlowConvergenceError):
             gradient_flow_limit(obj, np.array([40.0, -40.0]))
+
+
+class TestToleranceMustBePositiveAndFinite:
+    """A flow tolerance that is not positive and finite raises ``ValueError`` before any step."""
+
+    @pytest.mark.parametrize("grad_tol", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("landscape", ["convex-quadratic", "hyperbola"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_refused(self, monkeypatch, batched, landscape, grad_tol):
+        # A small cap makes a solve that does step end fast, with another error.
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", 50)
+        obj = build_convex_quadratic([1e-3, 1.0]) if landscape == "convex-quadratic" else build_hyperbola()
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            if batched:
+                gradient_flow_limits(obj, np.ones((2, 2)), grad_tol)
+            else:
+                gradient_flow_limit(obj, np.ones(2), grad_tol)
 
 
 def _flow_outcome(obj, x0, grad_tol):
@@ -384,6 +403,70 @@ class TestCertifyFlat:
         obj = build_convex_quadratic([1.0])
         with pytest.raises(ValueError):
             certify_flat(obj, np.zeros(1), eps=0.0, eps_prime=1.0)
+
+    @pytest.mark.parametrize(
+        "eps, eps_prime",
+        [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf), (math.inf, math.inf), (-1.0, 0.1)],
+    )
+    @pytest.mark.parametrize("x", [[1.0, 1.0], [3.0, 1.0 / 3.0]], ids=["flat", "sharp"])
+    def test_thresholds_must_be_positive_and_finite(self, x, eps, eps_prime):
+        with pytest.raises(ValueError, match="eps and eps_prime must be positive and finite"):
+            certify_flat(build_hyperbola(), np.array(x), eps, eps_prime)
+
+
+#: The n = 4 factorization of the escape experiments, and its mean squared weight.
+_FACTOR_A = [1.0, 0.7, 1.3, 1.6]
+_FACTOR_M2 = sum(a * a for a in _FACTOR_A) / len(_FACTOR_A)
+
+
+def _points_on_and_off_the_minima_sets() -> list:
+    """``(landscape, x)`` on and off {u*v = 1}, both branches, for the hyperbola and the n = 4 factorization.
+
+    A point on the minima set is b*(e^t, e^-t). Per landscape and branch b:
+    the flat point t = 0, the sharp point t = ln 3, the corners t = ±1.2
+    moved 0.03 along the unit normal (v, u)/|x|, and eight seeded t in
+    [-1.2, 1.2], half of them moved 0.005 to 0.03 either way.
+    """
+    rng = np.random.default_rng(0)
+    points = []
+    for landscape in ("hyperbola", "factorization"):
+        for b in (1.0, -1.0):
+            ts = [(0.0, 0.0), (math.log(3.0), 0.0), (-1.2, 0.03), (1.2, -0.03)]
+            ts += [(t, 0.0) for t in rng.uniform(-1.2, 1.2, 4)]
+            offsets = rng.uniform(0.005, 0.03, 4) * rng.choice((-1.0, 1.0), 4)
+            ts += list(zip(rng.uniform(-1.2, 1.2, 4), offsets))
+            for t, off in ts:
+                u, v = b * math.exp(t), b * math.exp(-t)
+                h = math.hypot(u, v)
+                points.append((landscape, [float(u + off * v / h), float(v + off * u / h)]))
+    return points
+
+
+class TestCertificateClosedForm:
+    """Certificates on the factorization family against the closed-form landing point and flat gradient.
+
+    The flow of m2*(u*v - 1)^2 conserves u^2 - v^2, which fixes where it
+    lands and the gradient of the trace there. The tolerances are those of
+    the benchmark's certificate check: 1e-4 on the landing point and
+    distance, and 1e-4 relative plus 1e-6 on the flat-gradient norm.
+    """
+
+    @pytest.mark.parametrize(
+        "landscape, x",
+        _points_on_and_off_the_minima_sets(),
+        ids=lambda v: v if isinstance(v, str) else f"{v[0]:.4f},{v[1]:.4f}",
+    )
+    def test_matches_the_flow_invariant(self, landscape, x):
+        if landscape == "hyperbola":
+            obj, m2 = build_hyperbola(), 1.0
+        else:
+            obj, m2 = build_scalar_factorization(_FACTOR_A, 1.0), _FACTOR_M2
+        cert = certify_flat(obj, np.array(x), 0.05, 0.3)
+        phi = landing_point(x, 1.0)
+        assert max(abs(a - b) for a, b in zip(cert.phi_x, phi)) <= 1e-4
+        assert abs(cert.dist - math.hypot(x[0] - phi[0], x[1] - phi[1])) <= 1e-4
+        flat = flat_grad_norm(phi, m2, 1.0)
+        assert abs(cert.flat_grad_norm - flat) <= 1e-4 * flat + 1e-6
 
 
 class TestTraceAtFlowLimit:

@@ -20,7 +20,7 @@ from flatmin import (
     sample_sphere_batch,
 )
 from flatmin import geometry
-from flatmin.geometry import SPHERE_BLOCK, U_TOL, sphere_directions
+from flatmin.geometry import SPHERE_BLOCK, U_TOL, sphere_blocks
 
 from conftest import random_points
 
@@ -135,10 +135,10 @@ class TestBlockSphereDraws:
         batch = sample_sphere_batch(d, n, batch_rng)
         assert batch.tobytes() == np.array(sequential).tobytes()
         assert batch_rng.normal(3).tobytes() == rng.normal(3).tobytes()
-        directions = sphere_directions(d, 1.0, RngStream(11))
+        directions = itertools.chain.from_iterable(sphere_blocks(d, 1.0, RngStream(11)))
         streamed = [next(directions) for _ in range(n)]
         assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
-        scaled = sphere_directions(d, 0.37, RngStream(11))
+        scaled = itertools.chain.from_iterable(sphere_blocks(d, 0.37, RngStream(11)))
         assert np.array([next(scaled) for _ in range(n)]).tobytes() == b"".join(
             (0.37 * u).tobytes() for u in sequential
         )
@@ -153,7 +153,7 @@ class TestBlockSphereDraws:
         batch = sample_sphere_batch(d, SPHERE_BLOCK, batch_stream)
         assert batch.tobytes() == np.array(sequential).tobytes()
         assert batch_stream.pos == sequential_stream.pos == (SPHERE_BLOCK + 1) * d
-        directions = sphere_directions(d, 1.0, _ScriptedStream(values))
+        directions = itertools.chain.from_iterable(sphere_blocks(d, 1.0, _ScriptedStream(values)))
         streamed = [next(directions) for _ in range(SPHERE_BLOCK)]
         assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
 
@@ -278,11 +278,6 @@ class TestRngStream:
         a = RngStream(42, stream=0).normal(10)
         b = RngStream(42, stream=1).normal(10)
         assert not np.array_equal(a, b)
-
-    def test_sign_values(self):
-        rng = RngStream(3)
-        signs = {rng.sign() for _ in range(20)}
-        assert signs == {1.0, -1.0}
 
 
 class TestFdGradient:

@@ -2,9 +2,12 @@ import dataclasses
 import json
 import math
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin import (
     DegenerateSampleError,
@@ -29,12 +32,12 @@ from flatmin import (
     trajectory_csv,
 )
 from flatmin import flow
-from flatmin.geometry import SPHERE_BLOCK, sphere_directions
-from flatmin.optimizers import ALGORITHMS, SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
+from flatmin.geometry import SPHERE_BLOCK, sphere_blocks
+from flatmin.optimizers import ALGORITHMS, DEFAULT_BUDGET_CAP, SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
 from flatmin.objectives import LandscapeSpec, iterates
 
 from conftest import hyperbola_manifold_point, without_float_formulas
-from references import landing_trace, sample_hess
+from references import landing_trace, sample_hess, two_block_rs_schedule, two_block_sa_schedule
 
 
 class TestRsSchedule:
@@ -104,11 +107,98 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             Schedule(eta=0.1, eta_prime=1.0, rho=0.1, eps0=0.1, steps=0, beta_hat=1.0)
 
+    _FIELDS = dict(eta=1e-3, eta_prime=0.1, rho=0.1, eps0=0.1, steps=10, beta_hat=10.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["eta", "eta_prime", "rho", "eps0", "beta_hat"])
+    def test_float_fields_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"schedule field {name} must be"):
+            Schedule(**dict(self._FIELDS, **{name: value}))
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, math.nan, True, "10"])
+    def test_steps_must_be_an_integer_of_at_least_one(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            Schedule(**dict(self._FIELDS, steps=steps))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["c_eta", "c_rho", "c_eps0", "c_T"])
+    def test_constants_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ScheduleConstants(**{name: value})
+
+    @pytest.mark.parametrize(
+        "eps, delta, beta_hat",
+        [(math.inf, 0.2, 56.0), (math.nan, 0.2, 56.0), (0.01, math.nan, 56.0), (0.01, 0.2, math.inf), (0.01, 0.2, math.nan)],
+    )
+    def test_inputs_must_be_finite(self, eps, delta, beta_hat):
+        with pytest.raises(ValueError):
+            rs_schedule(eps, delta, beta_hat)
+        with pytest.raises(ValueError):
+            sa_schedule(eps, delta, 2, beta_hat)
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True, False, np.float64(2.0)])
+    def test_sa_dimension_must_be_an_integer_of_at_least_one(self, d):
+        with pytest.raises(ValueError, match="d must be an integer >= 1"):
+            sa_schedule(0.01, 0.2, d, 56.0)
+
+    @pytest.mark.parametrize("budget_cap", [0, -5, 2.5, math.nan, math.inf, True])
+    def test_budget_cap_must_be_an_integer_of_at_least_one(self, budget_cap):
+        with pytest.raises(ValueError, match="budget_cap must be an integer >= 1"):
+            rs_schedule(0.01, 0.2, 56.0, budget_cap=budget_cap)
+        with pytest.raises(ValueError, match="budget_cap must be an integer >= 1"):
+            sa_schedule(0.01, 0.2, 2, 56.0, budget_cap=budget_cap)
+
+    def test_sa_dimension_may_be_a_numpy_integer(self):
+        assert sa_schedule(0.01, 0.2, np.int64(2), 56.0) == sa_schedule(0.01, 0.2, 2, 56.0)
+
     def test_to_dict_round_trips_constants(self):
         sched = rs_schedule(0.01, 0.2, 2.0, ScheduleConstants(c_eta=3.0))
         data = sched.to_dict()
         assert data["constants"]["c_eta"] == 3.0
         assert data["steps"] == sched.steps
+
+
+def _schedule_or_error(build):
+    """The schedule ``build()`` returns, or its error's type and message."""
+    try:
+        return build()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_finite_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_constants = st.builds(
+    ScheduleConstants, c_eta=_finite_positive, c_rho=_finite_positive, c_eps0=_finite_positive, c_T=_finite_positive
+)
+_common_inputs = dict(
+    eps=st.one_of(st.floats(1e-6, 1.0), _finite_positive),
+    delta=st.one_of(st.floats(0.01, 0.99), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    beta_hat=st.one_of(st.floats(1e-3, 1e3), _finite_positive),
+    constants=st.one_of(st.just(ScheduleConstants()), st.builds(ScheduleConstants, c_T=st.floats(0.1, 10.0)), _constants),
+    budget_cap=st.one_of(st.integers(1, 10**12), st.just(DEFAULT_BUDGET_CAP)),
+)
+
+
+class TestOneScheduleBuilder:
+    """``rs_schedule`` and ``sa_schedule`` give the schedules of their former separate formula blocks, bit for bit."""
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(**_common_inputs)
+    def test_rs_schedule_equals_its_formula_block(self, eps, delta, beta_hat, constants, budget_cap):
+        built = _schedule_or_error(lambda: rs_schedule(eps, delta, beta_hat, constants, budget_cap))
+        reference = _schedule_or_error(lambda: two_block_rs_schedule(eps, delta, beta_hat, constants, budget_cap))
+        assert repr(built) == repr(reference)
+        if isinstance(built, Schedule):
+            assert built == reference and built.nu is None
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(d=st.one_of(st.integers(1, 16), st.integers(1, 10**6)), **_common_inputs)
+    def test_sa_schedule_equals_its_formula_block(self, eps, delta, d, beta_hat, constants, budget_cap):
+        built = _schedule_or_error(lambda: sa_schedule(eps, delta, d, beta_hat, constants, budget_cap))
+        reference = _schedule_or_error(lambda: two_block_sa_schedule(eps, delta, d, beta_hat, constants, budget_cap))
+        assert repr(built) == repr(reference)
+        if isinstance(built, Schedule):
+            assert built == reference
 
 
 class TestRsStep:
@@ -160,7 +250,7 @@ class TestRsStep:
         rho = 0.01
         g = obj.grad(x)
         gn = math.sqrt(np.dot(g, g))
-        directions = sphere_directions(2, rho, RngStream(27))
+        directions = chain.from_iterable(sphere_blocks(2, rho, RngStream(27)))
         acc = np.zeros(2)
         n = 10**6
         for _ in range(n):
@@ -176,6 +266,11 @@ class TestRsStep:
             rs_step(obj, np.ones(2), 0.0, 0.1, RngStream(0))
         with pytest.raises(ValueError):
             rs_step(obj, np.ones(2), 1e-3, -0.1, RngStream(0))
+
+    @pytest.mark.parametrize("eta, rho", [(math.nan, 0.1), (math.inf, 0.1), (1e-3, math.nan), (1e-3, math.inf)])
+    def test_non_finite_steps_rejected(self, eta, rho):
+        with pytest.raises(ValueError):
+            rs_step(build_hyperbola(), np.ones(2), eta, rho, RngStream(0))
 
 
 class TestSaStep:
@@ -227,6 +322,12 @@ class TestSaStep:
         )
         with pytest.raises(DegenerateSampleError):
             sa_step(flat, np.zeros(2), 1e-3, 0.01, None, RngStream(0))
+
+    @pytest.mark.parametrize("eta, rho", [(0.0, 0.1), (1e-3, -0.1), (math.nan, 0.1), (math.inf, 0.1), (1e-3, math.nan), (1e-3, math.inf)])
+    def test_invalid_steps_rejected(self, eta, rho):
+        ss = build_scalar_factorization([1.0, 0.7], 1.0)
+        with pytest.raises(ValueError):
+            sa_step(ss, np.array([1.4, 0.5]), eta, rho, None, RngStream(0))
 
     def test_requires_sample_sum_objective(self):
         with pytest.raises(TypeError):
