@@ -28,7 +28,7 @@ from .geometry import (
     sample_sphere,
     sphere_blocks,
 )
-from .objectives import Objective, SampleSumObjective, as_start, base_of, iterates
+from .objectives import Objective, SampleSumObjective, _square, as_start, base_of, iterates
 from .flow import gradient_flow_limits
 
 #: Additive slack allowed when checking the per-step descent inequality.
@@ -97,10 +97,9 @@ class Schedule:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"schedule field {name} must be {'finite' if value == math.inf else 'positive'}")
-        _count("steps", self.steps)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        top = np.iinfo(np.int64).max  # run draws the returned index with an int64 bound
+        if _count("steps", self.steps) > top:
+            raise ValueError(f"steps must be an integer <= {top}, got {self.steps!r}")
 
 
 def rs_schedule(
@@ -312,41 +311,28 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Seeded run log plus the uniformly sampled returned iterate."""
+    """Seeded run log plus the uniformly sampled returned iterate.
 
-    records: tuple
+    The fields are declared in the order of the JSON keys, so ``to_dict``
+    is ``asdict``. ``descent_max_slack`` is the worst descent slack, or None
+    when it is not finite (a run without perturbed steps).
+    """
+
+    algorithm: str
+    seed: int
+    stream: int
+    schedule: Schedule
     returned_index: int
     returned_x: tuple
     final_x: tuple
-    seed: int
-    stream: int
-    algorithm: str
-    schedule: Schedule
     n_perturbed: int
     n_gd: int
     descent_violations: int
-    descent_max_slack: float
-
-    @property
-    def descent_max_slack_json(self) -> float | None:
-        """Worst descent slack, or None when the run had no perturbed steps."""
-        return self.descent_max_slack if math.isfinite(self.descent_max_slack) else None
+    descent_max_slack: float | None
+    records: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "stream": self.stream,
-            "schedule": self.schedule.to_dict(),
-            "returned_index": self.returned_index,
-            "returned_x": list(self.returned_x),
-            "final_x": list(self.final_x),
-            "n_perturbed": self.n_perturbed,
-            "n_gd": self.n_gd,
-            "descent_violations": self.descent_violations,
-            "descent_max_slack": self.descent_max_slack_json,
-            "records": [asdict(r) for r in self.records],
-        }
+        return asdict(self)
 
 
 def _fmt(v: float | None) -> str:
@@ -517,7 +503,7 @@ def run(
     perturbs = algorithm != "GD"
     eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
-    half_beta_eta_sq = 0.5 * sched.beta_hat * sched.eta**2
+    half_beta_eta_sq = 0.5 * sched.beta_hat * _square(sched.eta)
     point, coords, value, grad_norm, _, descend = iterates(obj)
     x = point(x)
     step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
@@ -585,5 +571,5 @@ def run(
         n_perturbed=n_perturbed,
         n_gd=n_gd,
         descent_violations=violations,
-        descent_max_slack=max_slack,
+        descent_max_slack=max_slack if isfinite(max_slack) else None,
     )

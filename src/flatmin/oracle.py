@@ -117,8 +117,9 @@ def _sphere_blocks(x: np.ndarray, radius: float, n: int, rng: RngStream):
 class OracleReport:
     """Outcome of one verification check.
 
-    ``rel_error`` is the check's normalized deviation and ``passed`` holds
-    iff ``rel_error <= tolerance`` (vacuously for not-applicable reports).
+    ``rel_error`` is the check's normalized deviation. ``passed`` is not an
+    argument: it is derived, and holds iff ``rel_error <= tolerance``
+    (vacuously for not-applicable reports), so a NaN error fails.
     """
 
     name: str
@@ -127,9 +128,12 @@ class OracleReport:
     reference: object
     rel_error: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     not_applicable: bool = False
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.not_applicable or self.rel_error <= self.tolerance))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -168,7 +172,6 @@ def check_sphere_moments(d: int, n_samples: int, rng: RngStream) -> OracleReport
         reference=[0.0, 0.0],
         rel_error=rel_error,
         tolerance=1.0,
-        passed=bool(rel_error <= 1.0),
         extras={"d": d, "tol_mean_inf": tol_mean, "tol_cov_fro": tol_fro},
     )
 
@@ -243,7 +246,6 @@ def check_rs_estimator(obj, x, rho: float, n_samples: int, rng: RngStream) -> Or
         reference=reference.tolist(),
         rel_error=rel_error,
         tolerance=REL_TOL,
-        passed=bool(rel_error <= REL_TOL),
         extras={
             "rho": rho,
             "abs_deviation": float(np.linalg.norm(measured - reference)),
@@ -262,7 +264,8 @@ def check_rs_decay(obj, x, rho_hi: float, rho_lo: float, n_samples: int, seed: i
     deviation from the 0.5*rho^2 law must shrink by at least
     ``DECAY_FACTOR`` (the remainder scales one power of rho faster than the
     law itself, giving a factor of (rho_hi/rho_lo)^2 = 4 at the default
-    halving).
+    halving). The report's ``rel_error`` is ``DECAY_FACTOR / ratio``, which
+    is at most 1 exactly when the ratio is at least ``DECAY_FACTOR``.
     """
     if not rho_hi > rho_lo > 0:
         raise ValueError("need rho_hi > rho_lo > 0")
@@ -279,7 +282,6 @@ def check_rs_decay(obj, x, rho_hi: float, rho_lo: float, n_samples: int, seed: i
         reference=(rho_hi / rho_lo) ** 2,
         rel_error=rel_error,
         tolerance=1.0,
-        passed=bool(ratio >= DECAY_FACTOR),
         extras={"dev_hi": dev_hi, "dev_lo": dev_lo, "rho_hi": rho_hi, "rho_lo": rho_lo},
     )
 
@@ -345,7 +347,6 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
         reference=float(d),
         rel_error=rel_error,
         tolerance=REL_TOL,
-        passed=bool(rel_error <= REL_TOL),
         extras={
             "measured_sa": measured_sa,
             "measured_rs": measured_rs,
@@ -437,7 +438,9 @@ def check_descent_lemma(traj: Trajectory, beta_hat: float) -> OracleReport:
     with the perturbed step size on perturbed records and the plain step on
     gd records (where v = 0). The inequality's precondition is
     step <= 1/beta_hat; a trajectory run with a larger perturbed step is
-    reported as not applicable.
+    reported as not applicable. The extras carry the run's own counters;
+    ``inline_max_slack`` is None, as the trajectory's ``descent_max_slack``
+    is, when that is not finite.
     """
     sched = traj.schedule
     if sched.eta > 1.0 / beta_hat * (1.0 + 1e-12):
@@ -448,7 +451,6 @@ def check_descent_lemma(traj: Trajectory, beta_hat: float) -> OracleReport:
             reference=None,
             rel_error=math.inf,
             tolerance=DESCENT_SLACK,
-            passed=True,
             not_applicable=True,
             extras={"reason": f"eta={sched.eta} exceeds 1/beta_hat={1.0 / beta_hat}"},
         )
@@ -475,7 +477,6 @@ def check_descent_lemma(traj: Trajectory, beta_hat: float) -> OracleReport:
         reference=0.0,
         rel_error=worst,
         tolerance=DESCENT_SLACK,
-        passed=bool(worst <= DESCENT_SLACK),
         extras={
             "inline_violations": traj.descent_violations,
             "inline_max_slack": traj.descent_max_slack,

@@ -264,7 +264,6 @@ def unblocked_check_sa_dfactor(obj, x_star, rho: float, n_samples: int, rng, chu
         reference=float(d),
         rel_error=rel_error,
         tolerance=REL_TOL,
-        passed=bool(rel_error <= REL_TOL),
         extras={
             "measured_sa": measured_sa,
             "measured_rs": measured_rs,

@@ -317,10 +317,14 @@ def test_escape_artifact_bytes_are_pinned(escape_artifacts):
 
 
 #: Full SHA-256 of the JSON of the 40 criterion-5 trajectories and of the
-#: ``verify.json`` that ``flatmin verify --n 100000 --seed 0`` writes,
-#: recorded as ESCAPE_SHA256 was (Python 3.11, numpy 2.4.6, x86-64 Linux).
+#: ``verify.json`` that ``flatmin verify --n N --seed 0`` writes, keyed by
+#: N (1e6 is the command's default), recorded as ESCAPE_SHA256 was (Python
+#: 3.11, numpy 2.4.6, x86-64 Linux).
 SA_VS_RS_SHA256 = "6433a26c5eaef2e24d35e9efbbeca769afdc9a164f47fdb3582dbb2f9dd2e87f"
-VERIFY_SHA256 = "484acb47c45f6f274493dfa71a7bcbfd86d2c295d661e305aa04677bed703481"
+VERIFY_SHA256 = {
+    100_000: "484acb47c45f6f274493dfa71a7bcbfd86d2c295d661e305aa04677bed703481",
+    1_000_000: "47bc8e17a8b9a8b3c9aa4443c23787149b022c36d04bd38f73c3d3d5e0181f5b",
+}
 
 
 def test_sa_vs_rs_trajectory_bytes_are_pinned(sa_vs_rs_runs):
@@ -328,9 +332,10 @@ def test_sa_vs_rs_trajectory_bytes_are_pinned(sa_vs_rs_runs):
     assert hashlib.sha256(blob.encode()).hexdigest() == SA_VS_RS_SHA256, build_facts()
 
 
-def test_verify_report_bytes_are_pinned(tmp_path, capsys):
-    assert main(["verify", "--n", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256, build_facts()
+@pytest.mark.parametrize("n", sorted(VERIFY_SHA256))
+def test_verify_report_bytes_are_pinned(tmp_path, capsys, n):
+    assert main(["verify", "--n", str(n), "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == VERIFY_SHA256[n], build_facts()
 
 
 #: Full SHA-256 of ``json.dumps(check_sa_dfactor(...).to_dict())`` on the

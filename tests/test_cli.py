@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flatmin import RngStream, build_hyperbola, check_descent_lemma, rs_schedule, run
@@ -39,6 +39,12 @@ def tiny_run_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+#: Step sizes whose square overflows a float: the first perturbed step diverges.
+HUGE_STEP_CONFIG = tiny_run_config(constants={"c_eta": 1e308, "c_rho": 1e308})
+#: A step budget beyond int64, which the returned-iterate draw cannot take.
+HUGE_BUDGET_CONFIG = tiny_run_config(constants={"c_T": 1e300}, budget_cap=10**30)
 
 
 class _InlinePool:
@@ -225,6 +231,8 @@ class TestConfigProperties:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(fuzzed_configs())
+    @example(HUGE_STEP_CONFIG)
+    @example(HUGE_BUDGET_CONFIG)
     def test_run_exit_code_on_fuzzed_configs(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
@@ -325,6 +333,24 @@ class TestRunCommand:
             assert "certificate" in entry
             assert set(entry["certificate"]) >= {"dist", "flat_grad_norm", "passed"}
 
+    def test_step_size_whose_square_overflows_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, HUGE_STEP_CONFIG), "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ""
+        entries = json.loads((out / "summary.json").read_text())["seeds"]
+        assert [(e["status"], e["error"]) for e in entries] == [
+            ("numerical-failure", "DivergenceError: divergence at step 0")
+        ] * 2
+
+    def test_step_budget_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, HUGE_BUDGET_CONFIG), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: eps, delta and constants give no schedule: "
+            f"steps must be an integer <= {2**63 - 1}, got {10**30}\n"
+        )
+        assert not out.exists()
+
     def test_sa_on_plain_objective_is_usage_error(self, tmp_path, capsys):
         cfg = tiny_run_config(algorithm="SA")
         path = write_config(tmp_path, cfg)
@@ -354,9 +380,13 @@ class TestRunCommand:
         traj = json.loads((out / "seed_1.json").read_text())
         fs = [r["f"] for r in traj["records"]]
         assert all(b <= a for a, b in zip(fs, fs[1:]))
-        # no perturbed steps: slack is null, artifacts stay strict JSON
+        # no perturbed steps: slack is None, and null in JSON, so artifacts stay strict JSON
         assert traj["descent_max_slack"] is None
         assert "Infinity" not in (out / "summary.json").read_text()
+        obj, sched = cli.build_schedule(ExperimentConfig.from_dict(cfg))
+        direct = run(obj, "GD", np.array(cfg["x0"]), sched, RngStream(1), log_cadence=cfg["log_cadence"])
+        assert direct.descent_max_slack is None
+        assert json.loads(json.dumps(direct.to_dict())) == traj
 
 
 class TestCertifyCommand:

@@ -151,9 +151,9 @@ class TestScheduleValidation:
     def test_sa_dimension_may_be_a_numpy_integer(self):
         assert sa_schedule(0.01, 0.2, np.int64(2), 56.0) == sa_schedule(0.01, 0.2, 2, 56.0)
 
-    def test_to_dict_round_trips_constants(self):
+    def test_asdict_round_trips_constants(self):
         sched = rs_schedule(0.01, 0.2, 2.0, ScheduleConstants(c_eta=3.0))
-        data = sched.to_dict()
+        data = dataclasses.asdict(sched)
         assert data["constants"]["c_eta"] == 3.0
         assert data["steps"] == sched.steps
 

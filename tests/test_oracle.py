@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatmin import (
+    OracleReport,
     RngStream,
     Schedule,
     build_convex_quadratic,
@@ -543,6 +544,26 @@ class TestDescentLemma:
 
 
 class TestReportShape:
+    @pytest.mark.parametrize(
+        "rel_error,not_applicable,passed",
+        [
+            (0.05, False, True),
+            (0.1, False, True),
+            (0.2, False, False),
+            (float("nan"), False, False),
+            (float("inf"), False, False),
+            (float("inf"), True, True),
+        ],
+        ids=["below", "equal", "above", "nan", "inf", "not-applicable"],
+    )
+    def test_verdict_is_derived_from_error_and_tolerance(self, rel_error, not_applicable, passed):
+        fields = dict(name="x", n_samples=1, measured=None, reference=None, rel_error=rel_error, tolerance=0.1)
+        rep = OracleReport(**fields, not_applicable=not_applicable)
+        assert rep.passed is passed
+        assert rep.to_dict()["passed"] is passed
+        with pytest.raises(TypeError, match="passed"):
+            OracleReport(**fields, passed=not passed)
+
     def test_reports_serialize(self):
         rep = check_sphere_moments(3, 10**4, RngStream(5))
         data = rep.to_dict()
