@@ -46,12 +46,23 @@ FLOW_MAX_STEPS = 10_000_000
 #: Central-difference step of the certifier's restricted trace gradient.
 TRACE_FD_STEP = 1e-4
 
+#: Most negative Hessian eigenvalue a certified landing point may have, as a
+#: fraction of ``lipschitz_grad_hint``. Near a minimum the least eigenvalue
+#: is a rounding error away from zero or above it; at a saddle it is a
+#: sizable negative fraction of the hint (-1/28 at the hyperbola's origin).
+CURVATURE_TOL = 1e-6
+
 
 @dataclass(frozen=True, slots=True)
 class FlatnessCertificate:
     """Outcome of the two-inequality flatness check at a query point.
 
-    ``passed`` holds iff ``dist <= eps`` and ``flat_grad_norm <= eps_prime``.
+    ``passed`` holds iff ``dist <= eps``, ``flat_grad_norm <= eps_prime``
+    and the landing point ``phi_x`` is no saddle: the least eigenvalue of
+    the Hessian there is at least ``-CURVATURE_TOL * lipschitz_grad_hint``.
+    A stationary saddle is its own landing point, and its symmetric probes
+    cancel, so only that third test refuses it. Its eigenvalue is not a
+    field of the certificate.
     """
 
     x: list
@@ -225,7 +236,9 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
     """Check the two-inequality approximate-flatness condition at ``x``.
 
     Computes the flow landing point, the distance to it, and the norm of the
-    restricted trace gradient there; passes iff both thresholds hold.
+    restricted trace gradient there; passes iff both thresholds hold and
+    the Hessian at the landing point has no eigenvalue below
+    ``-CURVATURE_TOL * lipschitz_grad_hint`` (no saddle).
     ``eps`` and ``eps_prime`` must be positive and finite.
     """
     if not (0.0 < eps < math.inf and 0.0 < eps_prime < math.inf):
@@ -236,6 +249,7 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
     dist = float(np.linalg.norm(x - phi_x))
     flat_grad = restricted_trace_gradient(base, phi_x)
     flat_grad_norm = float(np.linalg.norm(flat_grad))
+    no_saddle = np.linalg.eigvalsh(base.hess(phi_x))[0] >= -CURVATURE_TOL * base.lipschitz_grad_hint
     return FlatnessCertificate(
         x=[float(v) for v in x],
         phi_x=[float(v) for v in phi_x],
@@ -243,5 +257,5 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
         flat_grad_norm=flat_grad_norm,
         eps=float(eps),
         eps_prime=float(eps_prime),
-        passed=bool(dist <= eps and flat_grad_norm <= eps_prime),
+        passed=bool(dist <= eps and flat_grad_norm <= eps_prime and no_saddle),
     )

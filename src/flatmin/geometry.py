@@ -77,28 +77,64 @@ def _dot2_numpy(a0: float, a1: float, b0: float, b1: float) -> float:
 def _dot2_fused(a0: float, a1: float, b0: float, b1: float) -> float:
     """``fma(a1, b1, a0*b0)``, which is ``np.dot((a0, a1), (b0, b1))`` on a fused build.
 
-    ``a1*b1`` is split exactly into ``x + y`` (Ogita, Rump and Oishi's
-    TwoProduct), and ``math.fsum`` rounds ``a0*b0 + x + y`` once. A zero,
-    subnormal, huge or non-finite input, for which the split is not exact,
-    goes to ``np.dot``.
+    Dekker's split writes ``a1`` and ``b1`` exactly as sums of two 26-bit
+    halves, so the four partial products of ``a1*b1`` are exact, and
+    ``math.fsum`` rounds them plus ``a0*b0`` once. ``a0*b0`` is rounded
+    first, as the fused kernel rounds it, so ``a0`` and ``b0`` may be
+    anything. An ``a1`` or ``b1`` that is zero, subnormal, beyond 2**±450
+    or not finite, for which the split is not exact, a sum that overflows
+    inside ``fsum``, and a NaN, whose payload depends on the order of the
+    kernel's operands when ``a0`` and ``b0`` are both NaN, go to ``np.dot``.
     """
-    lo, hi = _DOT_LO, _DOT_HI
-    if lo < abs(a0) < hi and lo < abs(a1) < hi and lo < abs(b0) < hi and lo < abs(b1) < hi:
-        x = a1 * b1
+    if _DOT_LO < abs(a1) < _DOT_HI and _DOT_LO < abs(b1) < _DOT_HI:
         s = _SPLIT * a1
         ah = s - (s - a1)
         al = a1 - ah
         s = _SPLIT * b1
         bh = s - (s - b1)
         bl = b1 - bh
-        y = al * bl - (((x - ah * bh) - al * bh) - ah * bl)
-        return math.fsum((a0 * b0, x, y))
+        try:
+            d = math.fsum((a0 * b0, ah * bh, ah * bl, al * bh, al * bl))
+        except OverflowError:
+            pass
+        else:
+            if d == d:
+                return d
     return _dot2_numpy(a0, a1, b0, b1)
+
+
+def _sq2_numpy(a0: float, a1: float) -> float:
+    """``np.dot((a0, a1), (a0, a1))`` as a Python float."""
+    return _dot2_numpy(a0, a1, a0, a1)
+
+
+def _sq2_fused(a0: float, a1: float) -> float:
+    """``fma(a1, a1, a0*a0)``, which is ``np.dot((a0, a1), (a0, a1))`` on a fused build.
+
+    One split ``a1 = h + l`` into 26-bit halves makes ``a1*a1 = h*h + 2*h*l
+    + l*l`` with every term exact, and ``math.fsum`` rounds them plus
+    ``a0*a0`` once. An ``a1*a1`` outside (2**-900, 2**900), where a term
+    could underflow or overflow, and a sum that overflows inside ``fsum``
+    go to ``np.dot``.
+    """
+    if 2.0**-900 < a1 * a1 < 2.0**900:
+        s = _SPLIT * a1
+        h = s - (s - a1)
+        l = a1 - h
+        try:
+            return math.fsum((a0 * a0, h * h, 2.0 * h * l, l * l))
+        except OverflowError:
+            pass
+    return _sq2_numpy(a0, a1)
 
 
 #: ``np.dot`` of two 2-vectors given as four Python floats, bit for bit, at
 #: a fraction of its per-call cost where the build fuses it.
 _dot2 = _dot2_fused if DOT_FUSED else _dot2_numpy
+
+#: ``np.dot`` of a 2-vector with itself given as two Python floats, bit for
+#: bit; on a fused build it splits one factor where ``_dot2`` splits two.
+_sq2 = _sq2_fused if DOT_FUSED else _sq2_numpy
 
 #: Plain square sums below this have a finite ``_dot2``; one just below the largest float may not.
 _SQUARE_TOP = 2.0**1023

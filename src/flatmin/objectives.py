@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _dot2
+from .geometry import _sq2
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -438,27 +438,31 @@ def as_start(obj, x, rows: bool = False) -> np.ndarray:
 
 
 def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Callable]:
-    """``(point, coords, value, grad_norm, grad_sq, descend)``: the one choice of how the iterates of ``obj`` are held.
+    """``(point, coords, evaluate, grad_norm, grad_sq, descend)``: the one choice of how the iterates of ``obj`` are held.
 
     Where ``obj`` carries every one of its own ``float_*`` formulas (an
     Objective its two; a SampleSumObjective its two and its base's two),
     an iterate is a pair of Python floats, stepped through those formulas;
     that is the d = 2 factorization family. Otherwise it is a 1-d float64
     ndarray. Both forms round every operation alike, their 2-vector dot
-    products included (``geometry._dot2`` equals ``np.dot``), so the choice
-    changes no byte of a trajectory or landing point, only its cost: numpy
-    spends more per call on a length-2 array than the arithmetic itself.
+    products included (``geometry._dot2`` and ``geometry._sq2`` equal
+    ``np.dot``), so the choice changes no byte of a trajectory or landing
+    point, only its cost: numpy spends more per call on a length-2 array
+    than the arithmetic itself.
 
     ``point(x)`` is the iterate at the float64 ndarray ``x``; ``coords(x)``
-    its coordinates as a tuple of Python floats; ``value(x)`` f as a Python
-    float; ``grad_norm(x)`` the base gradient and its norm; ``grad_sq(x)``
-    the base gradient and its square sum; and ``descend(x, g, h)`` the step
-    ``x - h * g``. ``run`` and ``gradient_flow_limit`` step through them.
+    its coordinates as a tuple of Python floats; ``evaluate(x)`` the tuple
+    ``(coords(x), f(x), g, |g|)`` of all that ``run`` needs of an iterate,
+    f as a Python float and ``g`` the base gradient; ``grad_norm(x)`` the
+    pair ``(g, |g|)``; ``grad_sq(x)`` the base gradient and its square sum;
+    and ``descend(x, g, h)`` the step ``x - h * g``. ``run`` steps through
+    ``evaluate``, once per iterate, and ``gradient_flow_limit`` through
+    the others.
 
     The norm is exact in both forms: ``sqrt`` of the dot product as
     ``np.dot`` rounds it. The ndarray form's square sum is that dot
     product too; the float form's is the plain ``g0*g0 + g1*g1``, which
-    skips the exact ``_dot2``. The flow decides its stopping test from the
+    skips the exact ``_sq2``. The flow decides its stopping test from the
     square sum with ``geometry._square_band`` and takes ``grad_norm`` only
     where the band leaves the test open.
     """
@@ -468,6 +472,11 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
         formulas += [obj.float_sample_grad, obj.float_pred_grad]
     if None in formulas:
         value, grad = base.value, base.grad
+
+        def evaluate(x):
+            f = float(value(x))
+            g = grad(x)
+            return tuple(x.tolist()), f, g, math.sqrt(np.dot(g, g))
 
         def grad_norm(x):
             g = grad(x)
@@ -480,7 +489,7 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
         return (
             lambda x: x,
             lambda x: tuple(x.tolist()),
-            lambda x: float(value(x)),
+            evaluate,
             grad_norm,
             grad_sq,
             lambda x, g, h: x - h * g,
@@ -489,9 +498,13 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
     f_value, f_grad = base.float_value, base.float_grad
     sqrt = math.sqrt
 
+    def float_evaluate(x):
+        g0, g1 = g = f_grad(*x)
+        return x, f_value(*x), g, sqrt(_sq2(g0, g1))
+
     def float_grad_norm(x):
         g0, g1 = g = f_grad(*x)
-        return g, sqrt(_dot2(g0, g1, g0, g1))
+        return g, sqrt(_sq2(g0, g1))
 
     def float_grad_sq(x):
         g0, g1 = g = f_grad(*x)
@@ -502,4 +515,4 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
         g0, g1 = g
         return x0 - h * g0, x1 - h * g1
 
-    return lambda x: tuple(x.tolist()), tuple, lambda x: f_value(*x), float_grad_norm, float_grad_sq, descend
+    return lambda x: tuple(x.tolist()), tuple, float_evaluate, float_grad_norm, float_grad_sq, descend

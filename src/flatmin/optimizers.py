@@ -23,6 +23,7 @@ from .geometry import (
     U_TOL,
     RngStream,
     _dot2,
+    _sq2,
     normalized_trace,
     proj_out_normed,
     sample_sphere,
@@ -368,8 +369,9 @@ def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats
     Returns ``step(x, g, gn)``, which gives the next iterate and ``|v|``
     from the iterate ``x``, its gradient ``g`` and ``gn = |g|``. On pairs
     of Python floats it takes the arithmetic of the ndarray step, operation
-    for operation, its 2-vector dot products by ``geometry._dot2``, so every
-    iterate is bit for bit the same.
+    for operation, its 2-vector dot products by ``geometry._dot2`` and its
+    self-dots by ``geometry._sq2``, so every iterate is bit for bit the
+    same.
     """
     base = base_of(obj)
     eta, rho = sched.eta, sched.rho
@@ -393,37 +395,36 @@ def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats
         return array_step
 
     f_grad = base.float_grad
-    dot2, sqrt = _dot2, math.sqrt
-    if algorithm == "RS":
+    dot2, sq2, sqrt = _dot2, _sq2, math.sqrt
+    rs = algorithm == "RS"
+    if rs:
         displacements = chain.from_iterable(map(np.ndarray.tolist, sphere_blocks(2, rho, rng)))
-
-        def perturbation_grad(x0, x1):
-            u0, u1 = next(displacements)
-            return f_grad(x0 + u0, x1 + u1)
-
     else:
         f_sample_grad, f_pred_grad = obj.float_sample_grad, obj.float_pred_grad
         draws = _sa_draws(obj.n, rng)
 
-        def perturbation_grad(x0, x1):
+    def float_step(x, g, gn):
+        x0, x1 = x
+        # The gradient at the perturbed point, inline: the step is short
+        # enough that a nested call per step shows in its time.
+        if rs:
+            u0, u1 = next(displacements)
+            v0, v1 = f_grad(x0 + u0, x1 + u1)
+        else:
             i, sigma = next(draws)
             p0, p1 = f_pred_grad(i, x0, x1)
-            npn = sqrt(dot2(p0, p1, p0, p1))
+            npn = sqrt(sq2(p0, p1))
             if npn == 0.0:
                 raise _degenerate(i, [x0, x1])
             s = rho * sigma
-            return f_sample_grad(i, x0 + s * (p0 / npn), x1 + s * (p1 / npn))
-
-    def float_step(x, g, gn):
-        x0, x1 = x
+            v0, v1 = f_sample_grad(i, x0 + s * (p0 / npn), x1 + s * (p1 / npn))
         g0, g1 = g
-        v0, v1 = perturbation_grad(x0, x1)
         if gn > U_TOL:
             # v projected off g, as proj_out_normed.
             h0, h1 = g0 / gn, g1 / gn
             k = dot2(h0, h1, v0, v1)
             v0, v1 = v0 - k * h0, v1 - k * h1
-        return (x0 - eta * (g0 + v0), x1 - eta * (g1 + v1)), sqrt(dot2(v0, v1, v0, v1))
+        return (x0 - eta * (g0 + v0), x1 - eta * (g1 + v1)), sqrt(sq2(v0, v1))
 
     return float_step
 
@@ -504,7 +505,7 @@ def run(
     eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * _square(sched.eta)
-    point, coords, value, grad_norm, _, descend = iterates(obj)
+    point, _, evaluate, _, _, descend = iterates(obj)
     x = point(x)
     step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
     isfinite = math.isfinite
@@ -512,9 +513,7 @@ def run(
     try:
         # A diverging run overflows before the finite checks below report it.
         with np.errstate(over="ignore", invalid="ignore"):
-            xc = coords(x)
-            fval = value(x)
-            g, gn = grad_norm(x)
+            xc, fval, g, gn = evaluate(x)
             for t in range(T):
                 perturbed = perturbs and gn <= eps0
                 if perturbed:
@@ -525,8 +524,8 @@ def run(
                     x_next, v_norm = descend(x, g, eta_prime), None
                     n_gd += 1
                     branch = "gd"
-                f_next = value(x_next)
-                xc_next = coords(x_next)
+                # The gradient of a non-finite iterate is taken too, and discarded.
+                xc_next, f_next, g_next, gn_next = evaluate(x_next)
                 if not (isfinite(f_next) and all(map(isfinite, xc_next))):
                     raise DivergenceError(
                         f"divergence at step {t}",
@@ -546,8 +545,7 @@ def run(
                         land_pending()
                 if t + 1 == returned_index:
                     returned_x = xc_next
-                x, xc, fval = x_next, xc_next, f_next
-                g, gn = grad_norm(x)
+                x, xc, fval, g, gn = x_next, xc_next, f_next, g_next, gn_next
     except (DivergenceError, DegenerateSampleError):
         # A trace solve at an earlier logged step fails first, as it would
         # have had it run at its own step.

@@ -24,13 +24,14 @@ def build_facts() -> str:
     """numpy and BLAS build, and whether a 2-vector ``np.dot`` is fused: the SHA-256 pins depend on them.
 
     The fused check is ``geometry.DOT_FUSED``, the import-time probe that also
-    picks the form of the float 2-vector dot that the d = 2 step and flow
-    loops use. The pins were recorded where it is True.
+    picks the forms of the float 2-vector dot and self-dot that the d = 2
+    step and flow loops use. The pins were recorded where it is True.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-        f"geometry.DOT_FUSED {geometry.DOT_FUSED}, float dot {geometry._dot2.__name__}"
+        f"geometry.DOT_FUSED {geometry.DOT_FUSED}, float dot {geometry._dot2.__name__}, "
+        f"float self-dot {geometry._sq2.__name__}"
     )
 
 
@@ -41,6 +42,18 @@ def pytest_report_header(config):
     two CPUs are usable, so its timings depend on that count.
     """
     return f"{build_facts()}, usable CPUs {len(os.sched_getaffinity(0))}"
+
+
+def count_exact_dots(monkeypatch, *modules) -> list:
+    """Wrap the exact 2-vector dots ``_dot2`` and ``_sq2`` that each module holds; returns the list their calls append to."""
+    calls = []
+    for module in modules:
+        assert hasattr(module, "_dot2") or hasattr(module, "_sq2"), f"{module.__name__} holds no exact dot"
+        for name in ("_dot2", "_sq2"):
+            if hasattr(module, name):
+                exact = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *q, _exact=exact: (calls.append(q), _exact(*q))[1])
+    return calls
 
 
 def without_float_formulas(obj):

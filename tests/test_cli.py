@@ -409,6 +409,16 @@ class TestCertifyCommand:
         assert cert["passed"] is False
         assert cert["flat_grad_norm"] > 0.1
 
+    def test_saddle_point_exit_three(self, capsys):
+        # The origin is a stationary saddle: its own landing point, with flat-gradient norm 0.
+        code = main(
+            ["certify", "--landscape", '{"kind": "hyperbola"}', "--x", "0,0",
+             "--eps", "0.05", "--eps-prime", "0.3"]
+        )
+        assert code == EXIT_CERT_FAIL
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["passed"] is False and cert["dist"] == 0.0
+
     def test_quadratic_origin_exit_zero(self, tmp_path, capsys):
         cfg = {
             "landscape": {"kind": "convex_quadratic", "eigenvalues": [1.0, 3.0]},

@@ -28,6 +28,7 @@ from flatmin import (
 from flatmin import flow, objectives
 from conftest import (
     base_objective,
+    count_exact_dots,
     hyperbola_manifold_point,
     hyperbola_tube_region,
     near_manifold_points,
@@ -170,7 +171,7 @@ class TestFloatFlowMatchesArrayFlow:
 
 
 class TestExactNormOnlyNearTheTolerance:
-    """A float flow tests its stopping rule on the plain square sum; the exact dot runs at most twice a solve."""
+    """A float flow tests its stopping rule on the plain square sum; the exact dots run at most twice a solve."""
 
     @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
     @pytest.mark.parametrize("offset", [(1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)])
@@ -178,9 +179,8 @@ class TestExactNormOnlyNearTheTolerance:
         # (3, 1/3) lies on the minima set; the certifier probes it TRACE_FD_STEP away.
         obj = build_hyperbola()
         x0 = np.array([3.0, 1.0 / 3.0]) + offset
-        dots, steps = [], []
-        exact_dot = objectives._dot2
-        monkeypatch.setattr(objectives, "_dot2", lambda *q: (dots.append(q), exact_dot(*q))[1])
+        steps = []
+        dots = count_exact_dots(monkeypatch, objectives)
         counted = dataclasses.replace(obj, float_grad=lambda x0, x1, _g=obj.float_grad: (steps.append(x0), _g(x0, x1))[1])
         landing = gradient_flow_limit(counted, x0, grad_tol)
         assert len(steps) > 50 and len(dots) <= 2
@@ -386,6 +386,23 @@ class TestCertifyFlat:
         assert cert.dist == pytest.approx(1e-4, rel=1e-6)
         assert cert.flat_grad_norm == 0.0
 
+    @pytest.mark.parametrize(
+        "spec, x",
+        [
+            (LandscapeSpec("hyperbola"), [0.0, 0.0]),
+            (LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]}), [1.0, 0.0, 0.3, 0.0]),
+        ],
+        ids=["hyperbola-origin", "orthogonal-model"],
+    )
+    def test_saddle_point_fails(self, spec, x):
+        # A stationary point is its own landing point and its probes cancel,
+        # so both inequalities hold; the Hessian's negative eigenvalue refuses it.
+        obj = base_objective(spec)
+        cert = certify_flat(obj, np.array(x), eps=0.05, eps_prime=0.3)
+        assert cert.dist == 0.0 and cert.flat_grad_norm <= 0.3
+        assert np.linalg.eigvalsh(obj.hess(np.array(x)))[0] < 0.0
+        assert not cert.passed
+
     def test_passed_iff_both_inequalities(self):
         obj = build_hyperbola()
         cert = certify_flat(obj, np.array([1.001, 0.999]), eps=1e-9, eps_prime=0.1)
@@ -467,6 +484,8 @@ class TestCertificateClosedForm:
         assert abs(cert.dist - math.hypot(x[0] - phi[0], x[1] - phi[1])) <= 1e-4
         flat = flat_grad_norm(phi, m2, 1.0)
         assert abs(cert.flat_grad_norm - flat) <= 1e-4 * flat + 1e-6
+        # Near a minimum the curvature check refuses nothing.
+        assert cert.passed == (cert.dist <= 0.05 and cert.flat_grad_norm <= 0.3)
 
 
 class TestTraceAtFlowLimit:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,11 @@ class TestBlockSphereDraws:
         assert np.array(streamed).tobytes() == np.array(sequential).tobytes()
 
 
+def _nan(bits: int) -> float:
+    """The NaN with the IEEE bit pattern ``bits``."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 def _np_dot2(a0, a1, b0, b1) -> float:
     return float(np.dot(np.array([a0, a1]), np.array([b0, b1])))
 
@@ -181,6 +187,19 @@ class TestFloatDot:
 
     @settings(max_examples=2000, deadline=None, database=None, derandomize=True)
     @given(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4))
+    # a0*b0 overflows, or lies at the top of the range, with a1 and b1 in the split's range.
+    @example((1e200, 1.5, 1e200, -0.7))
+    @example((-1e300, 2.0**449, 1e10, 2.0**449))
+    @example((1.7976931348623157e308, 2.0**449, 1.0, 2.0**449))
+    # a0 or b0 infinite or NaN, or an infinite times a zero, with a1 and b1 in range.
+    @example((math.inf, 1.5, 2.0, -0.7))
+    @example((0.3, 1.5, -math.inf, -0.7))
+    @example((math.inf, 1.5, 0.0, -0.7))
+    @example((math.nan, 1.5, 2.0, -0.7))
+    @example((2.0, 1.5, -math.nan, -0.7))
+    # Two NaNs of different payloads: which one np.dot returns is the kernel's choice.
+    @example((_nan(0x7FF8000000000123), 1.5, _nan(0xFFF8000000000456), -0.7))
+    @example((_nan(0xFFF8000000000456), 1.5, _nan(0x7FF0000000000001), -0.7))
     def test_equals_numpy_dot(self, q):
         with np.errstate(over="ignore", invalid="ignore"):
             assert _bits64(geometry._dot2(*q)) == _bits64(_np_dot2(*q))
@@ -208,6 +227,46 @@ class TestFloatDot:
         a0, a1, b0, b1 = q
         exact = Fraction(a0 * b0) + Fraction(a1) * Fraction(b1)
         assert _bits64(geometry._dot2_fused(*q)) == _bits64(float(exact))
+
+
+class TestFloatSelfDot:
+    """``geometry._sq2`` is ``np.dot`` of a 2-vector with itself, bit for bit, on any input."""
+
+    def test_form_follows_the_import_probe(self):
+        assert geometry._sq2 is (geometry._sq2_fused if geometry.DOT_FUSED else geometry._sq2_numpy)
+
+    @settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+    @given(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 2))
+    @example((_nan(0x7FF8000000000123), 1.5))
+    @example((_nan(0x7FF0000000000001), 1.5))
+    @example((1e200, 1.5))
+    @example((1.7976931348623157e308, 2.0**449))
+    def test_equals_numpy_dot(self, q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits64(geometry._sq2(*q)) == _bits64(_np_dot2(*q, *q))
+
+    def test_equals_numpy_dot_on_full_mantissas(self):
+        gen = np.random.Generator(np.random.PCG64(37))
+        n = 300_000
+        Q = gen.uniform(1.0, 2.0, (n, 2)) * np.exp(gen.uniform(-20.0, 20.0, (n, 2))) * gen.choice([-1.0, 1.0], (n, 2))
+        sq2 = geometry._sq2
+        got = np.array([sq2(a0, a1) for a0, a1 in Q.tolist()])
+        want = np.array([np.dot(q, q) for q in Q])
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_inputs(self):
+        values = _DOT_EDGES + [1.5, -0.7, 2.0**-449, 2.0**449]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q in itertools.product(values, repeat=2):
+                assert _bits64(geometry._sq2(*q)) == _bits64(_np_dot2(*q, *q)), q
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(st.tuples(*[st.floats(2.0**-449, 2.0**449) | st.floats(-(2.0**449), -(2.0**-449))] * 2))
+    def test_fused_form_rounds_once(self, q):
+        # fma(a1, a1, a0*a0) computed exactly and rounded once, on any build.
+        a0, a1 = q
+        exact = Fraction(a0 * a0) + Fraction(a1) ** 2
+        assert _bits64(geometry._sq2_fused(*q)) == _bits64(float(exact))
 
 
 def _dot2_two_roundings(a0, a1, b0, b1) -> float:

@@ -31,12 +31,12 @@ from flatmin import (
     trace_at_flow_limit,
     trajectory_csv,
 )
-from flatmin import flow
+from flatmin import flow, objectives, optimizers
 from flatmin.geometry import SPHERE_BLOCK, sphere_blocks
 from flatmin.optimizers import ALGORITHMS, DEFAULT_BUDGET_CAP, SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
 from flatmin.objectives import LandscapeSpec, iterates
 
-from conftest import hyperbola_manifold_point, without_float_formulas
+from conftest import count_exact_dots, hyperbola_manifold_point, without_float_formulas
 from references import landing_trace, sample_hess, two_block_rs_schedule, two_block_sa_schedule
 
 
@@ -675,6 +675,28 @@ class TestFloatKernelMatchesArrayKernel:
         out = self._both(obj, algorithm, np.array([0.0, 0.0]), sched, 3)
         if algorithm == "SA":
             assert out[0] == "DegenerateSampleError" and out[1].endswith("zero prediction gradient at [0.0, 0.0]")
+
+
+class TestExactDotBudget:
+    """The exact 2-vector dots of ``run``'s float path: one at the start, one per GD step, three per RS step, four per SA step.
+
+    Every step evaluates its new iterate's gradient norm once; an RS step
+    adds the projection and ``|v|``, and an SA step the prediction
+    gradient's norm as well.
+    """
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_on_the_factorization(self, monkeypatch, algorithm):
+        obj = _FLOAT_LANDSCAPES["factorization-n4"]
+        beta = obj.base.lipschitz_grad_hint
+        sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=1500, beta_hat=beta)
+        dots = count_exact_dots(monkeypatch, objectives, optimizers)
+        traj = run(obj, algorithm, np.array([1.5, 1 / 1.5]), sched, RngStream(2), log_cadence=1)
+        per_perturbed = {"RS": 3, "SA": 4, "GD": 0}[algorithm]
+        assert (traj.n_perturbed > 0) == (algorithm != "GD") and traj.n_gd > 0
+        assert len(dots) <= 1 + traj.n_gd + per_perturbed * traj.n_perturbed
+        if algorithm == "GD":
+            assert len(dots) == 1 + traj.n_gd
 
 
 class TestIterateForm:
