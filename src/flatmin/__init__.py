@@ -5,6 +5,11 @@ two perturbed-gradient algorithms that drive iterates toward flatter minima
 (a randomly smoothed variant for general losses and a sharpness-aware variant
 for sample-sum losses), a brute-force verification suite for the estimator
 identities behind them, and a batch experiment CLI.
+
+``import flatmin`` loads geometry, objectives, flow and optimizers, and
+``flatmin.cli`` adds only itself: the oracle loads on first use of a check or of
+``verify``, the process pool only for ``--threads`` > 1 with two or more seeds,
+and ``argparse`` in ``cli.main``.
 """
 
 from .geometry import (
@@ -50,16 +55,6 @@ from .optimizers import (
     sa_schedule,
     sa_step,
     trajectory_csv,
-)
-from .oracle import (
-    OracleReport,
-    SampleRegion,
-    check_descent_lemma,
-    check_rs_decay,
-    check_rs_estimator,
-    check_sa_dfactor,
-    check_sphere_moments,
-    estimate_pl_constants,
 )
 
 __all__ = [
@@ -110,3 +105,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: The tail of ``__all__``, served by ``__getattr__`` (PEP 562) from ``.oracle``, imported on first use.
+_ORACLE_NAMES = frozenset(__all__[__all__.index("OracleReport"):])
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 
 from __future__ import annotations
 
-import argparse
 import copy
 import itertools
 import json
@@ -21,7 +20,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -41,7 +39,6 @@ from .optimizers import (
     run as run_algorithm,
     trajectory_csv,
 )
-from . import oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -286,6 +283,8 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
     # The pool starts all its workers up front; one per seed is the most that can work.
     workers = min(threads, len(cfg.seeds))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one_seed, cfg, s, out_dir) for s in cfg.seeds]
             entries = [f.result() for f in futures]
@@ -404,6 +403,8 @@ def _verify_checks(n_samples: int, seed: int) -> dict:
     descent-lemma and pl-constants do not read ``n_samples``; they take any
     count from 0.
     """
+    from . import oracle
+
     hyperbola = build_landscape(LandscapeSpec("hyperbola"))
     # The estimator checks' point on the hyperbola's minima set.
     x = np.array([1.2, 1.0 / 1.2])
@@ -482,14 +483,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERICAL
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that raises its usage errors as :class:`ConfigError`; its subparsers are ``_Parser`` too."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argparse parser that raises its usage errors as :class:`ConfigError`; its subparsers are ``_Parser`` too."""
+
+        def error(self, message):
+            raise ConfigError(message)
+
     parser = _Parser(prog="flatmin", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -302,7 +302,10 @@ class TestRunCommand:
 
     def test_worker_count_is_at_most_one_per_seed(self, tmp_path, monkeypatch):
         sizes = []
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+        # execute_run imports the pool class from concurrent.futures when it needs one.
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+        )
         path = write_config(tmp_path, tiny_run_config())
         code = main(["run", "--config", path, "--out", str(tmp_path / "two"), "--threads", "100000"])
         assert code == EXIT_OK
@@ -713,3 +716,58 @@ class TestConsoleScript:
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
         assert proc.stderr == "config error: argument --n: invalid int value: 'abc'\n"
+
+
+#: Loaded by no escape or certify path: the oracle and its thread pool, the process pool, argparse.
+DEFERRED_MODULES = ["flatmin.oracle", "concurrent.futures", "multiprocessing", "argparse"]
+#: Loaded only for a pool of two or more workers.
+POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+
+_IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+import flatmin, flatmin.cli
+deferred, pool, cfg = json.loads(sys.argv[1])
+report = {"after_import": [m for m in deferred if m in sys.modules]}
+with tempfile.TemporaryDirectory() as d:
+    report["run_code"] = flatmin.cli.execute_run(
+        flatmin.cli.ExperimentConfig.from_dict(cfg), Path(d) / "out", threads=1
+    )
+report["after_run"] = [m for m in pool if m in sys.modules]
+report["same_object"] = flatmin.check_sphere_moments is flatmin.oracle.check_sphere_moments
+star = {}
+exec("from flatmin import *", star)
+report["unbound"] = [n for n in flatmin.__all__ if n not in star]
+try:
+    flatmin.no_such_name
+except AttributeError as exc:
+    report["missing_error"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+class TestDeferredImports:
+    """``import flatmin, flatmin.cli`` loads only the compute modules; the rest loads on first use.
+
+    Checked in a fresh interpreter with a deny-list, so modules that numpy or
+    the standard library load on their own do not matter.
+    """
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        arg = json.dumps([DEFERRED_MODULES, POOL_MODULES, tiny_run_config(seeds=[1])])
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, arg], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_deferred_module(self, report):
+        assert report["after_import"] == []
+
+    def test_one_worker_run_loads_no_process_pool(self, report):
+        assert report["run_code"] == EXIT_OK
+        assert report["after_run"] == []
+
+    def test_oracle_names_resolve_on_first_use(self, report):
+        assert report["same_object"] is True
+        assert report["unbound"] == []
+        assert "no_such_name" in report["missing_error"]
