@@ -100,7 +100,9 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
 
-    The iterates are held as :func:`~flatmin.objectives.iterates` chooses.
+    The iterates are held as :func:`~flatmin.objectives.iterates` chooses,
+    and each step is one call of its ``flow_step``, which moves the iterate
+    and returns its gradient and square sum, or None if nothing moved.
     Each step tests the gradient's square sum against the band of
     :func:`~flatmin.geometry._square_band` around ``grad_tol**2``; only a
     sum inside the band, a non-finite one or a failure takes the exact
@@ -111,7 +113,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    point, coords, _, grad_norm, grad_sq, descend = iterates(obj)
+    point, _, grad_norm, grad_sq, _, flow_step = iterates(obj)
     x = point(as_start(obj, x0))
     lo, hi = _square_band(grad_tol)
     max_steps = FLOW_MAX_STEPS
@@ -131,12 +133,11 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
             if step == max_steps:
                 raise _flow_error("capped", x, grad_norm(x)[1], step, grad_tol)
             step += 1
-            x_new = descend(x, g, h)
-            if coords(x_new) == coords(x):
+            moved = flow_step(x, g, h)
+            if moved is None:
                 # Step underflows at this resolution; nothing further can move.
                 raise _flow_error("stalled", x, grad_norm(x)[1], step, grad_tol)
-            x = x_new
-            g, q = grad_sq(x)
+            x, g, q = moved
     return np.asarray(x)
 
 

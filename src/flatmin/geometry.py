@@ -198,7 +198,8 @@ def sample_sphere_batch(d: int, m: int, rng: RngStream) -> np.ndarray:
     the others, so row k is the k-th of m successive ``sample_sphere(d, rng)``
     draws and ``rng`` ends in the same state. Each norm is ``sqrt(vecdot)``,
     which tests check equals ``np.linalg.norm`` of the row bit for bit
-    (``norm(axis=1)`` differs in the last bit).
+    (``norm(axis=1)`` differs in the last bit). The rows are divided in
+    place, in the array drawn here, so no second ``(m, d)`` array is made.
     """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
@@ -206,7 +207,7 @@ def sample_sphere_batch(d: int, m: int, rng: RngStream) -> np.ndarray:
     while True:
         n = np.sqrt(np.vecdot(G, G))
         if n.all():
-            return G / n[:, None]
+            return np.divide(G, n[:, None], out=G)
         kept = G[n > 0.0]
         G = np.concatenate([kept, rng.normal((m - len(kept), d))])
 
@@ -218,9 +219,9 @@ def sphere_blocks(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    """Central-difference gradient of a scalar function; the step ``h`` must be positive and finite."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h!r}")
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     for j in range(x.size):

@@ -208,16 +208,19 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
     # callables wrap it.
     a_list = a.tolist()
     a_sq = [_square(ai) for ai in a_list]
+    # Python multiplies left to right, so ``two_m2 * r`` rounds as ``2.0 * m2 * r``.
+    two_m2 = 2.0 * m2
+    two_a_sq = [2.0 * s for s in a_sq]
 
     def float_value(x0, x1):
         return m2 * _square(x0 * x1 - c)
 
     def float_grad(x0, x1):
-        r = 2.0 * m2 * (x0 * x1 - c)
+        r = two_m2 * (x0 * x1 - c)
         return r * x1, r * x0
 
     def float_sample_grad(i, x0, x1):
-        r = 2.0 * a_sq[i] * (x0 * x1 - c)
+        r = two_a_sq[i] * (x0 * x1 - c)
         return r * x1, r * x0
 
     def float_pred_grad(i, x0, x1):
@@ -231,8 +234,8 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         return np.array(float_grad(*x.tolist()))
 
     def hess(x):
-        off = 2.0 * m2 * (2.0 * x[0] * x[1] - c)
-        return np.array([[2.0 * m2 * x[1] ** 2, off], [off, 2.0 * m2 * x[0] ** 2]])
+        off = two_m2 * (2.0 * x[0] * x[1] - c)
+        return np.array([[two_m2 * x[1] ** 2, off], [off, two_m2 * x[0] ** 2]])
 
     def value_many(X):
         r = X[:, 0] * X[:, 1] - c
@@ -240,7 +243,7 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
 
     def grad_many(X):
         x0, x1 = X[:, 0], X[:, 1]
-        r = 2.0 * m2 * (x0 * x1 - c)
+        r = two_m2 * (x0 * x1 - c)
         # Column by column (a row-broadcast multiply loops two values at a time),
         # into C order for any layout of X, so row-wise products see contiguous rows.
         out = np.empty((len(X), 2))
@@ -249,7 +252,7 @@ def build_scalar_factorization(a, c: float) -> SampleSumObjective:
         return out
 
     def trace_grad(x):
-        return np.array([2.0 * m2 * x[0], 2.0 * m2 * x[1]])
+        return np.array([two_m2 * x[0], two_m2 * x[1]])
 
     def sample_value(i, x):
         x0, x1 = x.tolist()
@@ -438,7 +441,7 @@ def as_start(obj, x, rows: bool = False) -> np.ndarray:
 
 
 def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Callable]:
-    """``(point, coords, evaluate, grad_norm, grad_sq, descend)``: the one choice of how the iterates of ``obj`` are held.
+    """``(point, evaluate, grad_norm, grad_sq, descend, flow_step)``: the one choice of how the iterates of ``obj`` are held.
 
     Where ``obj`` carries every one of its own ``float_*`` formulas (an
     Objective its two; a SampleSumObjective its two and its base's two),
@@ -450,14 +453,17 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
     point, only its cost: numpy spends more per call on a length-2 array
     than the arithmetic itself.
 
-    ``point(x)`` is the iterate at the float64 ndarray ``x``; ``coords(x)``
-    its coordinates as a tuple of Python floats; ``evaluate(x)`` the tuple
-    ``(coords(x), f(x), g, |g|)`` of all that ``run`` needs of an iterate,
-    f as a Python float and ``g`` the base gradient; ``grad_norm(x)`` the
-    pair ``(g, |g|)``; ``grad_sq(x)`` the base gradient and its square sum;
-    and ``descend(x, g, h)`` the step ``x - h * g``. ``run`` steps through
-    ``evaluate``, once per iterate, and ``gradient_flow_limit`` through
-    the others.
+    ``point(x)`` is the iterate at the float64 ndarray ``x``;
+    ``evaluate(x)`` the tuple ``(coordinates, f(x), g, |g|)`` of all that
+    ``run`` needs of an iterate, the coordinates as a tuple of Python
+    floats, f as a Python float and ``g`` the base gradient;
+    ``grad_norm(x)`` the pair ``(g, |g|)``; ``grad_sq(x)`` the base
+    gradient and its square sum; and ``descend(x, g, h)`` the step
+    ``x - h * g``. ``flow_step(x, g, h)`` takes that step too and returns
+    None if it moved no coordinate, else the triple ``(x_new, g_new, q)``
+    of the new iterate, its gradient and that gradient's square sum, in
+    one call. ``run`` steps through ``evaluate`` and ``descend``, once per
+    iterate, and ``gradient_flow_limit`` through the others.
 
     The norm is exact in both forms: ``sqrt`` of the dot product as
     ``np.dot`` rounds it. The ndarray form's square sum is that dot
@@ -486,14 +492,14 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
             g = grad(x)
             return g, float(np.dot(g, g))
 
-        return (
-            lambda x: x,
-            lambda x: tuple(x.tolist()),
-            evaluate,
-            grad_norm,
-            grad_sq,
-            lambda x, g, h: x - h * g,
-        )
+        def flow_step(x, g, h):
+            x_new = x - h * g
+            if x_new.tolist() == x.tolist():
+                return None
+            g = grad(x_new)
+            return x_new, g, float(np.dot(g, g))
+
+        return lambda x: x, evaluate, grad_norm, grad_sq, lambda x, g, h: x - h * g, flow_step
 
     f_value, f_grad = base.float_value, base.float_grad
     sqrt = math.sqrt
@@ -515,4 +521,14 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
         g0, g1 = g
         return x0 - h * g0, x1 - h * g1
 
-    return lambda x: tuple(x.tolist()), tuple, float_evaluate, float_grad_norm, float_grad_sq, descend
+    def float_flow_step(x, g, h):
+        x0, x1 = x
+        g0, g1 = g
+        y0 = x0 - h * g0
+        y1 = x1 - h * g1
+        if y0 == x0 and y1 == x1:
+            return None
+        g0, g1 = g = f_grad(y0, y1)
+        return (y0, y1), g, g0 * g0 + g1 * g1
+
+    return lambda x: tuple(x.tolist()), float_evaluate, float_grad_norm, float_grad_sq, descend, float_flow_step

@@ -505,7 +505,7 @@ def run(
     eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * _square(sched.eta)
-    point, _, evaluate, _, _, descend = iterates(obj)
+    point, evaluate, _, _, descend, _ = iterates(obj)
     x = point(x)
     step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
     isfinite = math.isfinite

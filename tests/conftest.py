@@ -56,6 +56,13 @@ def count_exact_dots(monkeypatch, *modules) -> list:
     return calls
 
 
+def count_calls(obj, *names) -> tuple:
+    """``(copy, calls)``: ``obj`` with its callables ``names`` wrapped through ``dataclasses.replace``; each call appends its arguments to ``calls``."""
+    calls = []
+    wrapped = {name: lambda *a, _f=getattr(obj, name): (calls.append(a), _f(*a))[1] for name in names}
+    return dataclasses.replace(obj, **wrapped), calls
+
+
 def without_float_formulas(obj):
     """``obj`` with its ``float_*`` formulas set to None, so ``run`` and the flow step on ndarrays."""
     floats = {"float_value": None, "float_grad": None}

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from flatmin import LandscapeSpec, RngStream, SampleSumObjective, Schedule
-from flatmin.objectives import base_of
-from flatmin.geometry import U_TOL, normalized_trace, sample_sphere_batch
+from flatmin import LandscapeSpec, RngStream, SampleSumObjective, Schedule, flow, geometry
+from flatmin.objectives import as_start, base_of
+from flatmin.geometry import _SQUARE_TOP, U_TOL, _square_band, normalized_trace, sample_sphere_batch
 from flatmin.oracle import REL_TOL, RS_ESTIMATOR_LEAST_N, SA_DFACTOR_LEAST_N, OracleReport
 
 #: ``(step_fraction, grad_tol)`` of the smaller-step flow for Jacobian probes
@@ -47,6 +47,81 @@ def fixed_step_flow(obj, x0: np.ndarray, step_fraction: float, grad_tol: float) 
         x = x_new
         g = obj.grad(x)
     return x
+
+
+def _two_call_iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable]:
+    """``(point, coords, grad_norm, grad_sq, descend)`` of the Objective ``obj``, as the flow once took them.
+
+    Python-float pairs where ``obj`` has both ``float_*`` formulas, float64
+    ndarrays otherwise; the exact self-dot is ``geometry._sq2`` or ``np.dot``.
+    """
+    if obj.float_value is None or obj.float_grad is None:
+
+        def grad_norm(x):
+            g = obj.grad(x)
+            return g, math.sqrt(np.dot(g, g))
+
+        def grad_sq(x):
+            g = obj.grad(x)
+            return g, float(np.dot(g, g))
+
+        return lambda x: x, lambda x: tuple(x.tolist()), grad_norm, grad_sq, lambda x, g, h: x - h * g
+
+    f_grad = obj.float_grad
+
+    def float_grad_norm(x):
+        g0, g1 = g = f_grad(*x)
+        return g, math.sqrt(geometry._sq2(g0, g1))
+
+    def float_grad_sq(x):
+        g0, g1 = g = f_grad(*x)
+        return g, g0 * g0 + g1 * g1
+
+    def descend(x, g, h):
+        x0, x1 = x
+        g0, g1 = g
+        return x0 - h * g0, x1 - h * g1
+
+    return lambda x: tuple(x.tolist()), tuple, float_grad_norm, float_grad_sq, descend
+
+
+def two_call_flow(obj, x0: np.ndarray, grad_tol: float) -> np.ndarray:
+    """``flow.gradient_flow_limit`` as it was before each step became one ``flow_step`` call.
+
+    The loop is the earlier one verbatim: a step is ``descend``, a tuple
+    comparison of the coordinates before and after for the stall test, and
+    a second call for the new gradient and its square sum. It reads
+    ``flow.FLOW_MAX_STEPS`` when called, so a patched cap holds here too.
+    """
+    obj = base_of(obj)
+    h = flow.FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
+    point, coords, grad_norm, grad_sq, descend = _two_call_iterates(obj)
+    x = point(as_start(obj, x0))
+    lo, hi = _square_band(grad_tol)
+    max_steps = flow.FLOW_MAX_STEPS
+
+    # Overflow, at the start or during a diverging run, is detected and
+    # reported; keep it quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, q = grad_sq(x)
+        step = 0
+        while not q < lo:
+            if not hi < q < _SQUARE_TOP:
+                gn = grad_norm(x)[1]
+                if not math.isfinite(gn):
+                    raise flow._flow_error("non-finite", x, gn, step, grad_tol)
+                if gn <= grad_tol:
+                    break
+            if step == max_steps:
+                raise flow._flow_error("capped", x, grad_norm(x)[1], step, grad_tol)
+            step += 1
+            x_new = descend(x, g, h)
+            if coords(x_new) == coords(x):
+                # Step underflows at this resolution; nothing further can move.
+                raise flow._flow_error("stalled", x, grad_norm(x)[1], step, grad_tol)
+            x = x_new
+            g, q = grad_sq(x)
+    return np.asarray(x)
 
 
 def landing_trace(x, m2: float, c: float) -> float:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -28,13 +27,22 @@ from flatmin import (
 from flatmin import flow, objectives
 from conftest import (
     base_objective,
+    count_calls,
     count_exact_dots,
     hyperbola_manifold_point,
     hyperbola_tube_region,
     near_manifold_points,
     without_float_formulas,
 )
-from references import ACCURATE_FLOW, REFERENCE_FLOW, fd_jacobian, fixed_step_flow, flat_grad_norm, landing_point
+from references import (
+    ACCURATE_FLOW,
+    REFERENCE_FLOW,
+    fd_jacobian,
+    fixed_step_flow,
+    flat_grad_norm,
+    landing_point,
+    two_call_flow,
+)
 
 
 class TestGradientFlowLimit:
@@ -78,14 +86,12 @@ class TestGradientFlowLimit:
             assert np.linalg.norm(obj.grad(x_hat)) <= DEFAULT_FLOW
 
     def test_cost_nonincreasing_along_flow(self):
+        # The hyperbola's flow steps on floats, through float_grad alone.
         obj = build_hyperbola()
-        visited = []
-        probed = dataclasses.replace(
-            obj, grad=lambda x, _g=obj.grad: (visited.append(np.array(x)), _g(x))[1]
-        )
+        probed, visited = count_calls(obj, "float_grad")
         gradient_flow_limit(probed, np.array([1.5, 0.9]))
-        values = [obj.value(x) for x in visited]
-        assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+        values = [obj.float_value(*x) for x in visited]
+        assert len(values) > 50 and all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_max_steps_exhaustion_reports_last_iterate(self, monkeypatch):
         obj = build_convex_quadratic([1.0, 1.0])
@@ -179,12 +185,68 @@ class TestExactNormOnlyNearTheTolerance:
         # (3, 1/3) lies on the minima set; the certifier probes it TRACE_FD_STEP away.
         obj = build_hyperbola()
         x0 = np.array([3.0, 1.0 / 3.0]) + offset
-        steps = []
         dots = count_exact_dots(monkeypatch, objectives)
-        counted = dataclasses.replace(obj, float_grad=lambda x0, x1, _g=obj.float_grad: (steps.append(x0), _g(x0, x1))[1])
+        counted, steps = count_calls(obj, "float_grad")
         landing = gradient_flow_limit(counted, x0, grad_tol)
         assert len(steps) > 50 and len(dots) <= 2
         assert landing.tobytes() == gradient_flow_limit(without_float_formulas(obj), x0, grad_tol).tobytes()
+
+
+def _factorization_forms():
+    """The hyperbola and the n = 4 factorization, each on floats and on ndarrays (``without_float_formulas``)."""
+    forms = {}
+    for label, a in (("hyperbola", [1.0]), ("factorization-n4", [1.0, 0.7, 1.3, 1.6])):
+        obj = build_scalar_factorization(a, 1.0).base
+        forms[label + "-floats"] = obj
+        forms[label + "-ndarrays"] = without_float_formulas(obj)
+    return forms
+
+
+_FORMS = _factorization_forms()
+
+
+class TestOneCallPerStep:
+    """Each flow step is one ``flow_step`` call; the solve ends as the earlier two-call loop did, bit for bit."""
+
+    @pytest.mark.parametrize("form", list(_FORMS))
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        unit=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        # 3 is the test box; 10, 1e3 and 1e160 start beyond it and overflow during the flow or at its start.
+        scale=st.sampled_from([3.0, 10.0, 1e3, 1e160]),
+        # The gradient cannot reach 2**-499, so in the box that flow stalls.
+        grad_tol=st.sampled_from([DEFAULT_FLOW, ORACLE_FLOW, 2.0**-499]),
+        # 20 000 stands in for FLOW_MAX_STEPS: beyond the box, a 2**-499 solve
+        # can cycle in its last bits until the cap, 10 000 000 steps.
+        max_steps=st.sampled_from([20_000, 40]),
+    )
+    def test_same_landing_or_error_as_two_call_loop(self, form, unit, scale, grad_tol, max_steps):
+        obj = _FORMS[form]
+        x0 = scale * np.array(unit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "FLOW_MAX_STEPS", max_steps)
+            got = _landing_or_error(lambda: gradient_flow_limit(obj, x0, grad_tol).tobytes())
+            assert got == _landing_or_error(lambda: two_call_flow(obj, x0, grad_tol).tobytes())
+
+    @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
+    @pytest.mark.parametrize("form", list(_FORMS))
+    @pytest.mark.parametrize("x0", [(1.5, 0.7), (-2.0, -0.4), (3.0 + 1e-4, 1.0 / 3.0)])
+    def test_one_gradient_per_step(self, monkeypatch, form, x0, grad_tol):
+        # Two evaluations in a step would show as a count above the two-call loop's.
+        obj = _FORMS[form]
+        name = "float_grad" if obj.float_grad is not None else "grad"
+        dots = count_exact_dots(monkeypatch, objectives)
+        counted, calls = count_calls(obj, name)
+        landing = gradient_flow_limit(counted, np.array(x0), grad_tol)
+        reference, ref_calls = count_calls(obj, name)
+        assert landing.tobytes() == two_call_flow(reference, np.array(x0), grad_tol).tobytes()
+        assert len(calls) == len(ref_calls)
+        # A step moves the point; an exact norm re-evaluates the point it is at.
+        points = [np.array(a).tobytes() for a in calls]
+        steps = sum(p != q for p, q in zip(points, points[1:]))
+        assert steps > 50
+        if name == "float_grad":
+            assert len(dots) <= 2 and len(calls) == steps + 1 + len(dots)
 
 
 class TestLandingProperty:

@@ -359,6 +359,14 @@ class TestFdGradient:
         with pytest.raises(ValueError):
             fd_gradient(lambda x: 0.0, np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1e-4])
+    def test_step_must_be_positive_and_finite(self, h):
+        # NaN and inf once gave a gradient of NaNs without an error.
+        calls = []
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            fd_gradient(lambda x: calls.append(x) or 0.0, np.zeros(2), h)
+        assert calls == []
+
 
 class TestNormalizedTrace:
     def test_hyperbola_closed_form(self):
