@@ -15,7 +15,6 @@ and ``argparse`` in ``cli.main``.
 from .geometry import (
     RngStream,
     fd_gradient,
-    normalized_trace,
     proj_out,
     sample_sphere,
     sample_sphere_batch,
@@ -30,6 +29,7 @@ from .objectives import (
     build_orthogonal_quadratic_model,
     build_scalar_factorization,
     canonical_minimum,
+    normalized_trace,
 )
 from .flow import (
     DEFAULT_FLOW,
@@ -60,7 +60,6 @@ from .optimizers import (
 __all__ = [
     "RngStream",
     "fd_gradient",
-    "normalized_trace",
     "proj_out",
     "sample_sphere",
     "sample_sphere_batch",
@@ -73,6 +72,7 @@ __all__ = [
     "build_orthogonal_quadratic_model",
     "build_scalar_factorization",
     "canonical_minimum",
+    "normalized_trace",
     "DEFAULT_FLOW",
     "ORACLE_FLOW",
     "FlatnessCertificate",

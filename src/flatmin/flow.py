@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _SQUARE_TOP, _square_band, fd_gradient, normalized_trace
-from .objectives import as_start, base_of, iterates
+from .geometry import _SQUARE_TOP, _square_band, fd_gradient
+from .objectives import as_start, base_of, iterates, normalized_trace
 
 
 class FlowConvergenceError(RuntimeError):
@@ -100,20 +100,24 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
 
-    The iterates are held as :func:`~flatmin.objectives.iterates` chooses,
-    and each step is one call of its ``flow_step``, which moves the iterate
-    and returns its gradient and square sum, or None if nothing moved.
-    Each step tests the gradient's square sum against the band of
-    :func:`~flatmin.geometry._square_band` around ``grad_tol**2``; only a
-    sum inside the band, a non-finite one or a failure takes the exact
-    norm. The outcome is that of testing the exact norm at every step, bit
-    for bit, and every error reports the exact norm.
+    The iterates are held as :func:`~flatmin.objectives.iterates` chooses.
+    The solve evaluates its start with ``evaluate`` and takes each step by
+    one call of ``flow_step``, which moves the iterate and returns its
+    gradient and square sum, or None if nothing moved; so a solve that
+    lands makes steps + 1 gradient calls. The stopping test compares a
+    square sum with the band of :func:`~flatmin.geometry._square_band`
+    around ``grad_tol**2``: at the start the square of the exact norm,
+    after a step the square sum ``flow_step`` gives. Only a sum inside the
+    band, a non-finite one or a failure takes the exact norm, ``sqrt`` of
+    ``np.dot`` of the gradient the solve holds. The outcome is that of
+    testing the exact norm at every step, bit for bit, and every error
+    reports the exact norm.
     """
     if not 0.0 < grad_tol < math.inf:
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    point, _, grad_norm, grad_sq, _, flow_step = iterates(obj)
+    point, evaluate, _, flow_step = iterates(obj)
     x = point(as_start(obj, x0))
     lo, hi = _square_band(grad_tol)
     max_steps = FLOW_MAX_STEPS
@@ -121,22 +125,23 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        g, q = grad_sq(x)
+        _, _, g, gn = evaluate(x)
+        q = gn * gn
         step = 0
         while not q < lo:
             if not hi < q < _SQUARE_TOP:
-                gn = grad_norm(x)[1]
+                gn = math.sqrt(np.dot(g, g))
                 if not math.isfinite(gn):
                     raise _flow_error("non-finite", x, gn, step, grad_tol)
                 if gn <= grad_tol:
                     break
             if step == max_steps:
-                raise _flow_error("capped", x, grad_norm(x)[1], step, grad_tol)
+                raise _flow_error("capped", x, math.sqrt(np.dot(g, g)), step, grad_tol)
             step += 1
             moved = flow_step(x, g, h)
             if moved is None:
                 # Step underflows at this resolution; nothing further can move.
-                raise _flow_error("stalled", x, grad_norm(x)[1], step, grad_tol)
+                raise _flow_error("stalled", x, math.sqrt(np.dot(g, g)), step, grad_tol)
             x, g, q = moved
     return np.asarray(x)
 
@@ -205,8 +210,7 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
 
 def trace_at_flow_limit(obj, x: np.ndarray) -> float:
     """Normalized Hessian trace evaluated at the flow landing point."""
-    base = base_of(obj)
-    return normalized_trace(base, gradient_flow_limit(base, x))
+    return normalized_trace(obj, gradient_flow_limit(obj, x))
 
 
 def restricted_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared geometric primitives: projection, sphere sampling, trace, finite differences."""
+"""Shared geometric primitives: projection, sphere sampling, exact 2-vector dots, finite differences."""
 
 from __future__ import annotations
 
@@ -141,18 +141,22 @@ _SQUARE_TOP = 2.0**1023
 
 
 def _square_band(tol: float) -> tuple[float, float]:
-    """``(lo, hi)``: where the plain square sum ``q = g0*g0 + g1*g1`` decides ``sqrt(_dot2(g0, g1, g0, g1)) <= tol``.
+    """``(lo, hi)``: where a square sum ``q`` of ``(g0, g1)`` decides ``sqrt(_dot2(g0, g1, g0, g1)) <= tol``.
 
-    ``q < lo`` means it holds, and ``hi < q < _SQUARE_TOP`` that it fails
-    with a finite ``_dot2``; only ``q`` between, or non-finite, needs the
-    exact test. For ``tol`` in [2**-500, 2**500], ``lo`` and ``hi`` are
-    ``tol*tol`` times ``1 -/+ 2**-48``. The bound: each square is within
-    u = 2**-53 of exact, relatively, or 2**-1075 absolutely if subnormal,
-    so ``q`` and ``_dot2`` (fused or not) differ by at most 3u·q plus
-    2**-1072. That, the roundings of ``tol*tol``, of the band ends and of
-    the square root, and ``tol*tol >= 2**-1000`` all fit in the band's
-    relative half-width of 2**-48 = 32u. For any other ``tol`` the band
-    is everything (``lo`` = -1, ``hi`` = inf), so every test is exact.
+    ``q`` is the plain ``g0*g0 + g1*g1`` (a flow step's) or ``n*n``, the
+    square of the exact norm ``n`` (a flow start's). ``q < lo`` means the
+    test holds, and ``hi < q < _SQUARE_TOP`` that it fails with a finite
+    ``_dot2``; only ``q`` between, or non-finite, needs the exact test.
+    For ``tol`` in [2**-500, 2**500], ``lo`` and ``hi`` are ``tol*tol``
+    times ``1 -/+ 2**-48``. The bound: each square is within u = 2**-53 of
+    exact, relatively, or 2**-1075 absolutely if subnormal, so the plain
+    ``q`` and ``_dot2`` (fused or not) differ by at most 3u·q plus
+    2**-1072; ``n`` is within u of ``sqrt(_dot2)``, relatively, so
+    ``n*n`` is within 3u·q plus 2**-1075. That, the roundings of
+    ``tol*tol``, of the band ends and of the square root, and
+    ``tol*tol >= 2**-1000`` all fit in the band's relative half-width of
+    2**-48 = 32u. For any other ``tol`` the band is everything (``lo`` =
+    -1, ``hi`` = inf), so every test is exact.
     """
     if not 2.0**-500 <= tol <= 2.0**500:
         return -1.0, math.inf
@@ -229,8 +233,3 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> n
         e[j] = h
         out[j] = (float(fn(x + e)) - float(fn(x - e))) / (2.0 * h)
     return out
-
-
-def normalized_trace(obj, x: np.ndarray) -> float:
-    """Trace of the exact Hessian of ``obj`` at ``x`` divided by the dimension."""
-    return float(np.trace(obj.hess(np.asarray(x, dtype=float)))) / obj.dim

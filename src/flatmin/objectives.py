@@ -440,8 +440,14 @@ def as_start(obj, x, rows: bool = False) -> np.ndarray:
     return x
 
 
-def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Callable]:
-    """``(point, evaluate, grad_norm, grad_sq, descend, flow_step)``: the one choice of how the iterates of ``obj`` are held.
+def normalized_trace(obj, x) -> float:
+    """Trace of the exact Hessian of ``base_of(obj)`` at ``x``, divided by the dimension; ``x`` as :func:`as_start` takes it."""
+    base = base_of(obj)
+    return float(np.trace(base.hess(as_start(obj, x)))) / base.dim
+
+
+def iterates(obj) -> tuple[Callable, Callable, Callable, Callable]:
+    """``(point, evaluate, descend, flow_step)``: the one choice of how the iterates of ``obj`` are held.
 
     Where ``obj`` carries every one of its own ``float_*`` formulas (an
     Objective its two; a SampleSumObjective its two and its base's two),
@@ -455,22 +461,17 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
 
     ``point(x)`` is the iterate at the float64 ndarray ``x``;
     ``evaluate(x)`` the tuple ``(coordinates, f(x), g, |g|)`` of all that
-    ``run`` needs of an iterate, the coordinates as a tuple of Python
-    floats, f as a Python float and ``g`` the base gradient;
-    ``grad_norm(x)`` the pair ``(g, |g|)``; ``grad_sq(x)`` the base
-    gradient and its square sum; and ``descend(x, g, h)`` the step
-    ``x - h * g``. ``flow_step(x, g, h)`` takes that step too and returns
-    None if it moved no coordinate, else the triple ``(x_new, g_new, q)``
-    of the new iterate, its gradient and that gradient's square sum, in
-    one call. ``run`` steps through ``evaluate`` and ``descend``, once per
-    iterate, and ``gradient_flow_limit`` through the others.
-
-    The norm is exact in both forms: ``sqrt`` of the dot product as
-    ``np.dot`` rounds it. The ndarray form's square sum is that dot
-    product too; the float form's is the plain ``g0*g0 + g1*g1``, which
-    skips the exact ``_sq2``. The flow decides its stopping test from the
-    square sum with ``geometry._square_band`` and takes ``grad_norm`` only
-    where the band leaves the test open.
+    is needed of an iterate, the coordinates as a tuple of Python floats,
+    f as a Python float, ``g`` the base gradient and ``|g|`` its exact
+    norm, ``sqrt`` of the dot product as ``np.dot`` rounds it; and
+    ``descend(x, g, h)`` the step ``x - h * g``. ``flow_step(x, g, h)``
+    takes that step too and returns None if it moved no coordinate, else
+    the triple ``(x_new, g_new, q)`` of the new iterate, its gradient and
+    that gradient's square sum, in one call: on ndarrays the dot product,
+    on floats the plain ``g0*g0 + g1*g1``, which skips the exact ``_sq2``.
+    ``run`` steps through ``evaluate`` and ``descend``, and
+    ``gradient_flow_limit`` starts from ``evaluate`` and steps through
+    ``flow_step``; each evaluates the gradient once per iterate.
     """
     base = base_of(obj)
     formulas = [base.float_value, base.float_grad]
@@ -484,14 +485,6 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
             g = grad(x)
             return tuple(x.tolist()), f, g, math.sqrt(np.dot(g, g))
 
-        def grad_norm(x):
-            g = grad(x)
-            return g, math.sqrt(np.dot(g, g))
-
-        def grad_sq(x):
-            g = grad(x)
-            return g, float(np.dot(g, g))
-
         def flow_step(x, g, h):
             x_new = x - h * g
             if x_new.tolist() == x.tolist():
@@ -499,7 +492,7 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
             g = grad(x_new)
             return x_new, g, float(np.dot(g, g))
 
-        return lambda x: x, evaluate, grad_norm, grad_sq, lambda x, g, h: x - h * g, flow_step
+        return lambda x: x, evaluate, lambda x, g, h: x - h * g, flow_step
 
     f_value, f_grad = base.float_value, base.float_grad
     sqrt = math.sqrt
@@ -507,14 +500,6 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
     def float_evaluate(x):
         g0, g1 = g = f_grad(*x)
         return x, f_value(*x), g, sqrt(_sq2(g0, g1))
-
-    def float_grad_norm(x):
-        g0, g1 = g = f_grad(*x)
-        return g, sqrt(_sq2(g0, g1))
-
-    def float_grad_sq(x):
-        g0, g1 = g = f_grad(*x)
-        return g, g0 * g0 + g1 * g1
 
     def descend(x, g, h):
         x0, x1 = x
@@ -531,4 +516,4 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable, Callable, Cal
         g0, g1 = g = f_grad(y0, y1)
         return (y0, y1), g, g0 * g0 + g1 * g1
 
-    return lambda x: tuple(x.tolist()), float_evaluate, float_grad_norm, float_grad_sq, descend, float_flow_step
+    return lambda x: tuple(x.tolist()), float_evaluate, descend, float_flow_step

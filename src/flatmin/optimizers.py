@@ -24,12 +24,11 @@ from .geometry import (
     RngStream,
     _dot2,
     _sq2,
-    normalized_trace,
     proj_out_normed,
     sample_sphere,
     sphere_blocks,
 )
-from .objectives import Objective, SampleSumObjective, _square, as_start, base_of, iterates
+from .objectives import Objective, SampleSumObjective, _square, as_start, base_of, iterates, normalized_trace
 from .flow import gradient_flow_limits
 
 #: Additive slack allowed when checking the per-step descent inequality.
@@ -170,11 +169,10 @@ def _schedule(
 
 @dataclass(frozen=True)
 class PerturbationDiagnostics:
-    """Per-step perturbation data: direction drawn, v, and its norm."""
+    """Per-step perturbation data: v, its norm, and the direction drawn (RS's sphere draw, SA's prediction direction)."""
 
     v: np.ndarray
     v_norm: float
-    g: np.ndarray | None = None
     sample_index: int | None = None
     sigma: float | None = None
     direction: np.ndarray | None = None
@@ -250,18 +248,19 @@ def rs_step(
 ) -> tuple[np.ndarray, PerturbationDiagnostics]:
     """One randomly smoothed perturbation step.
 
-    Draws a uniform unit vector g, forms v by projecting the gradient at
-    x + rho*g orthogonally to grad(x), and returns x - eta*(grad(x) + v)
-    together with the draw diagnostics.
+    Draws a uniform unit vector u, forms v by projecting the gradient at
+    x + rho*u orthogonally to grad(x), and returns x - eta*(grad(x) + v)
+    together with the draw diagnostics, u as ``direction``. ``x`` is taken
+    as ``run`` takes its start (:func:`~flatmin.objectives.as_start`).
     """
     if not (0.0 < eta < math.inf and 0.0 <= rho < math.inf):
         raise ValueError("need a finite eta > 0 and a finite rho >= 0")
     base = base_of(obj)
-    x = np.asarray(x, dtype=float)
+    x = as_start(obj, x)
     grad_x = base.grad(x)
     u = sample_sphere(base.dim, rng)
     v, v_norm = _rs_perturbation(base, x, grad_x, math.sqrt(np.dot(grad_x, grad_x)), rho * u)
-    return _checked_step(x, eta, grad_x, v), PerturbationDiagnostics(v=v, v_norm=v_norm, g=u)
+    return _checked_step(x, eta, grad_x, v), PerturbationDiagnostics(v=v, v_norm=v_norm, direction=u)
 
 
 def sa_step(
@@ -278,13 +277,14 @@ def sa_step(
     the normalized prediction gradient of sample i (the normalized
     per-sample gradient up to sign), and projects the displaced per-sample
     gradient orthogonally to the full gradient. ``jitter`` is
-    unused; the slot keeps positional callers working.
+    unused; the slot keeps positional callers working. ``x`` is taken as
+    ``run`` takes its start (:func:`~flatmin.objectives.as_start`).
     """
     if not (0.0 < eta < math.inf and 0.0 <= rho < math.inf):
         raise ValueError("need a finite eta > 0 and a finite rho >= 0")
     if not isinstance(obj, SampleSumObjective):
         raise TypeError("sharpness-aware step needs a SampleSumObjective")
-    x = np.asarray(x, dtype=float)
+    x = as_start(obj, x)
     grad_x = obj.base.grad(x)
     i = rng.integers(0, obj.n)
     sigma = 1.0 if rng.integers(0, 2) == 1 else -1.0
@@ -505,7 +505,7 @@ def run(
     eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * _square(sched.eta)
-    point, evaluate, _, _, descend, _ = iterates(obj)
+    point, evaluate, descend, _ = iterates(obj)
     x = point(x)
     step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
     isfinite = math.isfinite

@@ -37,8 +37,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import RngStream, U_TOL, normalized_trace, sample_sphere_batch
-from .objectives import SampleSumObjective, base_of
+from .geometry import RngStream, U_TOL, sample_sphere_batch
+from .objectives import SampleSumObjective, base_of, normalized_trace
 from .flow import gradient_flow_limits
 from .optimizers import DESCENT_SLACK, Trajectory
 

@@ -56,6 +56,22 @@ def count_exact_dots(monkeypatch, *modules) -> list:
     return calls
 
 
+def count_numpy_dots(monkeypatch, module) -> list:
+    """Wrap ``np.dot`` as ``module`` alone sees it, by a stand-in for its ``np``; returns the list its calls append to."""
+    calls = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def dot(self, a, b):
+            calls.append((a, b))
+            return np.dot(a, b)
+
+    monkeypatch.setattr(module, "np", Numpy())
+    return calls
+
+
 def count_calls(obj, *names) -> tuple:
     """``(copy, calls)``: ``obj`` with its callables ``names`` wrapped through ``dataclasses.replace``; each call appends its arguments to ``calls``."""
     calls = []

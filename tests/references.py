@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from flatmin import LandscapeSpec, RngStream, SampleSumObjective, Schedule, flow, geometry
-from flatmin.objectives import as_start, base_of
-from flatmin.geometry import _SQUARE_TOP, U_TOL, _square_band, normalized_trace, sample_sphere_batch
+from flatmin.objectives import as_start, base_of, normalized_trace
+from flatmin.geometry import _SQUARE_TOP, U_TOL, _square_band, sample_sphere_batch
 from flatmin.oracle import REL_TOL, RS_ESTIMATOR_LEAST_N, SA_DFACTOR_LEAST_N, OracleReport
 
 #: ``(step_fraction, grad_tol)`` of the smaller-step flow for Jacobian probes

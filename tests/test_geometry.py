@@ -12,7 +12,6 @@ from flatmin import (
     DEFAULT_FLOW,
     ORACLE_FLOW,
     RngStream,
-    build_convex_quadratic,
     build_hyperbola,
     fd_gradient,
     normalized_trace,
@@ -22,8 +21,6 @@ from flatmin import (
 )
 from flatmin import geometry
 from flatmin.geometry import SPHERE_BLOCK, U_TOL, sphere_blocks
-
-from conftest import random_points
 
 
 @st.composite
@@ -294,7 +291,9 @@ def _band_cases(draw):
 
 
 class TestSquareBand:
-    """``geometry._square_band`` decides ``sqrt(dot2(g, g)) <= tol`` from the plain square sum only where that is certain.
+    """``geometry._square_band`` decides ``sqrt(dot2(g, g)) <= tol`` from a square sum only where that is certain.
+
+    The square sum is the plain ``g0*g0 + g1*g1`` or the square of the exact norm.
 
     ``_dot2_numpy`` is this build's ``np.dot``; ``_dot2_fused`` and the
     two-rounding sum stand for a fused and a non-fused build on any machine.
@@ -303,16 +302,18 @@ class TestSquareBand:
     @pytest.mark.parametrize(
         "dot2", [geometry._dot2_fused, geometry._dot2_numpy, _dot2_two_roundings], ids=["fused", "numpy", "two-roundings"]
     )
+    # The plain sum of a flow step, and the square of the exact norm, which the flow tests at its start.
+    @pytest.mark.parametrize("square", ["plain-sum", "norm-squared"])
     @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
     @given(_band_cases())
     # A finite plain sum whose fused dot overflows: why the band stops at _SQUARE_TOP.
     @example((1.0, 3.8689536468547147e146, 1.3407807929942591e154))
-    def test_decided_outcomes_equal_the_exact_test(self, dot2, case):
+    def test_decided_outcomes_equal_the_exact_test(self, dot2, square, case):
         tol, g0, g1 = case
         lo, hi = geometry._square_band(tol)
-        q = g0 * g0 + g1 * g1
         with np.errstate(over="ignore", invalid="ignore"):
             exact = math.sqrt(dot2(g0, g1, g0, g1))
+        q = g0 * g0 + g1 * g1 if square == "plain-sum" else exact * exact
         if q < lo:
             assert exact <= tol, (tol, g0, g1)
         elif hi < q < geometry._SQUARE_TOP:
@@ -367,14 +368,3 @@ class TestFdGradient:
             fd_gradient(lambda x: calls.append(x) or 0.0, np.zeros(2), h)
         assert calls == []
 
-
-class TestNormalizedTrace:
-    def test_hyperbola_closed_form(self):
-        obj = build_hyperbola()
-        assert normalized_trace(obj, np.array([1.0, 1.0])) == pytest.approx(2.0)
-        assert normalized_trace(obj, np.array([2.0, 0.5])) == pytest.approx(4.25)
-
-    def test_identity_quadratic_is_one_everywhere(self):
-        obj = build_convex_quadratic(np.ones(7))
-        for x in random_points(7, 5, seed=0):
-            assert normalized_trace(obj, x) == pytest.approx(1.0)

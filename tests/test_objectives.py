@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from flatmin import (
     build_scalar_factorization,
     canonical_minimum,
     fd_gradient,
+    normalized_trace,
 )
 from flatmin.objectives import TEST_REGION_HALF_WIDTH, iterates
 
@@ -246,8 +248,8 @@ class TestFlowStep:
 
     @staticmethod
     def _check(x, g, h):
-        float_step = iterates(_FACTORIZATION_N4)[5]
-        array_step = iterates(without_float_formulas(_FACTORIZATION_N4))[5]
+        float_step = iterates(_FACTORIZATION_N4)[3]
+        array_step = iterates(without_float_formulas(_FACTORIZATION_N4))[3]
         with np.errstate(over="ignore", invalid="ignore"):
             moved = any(not xi - h * gi == xi for xi, gi in zip(x, g))
             got = float_step(tuple(x), tuple(g), h)
@@ -341,6 +343,39 @@ class TestOrthogonalQuadraticModel:
             build_orthogonal_quadratic_model(4, 0, [])
 
 
+SAMPLE_SUM_SPECS = [s for s in ALL_LANDSCAPE_SPECS if s.kind in ("scalar_factorization", "orthogonal_quadratic_model")]
+
+
+class TestNormalizedTrace:
+    def test_hyperbola_closed_form(self):
+        obj = build_hyperbola()
+        assert normalized_trace(obj, np.array([1.0, 1.0])) == pytest.approx(2.0)
+        assert normalized_trace(obj, np.array([2.0, 0.5])) == pytest.approx(4.25)
+
+    def test_identity_quadratic_is_one_everywhere(self):
+        obj = build_convex_quadratic(np.ones(7))
+        for x in random_points(7, 5, seed=0):
+            assert normalized_trace(obj, x) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("spec", SAMPLE_SUM_SPECS, ids=str)
+    def test_sample_sum_objective_takes_its_base_trace(self, spec):
+        # A SampleSumObjective has no hess of its own; trace_at_flow_limit accepts one too.
+        obj = build_landscape(spec)
+        for x in random_points(obj.dim, 5, seed=11):
+            assert normalized_trace(obj, x) == normalized_trace(obj.base, x)
+
+    @pytest.mark.parametrize("obj", [build_hyperbola(), build_scalar_factorization([1.0, 2.0], 1.0)], ids=["hyperbola", "factorization"])
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], 1.0, [[1.0, 1.0]]], ids=["3", "1", "scalar", "1x2"])
+    def test_start_shape_must_fit_the_objective(self, obj, x):
+        # [1, 2, 3] on the hyperbola once gave 5.0 from its first two coordinates.
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (2,), got {np.shape(x)}")):
+            normalized_trace(obj, x)
+
+    def test_list_start_is_taken_as_floats(self):
+        obj = build_hyperbola()
+        assert normalized_trace(obj, [2, 1]) == normalized_trace(obj, np.array([2.0, 1.0]))
+
+
 @pytest.mark.parametrize("spec", ALL_LANDSCAPE_SPECS, ids=str)
 class TestDerivativeConsistency:
     def test_gradient_matches_finite_differences(self, spec):
@@ -373,16 +408,11 @@ class TestDerivativeConsistency:
             assert np.allclose(grads[k], obj.grad(x), rtol=1e-14, atol=1e-14)
 
     def test_trace_grad_matches_finite_differences(self, spec):
-        from flatmin import normalized_trace
-
         obj = base_objective(spec)
         for x in random_points(obj.dim, 10, seed=10):
             closed = obj.normalized_trace_grad(x)
             fd = fd_gradient(lambda p: normalized_trace(obj, p), x, 1e-4)
             assert np.max(np.abs(closed - fd)) <= 1e-6 * max(1.0, np.linalg.norm(closed))
-
-
-SAMPLE_SUM_SPECS = [s for s in ALL_LANDSCAPE_SPECS if s.kind in ("scalar_factorization", "orthogonal_quadratic_model")]
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SUM_SPECS, ids=str)

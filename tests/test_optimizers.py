@@ -273,6 +273,40 @@ class TestRsStep:
             rs_step(build_hyperbola(), np.ones(2), eta, rho, RngStream(0))
 
 
+_ORTHOGONAL_D4 = build_landscape(LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]}))
+
+
+class TestStepStartShape:
+    """``rs_step`` and ``sa_step`` reject a start whose shape does not fit the objective, with run's one ValueError."""
+
+    @pytest.mark.parametrize(
+        "algorithm,obj",
+        [
+            ("RS", build_hyperbola()),
+            ("RS", build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)),
+            ("RS", _ORTHOGONAL_D4),
+            ("SA", build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0)),
+            ("SA", _ORTHOGONAL_D4),
+        ],
+        ids=["RS-hyperbola", "RS-factorization-n4", "RS-orthogonal-d4", "SA-factorization-n4", "SA-orthogonal-d4"],
+    )
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_wrong_length(self, algorithm, obj, extra):
+        d = obj.dim
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape ({d},), got ({d + extra},)")):
+            if algorithm == "RS":
+                rs_step(obj, np.ones(d + extra), 1e-3, 0.05, RngStream(0))
+            else:
+                sa_step(obj, np.ones(d + extra), 1e-3, 0.05, None, RngStream(0))
+
+    @pytest.mark.parametrize("x", [1.0, [[1.0, 1.0]]], ids=["scalar", "1x2"])
+    def test_wrong_rank(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (2,), got {np.shape(x)}")):
+            rs_step(build_hyperbola(), x, 1e-3, 0.05, RngStream(0))
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (2,), got {np.shape(x)}")):
+            sa_step(build_scalar_factorization([1.0], 1.0), x, 1e-3, 0.05, None, RngStream(0))
+
+
 class TestSaStep:
     def test_single_sample_zero_radius_is_gradient_descent(self):
         ss = build_scalar_factorization([1.0], 1.0)
