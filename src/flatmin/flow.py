@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _SQUARE_TOP, _square_band, fd_gradient
+from .geometry import _SQUARE_TOP, _sq2, _square_band, fd_gradient
 from .objectives import as_start, base_of, iterates, normalized_trace
 
 
@@ -100,16 +100,17 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
 
-    The iterates are held as :func:`~flatmin.objectives.iterates` chooses.
-    The solve evaluates its start with ``evaluate`` and takes each step by
-    one call of ``flow_step``, which moves the iterate and returns its
-    gradient and square sum, or None if nothing moved; so a solve that
-    lands makes steps + 1 gradient calls. The stopping test compares a
-    square sum with the band of :func:`~flatmin.geometry._square_band`
-    around ``grad_tol**2``: at the start the square of the exact norm,
-    after a step the square sum ``flow_step`` gives. Only a sum inside the
+    The iterates are held as :func:`~flatmin.objectives.iterates` chooses,
+    and each form steps in its own loop: a float pair in the locals ``x0,
+    x1, g0, g1`` with one ``float_grad`` call per step, an ndarray through
+    ``grad``. A step that moves no coordinate ends the solve as stalled.
+    So a solve that lands makes steps + 1 gradient calls. The stopping
+    test compares a square sum ``q`` with the band of
+    :func:`~flatmin.geometry._square_band` around ``grad_tol**2``: at the
+    start the exact dot product, after a step on floats the plain ``g0*g0
+    + g1*g1`` and on ndarrays the exact dot again. Only a sum inside the
     band, a non-finite one or a failure takes the exact norm, ``sqrt`` of
-    ``np.dot`` of the gradient the solve holds. The outcome is that of
+    the exact dot of the gradient the solve holds. The outcome is that of
     testing the exact norm at every step, bit for bit, and every error
     reports the exact norm.
     """
@@ -117,33 +118,63 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    point, evaluate, _, flow_step = iterates(obj)
-    x = point(as_start(obj, x0))
+    x = iterates(obj)[0](as_start(obj, x0))
     lo, hi = _square_band(grad_tol)
     max_steps = FLOW_MAX_STEPS
+    sqrt = math.sqrt
 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, g, gn = evaluate(x)
-        q = gn * gn
+        if isinstance(x, tuple):
+            grad = obj.float_grad
+            x0, x1 = x
+            g0, g1 = grad(x0, x1)
+            q = _sq2(g0, g1)
+            step = 0
+            while not q < lo:
+                if not hi < q < _SQUARE_TOP:
+                    gn = sqrt(_sq2(g0, g1))
+                    if not math.isfinite(gn):
+                        raise _flow_error("non-finite", (x0, x1), gn, step, grad_tol)
+                    if gn <= grad_tol:
+                        break
+                if step == max_steps:
+                    raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                step += 1
+                y0 = x0 - h * g0
+                y1 = x1 - h * g1
+                if y0 == x0 and y1 == x1:
+                    # Step underflows at this resolution; nothing further can move.
+                    raise _flow_error("stalled", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                x0, x1 = y0, y1
+                g0, g1 = grad(y0, y1)
+                q = g0 * g0 + g1 * g1
+            return np.array((x0, x1))
+
+        # On ndarrays q is the exact dot at every step, so the exact norm is its root.
+        grad = obj.grad
+        g = grad(x)
+        q = float(np.dot(g, g))
         step = 0
         while not q < lo:
             if not hi < q < _SQUARE_TOP:
-                gn = math.sqrt(np.dot(g, g))
+                gn = sqrt(q)
                 if not math.isfinite(gn):
                     raise _flow_error("non-finite", x, gn, step, grad_tol)
                 if gn <= grad_tol:
                     break
             if step == max_steps:
-                raise _flow_error("capped", x, math.sqrt(np.dot(g, g)), step, grad_tol)
+                raise _flow_error("capped", x, sqrt(q), step, grad_tol)
             step += 1
-            moved = flow_step(x, g, h)
-            if moved is None:
+            x_new = x - h * g
+            if x_new.tolist() == x.tolist():
                 # Step underflows at this resolution; nothing further can move.
-                raise _flow_error("stalled", x, math.sqrt(np.dot(g, g)), step, grad_tol)
-            x, g, q = moved
-    return np.asarray(x)
+                raise _flow_error("stalled", x, sqrt(q), step, grad_tol)
+            x = x_new
+            g = grad(x)
+            q = float(np.dot(g, g))
+    return x
 
 
 def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
@@ -256,8 +287,8 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
     flat_grad_norm = float(np.linalg.norm(flat_grad))
     no_saddle = np.linalg.eigvalsh(base.hess(phi_x))[0] >= -CURVATURE_TOL * base.lipschitz_grad_hint
     return FlatnessCertificate(
-        x=[float(v) for v in x],
-        phi_x=[float(v) for v in phi_x],
+        x=x.tolist(),
+        phi_x=phi_x.tolist(),
         dist=dist,
         flat_grad_norm=flat_grad_norm,
         eps=float(eps),

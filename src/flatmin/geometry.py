@@ -143,10 +143,11 @@ _SQUARE_TOP = 2.0**1023
 def _square_band(tol: float) -> tuple[float, float]:
     """``(lo, hi)``: where a square sum ``q`` of ``(g0, g1)`` decides ``sqrt(_dot2(g0, g1, g0, g1)) <= tol``.
 
-    ``q`` is the plain ``g0*g0 + g1*g1`` (a flow step's) or ``n*n``, the
-    square of the exact norm ``n`` (a flow start's). ``q < lo`` means the
-    test holds, and ``hi < q < _SQUARE_TOP`` that it fails with a finite
-    ``_dot2``; only ``q`` between, or non-finite, needs the exact test.
+    ``q`` is the plain ``g0*g0 + g1*g1`` (a float flow step's), the exact
+    dot itself (a flow start's), or ``n*n``, the square of the exact norm
+    ``n``. ``q < lo`` means the test holds, and ``hi < q < _SQUARE_TOP``
+    that it fails with a finite ``_dot2``; only ``q`` between, or
+    non-finite, needs the exact test.
     For ``tol`` in [2**-500, 2**500], ``lo`` and ``hi`` are ``tol*tol``
     times ``1 -/+ 2**-48``. The bound: each square is within u = 2**-53 of
     exact, relatively, or 2**-1075 absolutely if subnormal, so the plain

@@ -446,8 +446,8 @@ def normalized_trace(obj, x) -> float:
     return float(np.trace(base.hess(as_start(obj, x)))) / base.dim
 
 
-def iterates(obj) -> tuple[Callable, Callable, Callable, Callable]:
-    """``(point, evaluate, descend, flow_step)``: the one choice of how the iterates of ``obj`` are held.
+def iterates(obj) -> tuple[Callable, Callable, Callable]:
+    """``(point, evaluate, descend)``: the one choice of how the iterates of ``obj`` are held.
 
     Where ``obj`` carries every one of its own ``float_*`` formulas (an
     Objective its two; a SampleSumObjective its two and its base's two),
@@ -464,14 +464,10 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable]:
     is needed of an iterate, the coordinates as a tuple of Python floats,
     f as a Python float, ``g`` the base gradient and ``|g|`` its exact
     norm, ``sqrt`` of the dot product as ``np.dot`` rounds it; and
-    ``descend(x, g, h)`` the step ``x - h * g``. ``flow_step(x, g, h)``
-    takes that step too and returns None if it moved no coordinate, else
-    the triple ``(x_new, g_new, q)`` of the new iterate, its gradient and
-    that gradient's square sum, in one call: on ndarrays the dot product,
-    on floats the plain ``g0*g0 + g1*g1``, which skips the exact ``_sq2``.
-    ``run`` steps through ``evaluate`` and ``descend``, and
-    ``gradient_flow_limit`` starts from ``evaluate`` and steps through
-    ``flow_step``; each evaluates the gradient once per iterate.
+    ``descend(x, g, h)`` the step ``x - h * g``. ``run`` steps through
+    ``evaluate`` and ``descend``, evaluating the gradient once per
+    iterate. ``gradient_flow_limit`` takes only ``point``: it steps each
+    form in its own loop, a float pair through ``float_grad`` alone.
     """
     base = base_of(obj)
     formulas = [base.float_value, base.float_grad]
@@ -485,14 +481,7 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable]:
             g = grad(x)
             return tuple(x.tolist()), f, g, math.sqrt(np.dot(g, g))
 
-        def flow_step(x, g, h):
-            x_new = x - h * g
-            if x_new.tolist() == x.tolist():
-                return None
-            g = grad(x_new)
-            return x_new, g, float(np.dot(g, g))
-
-        return lambda x: x, evaluate, lambda x, g, h: x - h * g, flow_step
+        return lambda x: x, evaluate, lambda x, g, h: x - h * g
 
     f_value, f_grad = base.float_value, base.float_grad
     sqrt = math.sqrt
@@ -506,14 +495,4 @@ def iterates(obj) -> tuple[Callable, Callable, Callable, Callable]:
         g0, g1 = g
         return x0 - h * g0, x1 - h * g1
 
-    def float_flow_step(x, g, h):
-        x0, x1 = x
-        g0, g1 = g
-        y0 = x0 - h * g0
-        y1 = x1 - h * g1
-        if y0 == x0 and y1 == x1:
-            return None
-        g0, g1 = g = f_grad(y0, y1)
-        return (y0, y1), g, g0 * g0 + g1 * g1
-
-    return lambda x: tuple(x.tolist()), float_evaluate, descend, float_flow_step
+    return lambda x: tuple(x.tolist()), float_evaluate, descend

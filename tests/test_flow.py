@@ -12,6 +12,7 @@ from flatmin import (
     ORACLE_FLOW,
     FlowConvergenceError,
     LandscapeSpec,
+    Objective,
     build_convex_quadratic,
     build_landscape,
     build_hyperbola,
@@ -178,7 +179,7 @@ class TestFloatFlowMatchesArrayFlow:
 
 
 class TestExactNormOnlyNearTheTolerance:
-    """A float flow tests its stopping rule on the plain square sum; past the start's exact norm, it takes at most two a solve."""
+    """A float flow tests its stopping rule on the plain square sum; past the start's exact square, it takes at most two exact norms a solve."""
 
     @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
     @pytest.mark.parametrize("offset", [(1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)])
@@ -186,11 +187,14 @@ class TestExactNormOnlyNearTheTolerance:
         # (3, 1/3) lies on the minima set; the certifier probes it TRACE_FD_STEP away.
         obj = build_hyperbola()
         x0 = np.array([3.0, 1.0 / 3.0]) + offset
-        dots = count_exact_dots(monkeypatch, objectives)
+        evaluated = count_exact_dots(monkeypatch, objectives)
+        dots = count_exact_dots(monkeypatch, flow)
         norms = count_numpy_dots(monkeypatch, flow)
         counted, steps = count_calls(obj, "float_grad")
         landing = gradient_flow_limit(counted, x0, grad_tol)
-        assert len(steps) > 50 and len(dots) == 1 and len(norms) <= 2
+        # The start's exact square, then at most two exact norms in the band; no iterate is evaluated.
+        assert len(steps) > 50 and dots[0] == obj.float_grad(*steps[0]) and len(dots) <= 3
+        assert not evaluated and not norms
         assert landing.tobytes() == gradient_flow_limit(without_float_formulas(obj), x0, grad_tol).tobytes()
 
 
@@ -208,7 +212,7 @@ _FORMS = _factorization_forms()
 
 
 class TestOneCallPerStep:
-    """Each flow step is one ``flow_step`` call; the solve ends as the earlier two-call loop did, bit for bit."""
+    """Each flow step makes one gradient call; the solve ends as the earlier two-call loop did, bit for bit."""
 
     @pytest.mark.parametrize("form", list(_FORMS))
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -234,22 +238,118 @@ class TestOneCallPerStep:
     @pytest.mark.parametrize("form", list(_FORMS))
     @pytest.mark.parametrize("x0", [(1.5, 0.7), (-2.0, -0.4), (3.0 + 1e-4, 1.0 / 3.0)])
     def test_one_gradient_per_step(self, monkeypatch, form, x0, grad_tol):
-        # A solve evaluates its start once and each point it steps to once: steps + 1 gradients in all.
+        # A solve evaluates the gradient at its start once and at each point it steps to once: steps + 1 in all.
         obj = _FORMS[form]
-        name = "float_grad" if obj.float_grad is not None else "grad"
-        dots = count_exact_dots(monkeypatch, objectives)
+        floats = obj.float_grad is not None
+        name, value = ("float_grad", "float_value") if floats else ("grad", "value")
+        dots = count_exact_dots(monkeypatch, flow)
         norms = count_numpy_dots(monkeypatch, flow)
         counted, calls = count_calls(obj, name)
+        counted, values = count_calls(counted, value)
         landing = gradient_flow_limit(counted, np.array(x0), grad_tol)
         assert landing.tobytes() == two_call_flow(obj, np.array(x0), grad_tol).tobytes()
         # A step moves the point, so a second evaluation of one point would show as an unmoved pair.
         points = [np.array(a).tobytes() for a in calls]
         steps = sum(p != q for p, q in zip(points, points[1:]))
         assert steps > 50 and len(calls) == steps + 1
-        # The exact norms past the start's come from the gradient the solve holds, only in the band.
-        assert len(norms) <= 2
-        if name == "float_grad":
-            assert len(dots) == 1
+        # The solve starts from the gradient alone, never from f.
+        assert not values
+        if floats:
+            # One exact square at the start, of its gradient, and at most two exact norms in the band.
+            assert dots[0] == obj.float_grad(*calls[0]) and len(dots) <= 3 and not norms
+        else:
+            # Every square sum is the exact dot, one per gradient; the band's exact norms are its roots.
+            assert len(norms) == len(calls) and not dots
+
+
+def _linear(g0: float, g1: float, h: float = 1.0) -> Objective:
+    """f(x) = g0*x0 + g1*x1, whose gradient is ``(g0, g1)`` everywhere, with a flow step of ``h``."""
+    g = np.array([g0, g1])
+    return Objective(
+        dim=2,
+        value=lambda x: float(np.dot(g, x)),
+        grad=lambda x: g.copy(),
+        hess=lambda x: np.zeros((2, 2)),
+        lipschitz_grad_hint=flow.FLOW_STEP_FRACTION / h,
+        value_many=lambda X: X @ g,
+        grad_many=lambda X: np.tile(g, (len(X), 1)),
+        normalized_trace_grad=lambda x: np.zeros(2),
+        float_value=lambda x0, x1: g0 * x0 + g1 * x1,
+        float_grad=lambda x0, x1: (g0, g1),
+    )
+
+
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+_EDGE_COORD = st.one_of(
+    st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300), st.floats(-4.0, 4.0), _SPECIAL
+)
+
+
+class TestFirstStepEdges:
+    """Steps at the edges of float resolution end a solve alike on floats and on ndarrays.
+
+    A step that moves no coordinate stalls the solve: a step below half an
+    ulp, and one of exactly half an ulp, which rounds to even. A NaN
+    coordinate never equals itself, so it counts as moved. The linear
+    landscapes hold their gradient fixed, so a step of any size can be set.
+    """
+
+    @pytest.mark.parametrize(
+        "obj, x0, grad_tol, outcome, steps",
+        [
+            # A zero gradient on the minima set, and a negative zero one, land at the start.
+            (build_hyperbola(), (2.0, 0.5), DEFAULT_FLOW, "landed", 0),
+            (build_hyperbola(), (-2.0, -0.5), DEFAULT_FLOW, "landed", 0),
+            (_linear(0.0, 0.0), (math.nan, 1.0), DEFAULT_FLOW, "landed", 0),
+            # A first step below half an ulp of 1.
+            (build_hyperbola(), (1.0, 1.0 + 2.0**-52), 1e-300, "flow stalled", 1),
+            (_linear(1e-17, -1e-17), (1.0, 1.0), 2.0**-60, "flow stalled", 1),
+            # Exactly half an ulp above 1, which rounds to even; a whole ulp moves.
+            (_linear(0.0, -(2.0**-53)), (1.0, 1.0), 2.0**-60, "flow stalled", 1),
+            (_linear(0.0, -(2.0**-52)), (1.0, 1.0), 2.0**-60, "flow did not converge", 40),
+            (_linear(1e-17, 1e-3), (1.0, 1.0), DEFAULT_FLOW, "flow did not converge", 40),
+            # An infinite coordinate moves by no finite step.
+            (_linear(1.0, 0.0), (math.inf, 1.0), DEFAULT_FLOW, "flow stalled", 1),
+            (_linear(1.0, 1.0), (-math.inf, 1.0), DEFAULT_FLOW, "flow did not converge", 40),
+            # A step that overflows sends a coordinate to -inf, where the next step stalls.
+            (_linear(1e150, 0.0, h=1e160), (1.0, 1.0), DEFAULT_FLOW, "flow stalled", 2),
+            # inf - inf is NaN, and a NaN coordinate counts as moved at every step.
+            (_linear(1e150, 0.0, h=1e160), (math.inf, 1.0), DEFAULT_FLOW, "flow did not converge", 40),
+            (_linear(1.0, 0.0), (math.nan, 1.0), DEFAULT_FLOW, "flow did not converge", 40),
+            # A gradient that overflows during the flow.
+            (build_hyperbola(), (30.0, 30.0), DEFAULT_FLOW, "non-finite gradient during", 5),
+        ],
+    )
+    def test_edge_starts(self, monkeypatch, obj, x0, grad_tol, outcome, steps):
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", 40)
+        counted, calls = count_calls(obj, "float_grad")
+        got = _landing_or_error(lambda: gradient_flow_limit(counted, np.array(x0), grad_tol).tobytes())
+        assert got == _landing_or_error(
+            lambda: gradient_flow_limit(without_float_formulas(obj), np.array(x0), grad_tol).tobytes()
+        )
+        if outcome == "landed":
+            assert got == np.array(x0).tobytes()
+        else:
+            assert got[1].startswith(outcome) and got[-1] == steps
+        # A stalled step moved nothing, so it evaluates no gradient.
+        assert len(calls) == steps + (outcome != "flow stalled")
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        x=st.tuples(_EDGE_COORD, _EDGE_COORD),
+        g=st.tuples(_EDGE_COORD, _EDGE_COORD),
+        h=st.floats(1e-300, 1.0),
+        grad_tol=st.sampled_from([DEFAULT_FLOW, 2.0**-499]),
+    )
+    def test_forms_agree(self, x, g, h, grad_tol):
+        obj = _linear(*g, h=h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "FLOW_MAX_STEPS", 3)
+            got = _landing_or_error(lambda: gradient_flow_limit(obj, np.array(x), grad_tol).tobytes())
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert got == _landing_or_error(
+                    lambda: gradient_flow_limit(without_float_formulas(obj), np.array(x), grad_tol).tobytes()
+                )
 
 
 class TestLandingProperty:
@@ -495,6 +595,21 @@ class TestCertifyFlat:
         with pytest.raises(ValueError, match="eps and eps_prime must be positive and finite"):
             certify_flat(build_hyperbola(), np.array(x), eps, eps_prime)
 
+    @pytest.mark.parametrize(
+        "spec, x",
+        [
+            (LandscapeSpec("hyperbola"), [1, 1]),
+            (LandscapeSpec("hyperbola"), [1.001, 0.999]),
+            (LandscapeSpec("orthogonal_quadratic_model", {"d": 4, "n": 2, "y": [0.5, 0.5]}), [1.0, 1.0, 0.3, 0.0]),
+        ],
+        ids=["hyperbola-int-start", "hyperbola", "orthogonal-model"],
+    )
+    def test_points_are_lists_of_floats(self, spec, x):
+        cert = certify_flat(build_landscape(spec), x, eps=0.05, eps_prime=0.3)
+        for field in (cert.x, cert.phi_x):
+            assert type(field) is list and len(field) == len(x)
+            assert all(type(v) is float for v in field)
+        assert cert.x == [float(v) for v in x]
 
 #: The n = 4 factorization of the escape experiments, and its mean squared weight.
 _FACTOR_A = [1.0, 0.7, 1.3, 1.6]
@@ -551,6 +666,23 @@ class TestCertificateClosedForm:
         assert abs(cert.flat_grad_norm - flat) <= 1e-4 * flat + 1e-6
         # Near a minimum the curvature check refuses nothing.
         assert cert.passed == (cert.dist <= 0.05 and cert.flat_grad_norm <= 0.3)
+
+
+class TestCertificatesEqualAcrossForms:
+    """A certificate's JSON is the same whether the flows step on Python floats or on ndarrays."""
+
+    @pytest.mark.parametrize(
+        "landscape, x",
+        _points_on_and_off_the_minima_sets() + [("hyperbola", [3.0, 1.0 / 3.0]), ("factorization", [3.0, 1.0 / 3.0])],
+        ids=lambda v: v if isinstance(v, str) else f"{v[0]:.4f},{v[1]:.4f}",
+    )
+    def test_same_json(self, landscape, x):
+        obj = build_hyperbola() if landscape == "hyperbola" else build_scalar_factorization(_FACTOR_A, 1.0)
+        cert = certify_flat(obj, np.array(x), 0.05, 0.3)
+        assert cert.to_json() == certify_flat(without_float_formulas(obj), np.array(x), 0.05, 0.3).to_json()
+        if x == [3.0, 1.0 / 3.0]:
+            # The sharp escape start lies on the minima set, where the trace gradient is large.
+            assert not cert.passed and cert.dist == 0.0
 
 
 class TestTraceAtFlowLimit:

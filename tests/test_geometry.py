@@ -293,7 +293,7 @@ def _band_cases(draw):
 class TestSquareBand:
     """``geometry._square_band`` decides ``sqrt(dot2(g, g)) <= tol`` from a square sum only where that is certain.
 
-    The square sum is the plain ``g0*g0 + g1*g1`` or the square of the exact norm.
+    The square sum is the plain ``g0*g0 + g1*g1``, the exact dot, or the square of the exact norm.
 
     ``_dot2_numpy`` is this build's ``np.dot``; ``_dot2_fused`` and the
     two-rounding sum stand for a fused and a non-fused build on any machine.
@@ -302,8 +302,8 @@ class TestSquareBand:
     @pytest.mark.parametrize(
         "dot2", [geometry._dot2_fused, geometry._dot2_numpy, _dot2_two_roundings], ids=["fused", "numpy", "two-roundings"]
     )
-    # The plain sum of a flow step, and the square of the exact norm, which the flow tests at its start.
-    @pytest.mark.parametrize("square", ["plain-sum", "norm-squared"])
+    # The plain sum of a float flow step, the exact dot the flow tests at its start, and the square of the exact norm.
+    @pytest.mark.parametrize("square", ["plain-sum", "exact-dot", "norm-squared"])
     @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
     @given(_band_cases())
     # A finite plain sum whose fused dot overflows: why the band stops at _SQUARE_TOP.
@@ -312,8 +312,9 @@ class TestSquareBand:
         tol, g0, g1 = case
         lo, hi = geometry._square_band(tol)
         with np.errstate(over="ignore", invalid="ignore"):
-            exact = math.sqrt(dot2(g0, g1, g0, g1))
-        q = g0 * g0 + g1 * g1 if square == "plain-sum" else exact * exact
+            dot = dot2(g0, g1, g0, g1)
+        exact = math.sqrt(dot)
+        q = {"plain-sum": g0 * g0 + g1 * g1, "exact-dot": dot, "norm-squared": exact * exact}[square]
         if q < lo:
             assert exact <= tol, (tol, g0, g1)
         elif hi < q < geometry._SQUARE_TOP:

@@ -21,9 +21,9 @@ from flatmin import (
     fd_gradient,
     normalized_trace,
 )
-from flatmin.objectives import TEST_REGION_HALF_WIDTH, iterates
+from flatmin.objectives import TEST_REGION_HALF_WIDTH
 
-from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points, without_float_formulas
+from conftest import ALL_LANDSCAPE_SPECS, base_objective, random_points
 from references import fd_jacobian, numpy_array_orthogonal_model, numpy_scalar_factorization, sample_hess
 
 
@@ -237,63 +237,6 @@ class TestFloatPathBitEquality:
         v = data.draw(hnp.arrays(np.float64, d, elements=_COORD), label="v")
         with np.errstate(over="ignore"):
             assert _bits(np.dot(v, v)) == _bits(v @ v)
-
-
-_FACTORIZATION_N4 = build_scalar_factorization([1.0, 0.7, 1.3, 1.6], 1.0).base
-_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
-
-
-class TestFlowStep:
-    """``flow_step`` of ``iterates`` on floats and on ndarrays: equal bits, and None exactly when no coordinate moved."""
-
-    @staticmethod
-    def _check(x, g, h):
-        float_step = iterates(_FACTORIZATION_N4)[3]
-        array_step = iterates(without_float_formulas(_FACTORIZATION_N4))[3]
-        with np.errstate(over="ignore", invalid="ignore"):
-            moved = any(not xi - h * gi == xi for xi, gi in zip(x, g))
-            got = float_step(tuple(x), tuple(g), h)
-            got_array = array_step(np.array(x), np.array(g), h)
-        assert (got is None) == (got_array is None) == (not moved)
-        if moved:
-            (y, gy, q), (y_array, gy_array, q_array) = got, got_array
-            assert all(type(v) is float for v in (*y, *gy, q))
-            assert _bits(y) == _bits(y_array) and _bits(gy) == _bits(gy_array)
-            # The float form's square sum is the plain one; the ndarray form's is np.dot.
-            assert _bits(q) == _bits(gy[0] * gy[0] + gy[1] * gy[1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert _bits(q_array) == _bits(np.dot(gy_array, gy_array))
-        return moved
-
-    @pytest.mark.parametrize(
-        "x,g,moved",
-        [
-            ((1.5, 0.7), (0.0, 0.0), False),
-            ((1.5, 0.7), (-0.0, 0.0), False),
-            # Below half an ulp of 1, and exactly half an ulp above it, which rounds to even.
-            ((1.0, 1.0), (1e-17, -1e-17), False),
-            ((1.0, 1.0), (0.0, -(2.0**-53)), False),
-            ((1.0, 1.0), (1e-17, 1e-3), True),
-            ((math.inf, 1.0), (1.0, 0.0), False),
-            ((-math.inf, 1.0), (1.0, 1.0), True),
-            ((1.0, 1.0), (math.inf, 0.0), True),
-            ((1.0, 1.0), (0.0, -math.inf), True),
-            # NaN never equals itself, so a NaN coordinate always counts as moved.
-            ((1.0, 1.0), (math.nan, 0.0), True),
-            ((math.nan, 1.0), (0.0, 0.0), True),
-        ],
-    )
-    def test_edge_steps(self, x, g, moved):
-        assert self._check(x, g, 1.0) == moved
-
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-    @given(
-        x=st.tuples(st.one_of(_COORD, _SPECIAL), st.one_of(_COORD, _SPECIAL)),
-        g=st.tuples(st.one_of(_COORD, _SPECIAL), st.one_of(_COORD, _SPECIAL)),
-        h=st.floats(1e-300, 1.0),
-    )
-    def test_forms_agree(self, x, g, h):
-        self._check(x, g, h)
 
 
 class TestOrthogonalQuadraticModel:
