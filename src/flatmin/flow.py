@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import _SQUARE_TOP, _sq2, _square_band, fd_gradient
-from .objectives import as_start, base_of, iterates, normalized_trace
+from .objectives import as_start, base_of, normalized_trace, on_floats
 
 
 class FlowConvergenceError(RuntimeError):
@@ -100,47 +100,62 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
 
-    The iterates are held as :func:`~flatmin.objectives.iterates` chooses,
-    and each form steps in its own loop: a float pair in the locals ``x0,
-    x1, g0, g1`` with one ``float_grad`` call per step, an ndarray through
-    ``grad``. A step that moves no coordinate ends the solve as stalled.
-    So a solve that lands makes steps + 1 gradient calls. The stopping
-    test compares a square sum ``q`` with the band of
-    :func:`~flatmin.geometry._square_band` around ``grad_tol**2``: at the
-    start the exact dot product, after a step on floats the plain ``g0*g0
-    + g1*g1`` and on ndarrays the exact dot again. Only a sum inside the
-    band, a non-finite one or a failure takes the exact norm, ``sqrt`` of
-    the exact dot of the gradient the solve holds. The outcome is that of
-    testing the exact norm at every step, bit for bit, and every error
-    reports the exact norm.
+    The iterates are Python floats where
+    :func:`~flatmin.objectives.on_floats` says so, and ndarrays otherwise;
+    each form steps in its own loop: a float pair in the locals ``x0, x1,
+    g0, g1`` with one ``float_grad`` call per step, an ndarray through
+    ``grad``. A step that moves no coordinate ends the solve as stalled,
+    so a solve that lands makes steps + 1 gradient calls. A cycle ends it
+    as stalled too: at each power-of-two step count the iterate is
+    compared with the one held at the previous power of two, and since the
+    step map is deterministic an equal one can never land. That catches
+    every cycle whose period is a power of two (those seen have period 1 or
+    2); a cycle of any other period still runs to ``FLOW_MAX_STEPS``.
+
+    The stopping test is ``sqrt(np.dot(g, g)) <= grad_tol``. On ndarrays
+    the loop takes that exact dot at every step. On floats it compares a
+    square sum ``q`` with the band of
+    :func:`~flatmin.geometry._square_band` around ``grad_tol**2``: the
+    exact dot at the start, and after a step the plain ``g0*g0 + g1*g1``.
+    Only a sum inside the band, a non-finite one or a failure takes the
+    exact norm, ``sqrt`` of the exact dot of the gradient the solve holds.
+    The outcome is that of testing the exact norm at every step, bit for
+    bit, and every error reports the exact norm.
     """
     if not 0.0 < grad_tol < math.inf:
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    x = iterates(obj)[0](as_start(obj, x0))
-    lo, hi = _square_band(grad_tol)
+    x = as_start(obj, x0)
     max_steps = FLOW_MAX_STEPS
-    sqrt = math.sqrt
+    sqrt, isfinite = math.sqrt, math.isfinite
 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(x, tuple):
+        if on_floats(obj):
             grad = obj.float_grad
-            x0, x1 = x
+            lo, hi = _square_band(grad_tol)
+            x0, x1 = x.tolist()
             g0, g1 = grad(x0, x1)
             q = _sq2(g0, g1)
             step = 0
+            # The iterate at the last power-of-two step; NaN equals nothing.
+            check, s0, s1 = min(1, max_steps), math.nan, math.nan
             while not q < lo:
                 if not hi < q < _SQUARE_TOP:
                     gn = sqrt(_sq2(g0, g1))
-                    if not math.isfinite(gn):
+                    if not isfinite(gn):
                         raise _flow_error("non-finite", (x0, x1), gn, step, grad_tol)
                     if gn <= grad_tol:
                         break
-                if step == max_steps:
-                    raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                if step == check:
+                    if step == max_steps:
+                        raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                    if x0 == s0 and x1 == s1:
+                        # A cycle: the step map is deterministic, so this solve never lands.
+                        raise _flow_error("stalled", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                    check, s0, s1 = min(2 * check, max_steps), x0, x1
                 step += 1
                 y0 = x0 - h * g0
                 y1 = x1 - h * g1
@@ -152,28 +167,30 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
                 q = g0 * g0 + g1 * g1
             return np.array((x0, x1))
 
-        # On ndarrays q is the exact dot at every step, so the exact norm is its root.
         grad = obj.grad
         g = grad(x)
-        q = float(np.dot(g, g))
+        gn = sqrt(np.dot(g, g))
         step = 0
-        while not q < lo:
-            if not hi < q < _SQUARE_TOP:
-                gn = sqrt(q)
-                if not math.isfinite(gn):
-                    raise _flow_error("non-finite", x, gn, step, grad_tol)
-                if gn <= grad_tol:
-                    break
-            if step == max_steps:
-                raise _flow_error("capped", x, sqrt(q), step, grad_tol)
+        check, seen = min(1, max_steps), None
+        while not gn <= grad_tol:
+            if not isfinite(gn):
+                raise _flow_error("non-finite", x, gn, step, grad_tol)
+            if step == check:
+                if step == max_steps:
+                    raise _flow_error("capped", x, gn, step, grad_tol)
+                xs = x.tolist()
+                if xs == seen:
+                    # A cycle: the step map is deterministic, so this solve never lands.
+                    raise _flow_error("stalled", x, gn, step, grad_tol)
+                check, seen = min(2 * check, max_steps), xs
             step += 1
             x_new = x - h * g
             if x_new.tolist() == x.tolist():
                 # Step underflows at this resolution; nothing further can move.
-                raise _flow_error("stalled", x, sqrt(q), step, grad_tol)
+                raise _flow_error("stalled", x, gn, step, grad_tol)
             x = x_new
             g = grad(x)
-            q = float(np.dot(g, g))
+            gn = sqrt(np.dot(g, g))
     return x
 
 
@@ -185,8 +202,9 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     so row ``j`` of the result equals ``gradient_flow_limit(obj, X[j],
     grad_tol)`` bit for bit. If any row fails, the
     :class:`FlowConvergenceError` of the lowest-index failing row is raised:
-    the one a loop over the rows would raise first. Rows after a failing
-    row stop stepping, since their landing points are never returned.
+    the one a loop over the rows would raise first; a row that cycles
+    stalls at the step its single solve does. Rows after a failing row
+    stop stepping, since their landing points are never returned.
     ``ValueError`` if ``X`` is not of shape ``(k, dim)`` or ``grad_tol`` is
     not positive and finite.
     """
@@ -202,6 +220,8 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         g = obj.grad_many(x)
         gn = np.sqrt(np.vecdot(g, g))
         step = 0
+        # Each row's iterate at the last power-of-two step; NaN equals nothing.
+        check, seen = min(1, FLOW_MAX_STEPS), np.full_like(out, math.nan)
         while True:
             # A row stays live until it lands or its gradient is not finite (NaN is neither).
             live = (gn > grad_tol) & (gn < math.inf)
@@ -216,9 +236,20 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
                 rows, x, g, gn = rows[live], x[live], g[live], gn[live]
             if not len(rows):
                 break
-            if step == FLOW_MAX_STEPS:
-                error = _flow_error("capped", x[0].copy(), gn[0], step, grad_tol)
-                break
+            if step == check:
+                if step == FLOW_MAX_STEPS:
+                    error = _flow_error("capped", x[0].copy(), gn[0], step, grad_tol)
+                    break
+                cycled = (x == seen[rows]).all(axis=1)
+                if cycled.any():
+                    # A cycle: the step map is deterministic, so this row never lands.
+                    j = int(np.argmax(cycled))
+                    error = _flow_error("stalled", x[j].copy(), gn[j], step, grad_tol)
+                    if not j:
+                        break
+                    rows, x, g, gn = rows[:j], x[:j], g[:j], gn[:j]
+                check = min(2 * check, FLOW_MAX_STEPS)
+                seen[rows] = x
             step += 1
             x_new = x - h * g
             unmoved = x_new == x

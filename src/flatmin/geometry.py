@@ -143,8 +143,9 @@ _SQUARE_TOP = 2.0**1023
 def _square_band(tol: float) -> tuple[float, float]:
     """``(lo, hi)``: where a square sum ``q`` of ``(g0, g1)`` decides ``sqrt(_dot2(g0, g1, g0, g1)) <= tol``.
 
-    ``q`` is the plain ``g0*g0 + g1*g1`` (a float flow step's), the exact
-    dot itself (a flow start's), or ``n*n``, the square of the exact norm
+    Only the float loop of ``flow.gradient_flow_limit`` feeds it: ``q`` is
+    the plain ``g0*g0 + g1*g1`` after a step, and the exact dot itself at
+    the start. The band holds for ``n*n`` too, the square of the exact norm
     ``n``. ``q < lo`` means the test holds, and ``hi < q < _SQUARE_TOP``
     that it fails with a finite ``_dot2``; only ``q`` between, or
     non-finite, needs the exact test.

@@ -13,8 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _sq2
-
 Vector = np.ndarray
 Matrix = np.ndarray
 
@@ -49,7 +47,7 @@ class Objective:
     float_value, float_grad : callables or None
         Optional, on a d = 2 landscape only: f and its gradient at the point
         ``(x0, x1)`` given as two Python floats, the gradient as a pair of
-        floats, rounded as ``value`` and ``grad``. :func:`iterates` reads
+        floats, rounded as ``value`` and ``grad``. :func:`on_floats` reads
         them to choose how ``run`` and the flow hold the iterates.
     """
 
@@ -79,9 +77,9 @@ class SampleSumObjective:
     a 1-d float64 ndarray of length ``dim``. The optional
     ``float_sample_grad`` and ``float_pred_grad`` take the index and, on a
     d = 2 landscape, the point as two Python floats, and return a pair of
-    floats rounded as ``sample_grad`` and ``pred_grad``. :func:`iterates`
-    holds the iterates as Python floats only where these and the base's
-    two are all set.
+    floats rounded as ``sample_grad`` and ``pred_grad``. ``run`` holds the
+    iterates as Python floats only where these and the base's two are all
+    set (:func:`on_floats`).
     """
 
     base: Objective
@@ -446,53 +444,21 @@ def normalized_trace(obj, x) -> float:
     return float(np.trace(base.hess(as_start(obj, x)))) / base.dim
 
 
-def iterates(obj) -> tuple[Callable, Callable, Callable]:
-    """``(point, evaluate, descend)``: the one choice of how the iterates of ``obj`` are held.
+def on_floats(obj) -> bool:
+    """Whether ``run`` and the flow hold the iterates of ``obj`` as pairs of Python floats.
 
-    Where ``obj`` carries every one of its own ``float_*`` formulas (an
-    Objective its two; a SampleSumObjective its two and its base's two),
-    an iterate is a pair of Python floats, stepped through those formulas;
-    that is the d = 2 factorization family. Otherwise it is a 1-d float64
-    ndarray. Both forms round every operation alike, their 2-vector dot
-    products included (``geometry._dot2`` and ``geometry._sq2`` equal
-    ``np.dot``), so the choice changes no byte of a trajectory or landing
-    point, only its cost: numpy spends more per call on a length-2 array
-    than the arithmetic itself.
-
-    ``point(x)`` is the iterate at the float64 ndarray ``x``;
-    ``evaluate(x)`` the tuple ``(coordinates, f(x), g, |g|)`` of all that
-    is needed of an iterate, the coordinates as a tuple of Python floats,
-    f as a Python float, ``g`` the base gradient and ``|g|`` its exact
-    norm, ``sqrt`` of the dot product as ``np.dot`` rounds it; and
-    ``descend(x, g, h)`` the step ``x - h * g``. ``run`` steps through
-    ``evaluate`` and ``descend``, evaluating the gradient once per
-    iterate. ``gradient_flow_limit`` takes only ``point``: it steps each
-    form in its own loop, a float pair through ``float_grad`` alone.
+    True exactly where ``obj`` carries every one of its own ``float_*``
+    formulas (an Objective its two; a SampleSumObjective its two and its
+    base's two): that is the d = 2 factorization family, whose iterates
+    are stepped through those formulas. Elsewhere an iterate is a 1-d
+    float64 ndarray. Both forms round every operation alike, their
+    2-vector dot products included (``geometry._dot2`` and
+    ``geometry._sq2`` equal ``np.dot``), so the choice changes no byte of
+    a trajectory or landing point, only its cost: numpy spends more per
+    call on a length-2 array than the arithmetic itself.
     """
     base = base_of(obj)
     formulas = [base.float_value, base.float_grad]
     if isinstance(obj, SampleSumObjective):
         formulas += [obj.float_sample_grad, obj.float_pred_grad]
-    if None in formulas:
-        value, grad = base.value, base.grad
-
-        def evaluate(x):
-            f = float(value(x))
-            g = grad(x)
-            return tuple(x.tolist()), f, g, math.sqrt(np.dot(g, g))
-
-        return lambda x: x, evaluate, lambda x, g, h: x - h * g
-
-    f_value, f_grad = base.float_value, base.float_grad
-    sqrt = math.sqrt
-
-    def float_evaluate(x):
-        g0, g1 = g = f_grad(*x)
-        return x, f_value(*x), g, sqrt(_sq2(g0, g1))
-
-    def descend(x, g, h):
-        x0, x1 = x
-        g0, g1 = g
-        return x0 - h * g0, x1 - h * g1
-
-    return lambda x: tuple(x.tolist()), float_evaluate, descend
+    return None not in formulas

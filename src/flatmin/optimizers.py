@@ -28,7 +28,7 @@ from .geometry import (
     sample_sphere,
     sphere_blocks,
 )
-from .objectives import Objective, SampleSumObjective, _square, as_start, base_of, iterates, normalized_trace
+from .objectives import Objective, SampleSumObjective, _square, as_start, base_of, normalized_trace, on_floats
 from .flow import gradient_flow_limits
 
 #: Additive slack allowed when checking the per-step descent inequality.
@@ -363,26 +363,42 @@ def _cadence(name: str, cadence, steps: int) -> int:
     return max(1, steps // 200) if cadence is None else _count(name, cadence)
 
 
-def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats: bool) -> Callable:
-    """The perturbed step of ``algorithm`` ("RS" or "SA"), on iterates held as ``floats`` says.
+def _kernel(obj, algorithm: str, sched: Schedule, rng: RngStream) -> tuple:
+    """``(start, evaluate, descend, step)``: all of ``run``'s arithmetic for ``algorithm`` on the iterates of ``obj``.
 
-    Returns ``step(x, g, gn)``, which gives the next iterate and ``|v|``
-    from the iterate ``x``, its gradient ``g`` and ``gn = |g|``. On pairs
-    of Python floats it takes the arithmetic of the ndarray step, operation
-    for operation, its 2-vector dot products by ``geometry._dot2`` and its
-    self-dots by ``geometry._sq2``, so every iterate is bit for bit the
-    same.
+    The form is pairs of Python floats where
+    :func:`~flatmin.objectives.on_floats` says so, 1-d float64 ndarrays
+    otherwise. ``start(x)`` is the iterate at the float64 ndarray ``x``;
+    ``evaluate(x)`` the tuple ``(coordinates, f(x), g, |g|)`` of all that
+    is needed of an iterate, the coordinates as a tuple of Python floats,
+    f as a Python float, ``g`` the base gradient and ``|g|`` its exact
+    norm, ``sqrt`` of the dot product as ``np.dot`` rounds it;
+    ``descend(x, g, h)`` the step ``x - h * g``; and ``step(x, g, gn)``
+    the perturbed step of "RS" or "SA" (None for "GD"), which gives the
+    next iterate and ``|v|`` from the iterate ``x``, its gradient ``g``
+    and ``gn = |g|``. On pairs of Python floats each takes the arithmetic
+    of the ndarray form, operation for operation, its 2-vector dot
+    products by ``geometry._dot2`` and its self-dots by
+    ``geometry._sq2``, so every iterate is bit for bit the same.
     """
     base = base_of(obj)
     eta, rho = sched.eta, sched.rho
-    if not floats:
+    perturbs = algorithm != "GD"
+    if not on_floats(obj):
+        value, grad = base.value, base.grad
+
+        def evaluate(x):
+            f = float(value(x))
+            g = grad(x)
+            return tuple(x.tolist()), f, g, math.sqrt(np.dot(g, g))
+
         if algorithm == "RS":
             displacements = chain.from_iterable(sphere_blocks(base.dim, rho, rng))
 
             def perturbation(x, g, gn):
                 return _rs_perturbation(base, x, g, gn, next(displacements))
 
-        else:
+        elif algorithm == "SA":
             draws = _sa_draws(obj.n, rng)
 
             def perturbation(x, g, gn):
@@ -392,14 +408,24 @@ def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats
             v, v_norm = perturbation(x, g, gn)
             return x - eta * (g + v), v_norm
 
-        return array_step
+        return lambda x: x, evaluate, lambda x, g, h: x - h * g, array_step if perturbs else None
 
-    f_grad = base.float_grad
+    f_value, f_grad = base.float_value, base.float_grad
     dot2, sq2, sqrt = _dot2, _sq2, math.sqrt
+
+    def float_evaluate(x):
+        g0, g1 = g = f_grad(*x)
+        return x, f_value(*x), g, sqrt(sq2(g0, g1))
+
+    def float_descend(x, g, h):
+        x0, x1 = x
+        g0, g1 = g
+        return x0 - h * g0, x1 - h * g1
+
     rs = algorithm == "RS"
     if rs:
         displacements = chain.from_iterable(map(np.ndarray.tolist, sphere_blocks(2, rho, rng)))
-    else:
+    elif perturbs:
         f_sample_grad, f_pred_grad = obj.float_sample_grad, obj.float_pred_grad
         draws = _sa_draws(obj.n, rng)
 
@@ -426,7 +452,7 @@ def _perturbed_step(obj, algorithm: str, sched: Schedule, rng: RngStream, floats
             v0, v1 = v0 - k * h0, v1 - k * h1
         return (x0 - eta * (g0 + v0), x1 - eta * (g1 + v1)), sqrt(sq2(v0, v1))
 
-    return float_step
+    return lambda x: tuple(x.tolist()), float_evaluate, float_descend, float_step if perturbs else None
 
 
 def run(
@@ -449,10 +475,11 @@ def run(
     at most 8. The returned-iterate index is drawn uniformly from
     {1..steps} at run start, so identical inputs reproduce identical logs.
 
-    The iterates are held as :func:`~flatmin.objectives.iterates` chooses;
-    the choice changes no byte of the trajectory. ``log_cadence`` and
-    ``tr_cadence`` must be integers >= 1 (or None, for ``max(1, steps //
-    200)``); any other value raises ``ValueError``.
+    The iterates are held, and stepped, as :func:`_kernel` builds them for
+    the form :func:`~flatmin.objectives.on_floats` picks; the form changes
+    no byte of the trajectory. ``log_cadence`` and ``tr_cadence`` must be
+    integers >= 1 (or None, for ``max(1, steps // 200)``); any other value
+    raises ``ValueError``.
 
     The trace column holds ``trace_at_flow_limit`` of the logged iterate,
     bit for bit, but the iterates are landed ``TRACE_BLOCK`` at a time by
@@ -501,13 +528,12 @@ def run(
     n_perturbed = n_gd = 0
     violations = 0
     max_slack = -math.inf
-    perturbs = algorithm != "GD"
     eps0, eta_prime = sched.eps0, sched.eta_prime
     half_eta = 0.5 * sched.eta
     half_beta_eta_sq = 0.5 * sched.beta_hat * _square(sched.eta)
-    point, evaluate, descend = iterates(obj)
-    x = point(x)
-    step = _perturbed_step(obj, algorithm, sched, rng, isinstance(x, tuple)) if perturbs else None
+    start, evaluate, descend, step = _kernel(obj, algorithm, sched, rng)
+    x = start(x)
+    perturbs = step is not None
     isfinite = math.isfinite
 
     try:

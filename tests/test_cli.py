@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -445,6 +446,20 @@ class TestCertifyCommand:
         )
         assert code == EXIT_NUMERICAL
         assert "flow failure" in capsys.readouterr().err
+
+    def test_cycling_probes_stall(self, capsys):
+        # (100, 100) is a minimum of u*v = 1e4; each of its probes cycles with period 2 and stalls,
+        # where it once ran all FLOW_MAX_STEPS steps, about 5 s.
+        start = time.perf_counter()
+        code = main(
+            ["certify", "--landscape", '{"kind":"scalar_factorization","a":[1.0],"c":1e4}', "--x", "100,100",
+             "--eps", "0.05", "--eps-prime", "0.3"]
+        )
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_NUMERICAL
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("flow failure: flow stalled")
+        assert elapsed < 1.0
 
     # At 1e200,1e200 the first gradient overflows. At 1e160,1e-160 the start
     # is its own landing point, but the trace at each probe overflows. Either

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatmin import (
@@ -25,7 +25,7 @@ from flatmin import (
     restricted_trace_gradient,
     trace_at_flow_limit,
 )
-from flatmin import flow, objectives
+from flatmin import flow, optimizers
 from conftest import (
     base_objective,
     count_calls,
@@ -187,7 +187,7 @@ class TestExactNormOnlyNearTheTolerance:
         # (3, 1/3) lies on the minima set; the certifier probes it TRACE_FD_STEP away.
         obj = build_hyperbola()
         x0 = np.array([3.0, 1.0 / 3.0]) + offset
-        evaluated = count_exact_dots(monkeypatch, objectives)
+        evaluated = count_exact_dots(monkeypatch, optimizers)
         dots = count_exact_dots(monkeypatch, flow)
         norms = count_numpy_dots(monkeypatch, flow)
         counted, steps = count_calls(obj, "float_grad")
@@ -223,16 +223,30 @@ class TestOneCallPerStep:
         # The gradient cannot reach 2**-499, so in the box that flow stalls.
         grad_tol=st.sampled_from([DEFAULT_FLOW, ORACLE_FLOW, 2.0**-499]),
         # 20 000 stands in for FLOW_MAX_STEPS: beyond the box, a 2**-499 solve
-        # can cycle in its last bits until the cap, 10 000 000 steps.
+        # can cycle in its last bits, which the reference runs until the cap.
         max_steps=st.sampled_from([20_000, 40]),
     )
+    # Starts whose solves cycle with period 2, so that every form meets the cycle test.
+    @example(unit=(0.0, 0.9375), scale=10.0, grad_tol=2.0**-499, max_steps=20_000)
+    @example(unit=(0.99, 0.01), scale=10.0, grad_tol=2.0**-499, max_steps=20_000)
     def test_same_landing_or_error_as_two_call_loop(self, form, unit, scale, grad_tol, max_steps):
         obj = _FORMS[form]
         x0 = scale * np.array(unit)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "FLOW_MAX_STEPS", max_steps)
             got = _landing_or_error(lambda: gradient_flow_limit(obj, x0, grad_tol).tobytes())
-            assert got == _landing_or_error(lambda: two_call_flow(obj, x0, grad_tol).tobytes())
+            expected = _landing_or_error(lambda: two_call_flow(obj, x0, grad_tol).tobytes())
+            if _ends(expected, "flow did not converge") and _ends(got, "flow stalled"):
+                # The reference has no cycle test. The iterate at the power-of-two step k
+                # equals the one at k / 2, so the reference, restarted there for k / 2
+                # steps, comes back to it and ends at the cap.
+                steps = got[4]
+                assert steps < max_steps and steps & (steps - 1) == 0
+                mp.setattr(flow, "FLOW_MAX_STEPS", steps // 2)
+                again = _landing_or_error(lambda: two_call_flow(obj, np.frombuffer(got[2]), grad_tol).tobytes())
+                assert _ends(again, "flow did not converge") and again[2:] == (*got[2:4], steps // 2)
+            else:
+                assert got == expected
 
     @pytest.mark.parametrize("grad_tol", [DEFAULT_FLOW, ORACLE_FLOW], ids=["default", "oracle"])
     @pytest.mark.parametrize("form", list(_FORMS))
@@ -260,6 +274,39 @@ class TestOneCallPerStep:
         else:
             # Every square sum is the exact dot, one per gradient; the band's exact norms are its roots.
             assert len(norms) == len(calls) and not dots
+
+
+def _ends(outcome, message: str) -> bool:
+    """Whether ``outcome``, as ``_landing_or_error`` gives it, is an error whose message starts with ``message``."""
+    return isinstance(outcome, tuple) and outcome[1].startswith(message)
+
+
+class TestCyclesStall:
+    """A solve whose iterate at a power-of-two step repeats the one at the previous such step ends "stalled".
+
+    The step map is deterministic, so such a solve cycles and never lands;
+    before, it ran all ``FLOW_MAX_STEPS`` steps and ended at the cap.
+    """
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("form", ["factorization-n4-floats", "factorization-n4-ndarrays"])
+    def test_period_two_beyond_the_box(self, form, batched):
+        # The flow settles at (9.90000989, 0.10101), alternating between two iterates of gradient norm 1.262e-14.
+        x0 = np.array([9.9, 0.1])
+        if batched:
+            got = _landing_or_error(lambda: gradient_flow_limits(_FORMS[form], x0[None], 2.0**-499))
+        else:
+            got = _landing_or_error(lambda: gradient_flow_limit(_FORMS[form], x0, 2.0**-499))
+        assert _ends(got, "flow stalled at grad norm 1.262e-14") and got[4] <= 1000
+
+    def test_batched_row_stalls_as_its_single_solve(self):
+        # On u*v = 1e4 row 0 lands, and row 1 cycles near (100.504, 99.499).
+        obj = build_scalar_factorization([1.0], 1e4).base
+        X = np.array([[100.001, 100.0], [101.0, 100.0]])
+        single = _landing_or_error(lambda: gradient_flow_limit(obj, X[1]))
+        assert _ends(single, "flow stalled") and single[4] <= 1000
+        assert _landing_or_error(lambda: gradient_flow_limits(obj, X)) == single
+        assert isinstance(_landing_or_error(lambda: gradient_flow_limit(obj, X[0])), np.ndarray)
 
 
 def _linear(g0: float, g1: float, h: float = 1.0) -> Objective:

@@ -31,10 +31,10 @@ from flatmin import (
     trace_at_flow_limit,
     trajectory_csv,
 )
-from flatmin import flow, objectives, optimizers
+from flatmin import flow, optimizers
 from flatmin.geometry import SPHERE_BLOCK, sphere_blocks
 from flatmin.optimizers import ALGORITHMS, DEFAULT_BUDGET_CAP, SA_DRAW_BLOCK, TRACE_BLOCK, _rs_perturbation
-from flatmin.objectives import LandscapeSpec, iterates
+from flatmin.objectives import LandscapeSpec, on_floats
 
 from conftest import count_exact_dots, hyperbola_manifold_point, without_float_formulas
 from references import landing_trace, sample_hess, two_block_rs_schedule, two_block_sa_schedule
@@ -724,7 +724,7 @@ class TestExactDotBudget:
         obj = _FLOAT_LANDSCAPES["factorization-n4"]
         beta = obj.base.lipschitz_grad_hint
         sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=1500, beta_hat=beta)
-        dots = count_exact_dots(monkeypatch, objectives, optimizers)
+        dots = count_exact_dots(monkeypatch, optimizers)
         traj = run(obj, algorithm, np.array([1.5, 1 / 1.5]), sched, RngStream(2), log_cadence=1)
         per_perturbed = {"RS": 3, "SA": 4, "GD": 0}[algorithm]
         assert (traj.n_perturbed > 0) == (algorithm != "GD") and traj.n_gd > 0
@@ -734,31 +734,24 @@ class TestExactDotBudget:
 
 
 class TestIterateForm:
-    """Which form ``objectives.iterates`` holds the iterates in, and that the form changes no byte."""
-
-    @staticmethod
-    def _floats(obj) -> bool:
-        point = iterates(obj)[0]
-        held = point(np.zeros(obj.dim))
-        assert isinstance(held, (tuple, np.ndarray))
-        return isinstance(held, tuple)
+    """Which form ``objectives.on_floats`` picks for the iterates, and that the form changes no byte."""
 
     def test_factorization_family_on_floats(self):
         for obj in (build_hyperbola(), *_FLOAT_LANDSCAPES.values()):
-            assert self._floats(obj)
-            assert not self._floats(without_float_formulas(obj))
+            assert on_floats(obj)
+            assert not on_floats(without_float_formulas(obj))
 
     def test_other_landscapes_on_ndarrays(self):
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": 6, "n": 3, "y": [0.5, 1.0, 2.0]})
         for obj in (build_convex_quadratic([1.0, 2.0]), build_landscape(spec)):
-            assert not self._floats(obj)
+            assert not on_floats(obj)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_sample_sum_without_its_own_formulas_on_ndarrays(self, algorithm):
         # The base still carries its two formulas; the sample sum lacks its two.
         obj = _FLOAT_LANDSCAPES["factorization-n4"]
         mixed = dataclasses.replace(obj, float_sample_grad=None, float_pred_grad=None)
-        assert self._floats(mixed.base) and not self._floats(mixed)
+        assert on_floats(mixed.base) and not on_floats(mixed)
         beta = obj.base.lipschitz_grad_hint
         sched = Schedule(eta=5e-3, eta_prime=1.0 / beta, rho=0.05, eps0=2e-3, steps=1500, beta_hat=beta)
 
