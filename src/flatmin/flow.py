@@ -20,7 +20,12 @@ from .objectives import as_start, base_of, normalized_trace, on_floats
 
 
 class FlowConvergenceError(RuntimeError):
-    """Gradient flow failed to reach the gradient tolerance, or a certifier probe's trace is not finite."""
+    """Gradient flow failed to reach the gradient tolerance, or a certifier probe's trace is not finite.
+
+    ``x_last`` and ``grad_norm`` are the last iterate and its exact gradient
+    norm; ``steps`` is the step at which the solve failed: the step that
+    repeated a saved iterate, for a stall.
+    """
 
     def __init__(self, message: str, x_last: np.ndarray, grad_norm: float, steps: int):
         super().__init__(message)
@@ -77,10 +82,18 @@ class FlatnessCertificate:
         return json.dumps(asdict(self), indent=2)
 
 
-def _flow_error(kind: str, x: np.ndarray, gn: float, steps: int, grad_tol: float) -> FlowConvergenceError:
-    """The error of a flow solve that ends ``kind`` ("non-finite", "stalled" or "capped") after ``steps`` steps."""
+def _flow_error(
+    kind: str, x: np.ndarray, gn: float, steps: int, grad_tol: float, hint: float = math.nan
+) -> FlowConvergenceError:
+    """The error of a flow solve that ends ``kind`` ("non-finite", "stalled" or "capped") after ``steps`` steps.
+
+    A stall's message names the gradient's rounding floor at ``x``, about
+    ``2**-53 * |x| * hint`` with ``hint`` the objective's
+    ``lipschitz_grad_hint``: a ``grad_tol`` near or below it is out of reach.
+    """
     if kind == "stalled":
-        message = f"flow stalled at grad norm {gn:.3e} > tol {grad_tol:.3e}"
+        floor = 2.0**-53 * float(np.linalg.norm(x)) * hint
+        message = f"flow stalled at grad norm {gn:.3e} > tol {grad_tol:.3e} (rounding floor about {floor:.1e})"
     elif kind == "capped":
         message = f"flow did not converge in {steps} steps (grad norm {gn:.3e})"
     else:
@@ -95,7 +108,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     gradient norm is at most ``grad_tol``. Raises
     :class:`FlowConvergenceError` (carrying the last iterate and gradient
     norm) if the gradient is not finite, ``FLOW_MAX_STEPS`` is exhausted or
-    the iteration stalls at floating-point resolution before reaching the
+    the iteration stalls (repeats an iterate) before reaching the
     tolerance, and ``ValueError`` if ``x0`` is not of shape ``(dim,)`` or
     ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
@@ -104,13 +117,16 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     :func:`~flatmin.objectives.on_floats` says so, and ndarrays otherwise;
     each form steps in its own loop: a float pair in the locals ``x0, x1,
     g0, g1`` with one ``float_grad`` call per step, an ndarray through
-    ``grad``. A step that moves no coordinate ends the solve as stalled,
-    so a solve that lands makes steps + 1 gradient calls. A cycle ends it
-    as stalled too: at each power-of-two step count the iterate is
-    compared with the one held at the previous power of two, and since the
-    step map is deterministic an equal one can never land. That catches
-    every cycle whose period is a power of two (those seen have period 1 or
-    2); a cycle of any other period still runs to ``FLOW_MAX_STEPS``.
+    ``grad``; a solve that lands makes steps + 1 gradient calls.
+
+    One saved iterate catches a solve that cannot land (Brent's cycle
+    detection): the start until step 1, then the iterate at each
+    power-of-two step count. A new iterate equal to it ends the solve as
+    stalled, reporting the iterate before that step: the step map is
+    deterministic, so a repeat never lands. A cycle of period p entered at
+    step m is seen at step P + p, with P the first power of two at or past
+    both m and p. A step that moves no coordinate is a cycle of period 1,
+    so it is reported at most about twice as many steps in as it occurred.
 
     The stopping test is ``sqrt(np.dot(g, g)) <= grad_tol``. On ndarrays
     the loop takes that exact dot at every step. On floats it compares a
@@ -140,8 +156,8 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
             g0, g1 = grad(x0, x1)
             q = _sq2(g0, g1)
             step = 0
-            # The iterate at the last power-of-two step; NaN equals nothing.
-            check, s0, s1 = min(1, max_steps), math.nan, math.nan
+            # The start, then the iterate at each power-of-two step.
+            check, s0, s1 = min(1, max_steps), x0, x1
             while not q < lo:
                 if not hi < q < _SQUARE_TOP:
                     gn = sqrt(_sq2(g0, g1))
@@ -152,16 +168,14 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
                 if step == check:
                     if step == max_steps:
                         raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
-                    if x0 == s0 and x1 == s1:
-                        # A cycle: the step map is deterministic, so this solve never lands.
-                        raise _flow_error("stalled", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
                     check, s0, s1 = min(2 * check, max_steps), x0, x1
                 step += 1
                 y0 = x0 - h * g0
                 y1 = x1 - h * g1
-                if y0 == x0 and y1 == x1:
-                    # Step underflows at this resolution; nothing further can move.
-                    raise _flow_error("stalled", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                if y0 == s0 and y1 == s1:
+                    # A repeat: the step map is deterministic, so this solve never lands.
+                    gn = sqrt(_sq2(g0, g1))
+                    raise _flow_error("stalled", (x0, x1), gn, step, grad_tol, obj.lipschitz_grad_hint)
                 x0, x1 = y0, y1
                 g0, g1 = grad(y0, y1)
                 q = g0 * g0 + g1 * g1
@@ -171,23 +185,20 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         g = grad(x)
         gn = sqrt(np.dot(g, g))
         step = 0
-        check, seen = min(1, max_steps), None
+        check, seen = min(1, max_steps), x.tolist()
         while not gn <= grad_tol:
             if not isfinite(gn):
                 raise _flow_error("non-finite", x, gn, step, grad_tol)
             if step == check:
                 if step == max_steps:
                     raise _flow_error("capped", x, gn, step, grad_tol)
-                xs = x.tolist()
-                if xs == seen:
-                    # A cycle: the step map is deterministic, so this solve never lands.
-                    raise _flow_error("stalled", x, gn, step, grad_tol)
                 check, seen = min(2 * check, max_steps), xs
             step += 1
             x_new = x - h * g
-            if x_new.tolist() == x.tolist():
-                # Step underflows at this resolution; nothing further can move.
-                raise _flow_error("stalled", x, gn, step, grad_tol)
+            xs = x_new.tolist()
+            if xs == seen:
+                # A repeat: the step map is deterministic, so this solve never lands.
+                raise _flow_error("stalled", x, gn, step, grad_tol, obj.lipschitz_grad_hint)
             x = x_new
             g = grad(x)
             gn = sqrt(np.dot(g, g))
@@ -202,8 +213,9 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     so row ``j`` of the result equals ``gradient_flow_limit(obj, X[j],
     grad_tol)`` bit for bit. If any row fails, the
     :class:`FlowConvergenceError` of the lowest-index failing row is raised:
-    the one a loop over the rows would raise first; a row that cycles
-    stalls at the step its single solve does. Rows after a failing row
+    the one a loop over the rows would raise first; a row that repeats an
+    iterate stalls at the step its single solve does, since each live row
+    keeps its own saved iterate. Rows after a failing row
     stop stepping, since their landing points are never returned.
     ``ValueError`` if ``X`` is not of shape ``(k, dim)`` or ``grad_tol`` is
     not positive and finite.
@@ -220,8 +232,9 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
         g = obj.grad_many(x)
         gn = np.sqrt(np.vecdot(g, g))
         step = 0
-        # Each row's iterate at the last power-of-two step; NaN equals nothing.
-        check, seen = min(1, FLOW_MAX_STEPS), np.full_like(out, math.nan)
+        # Each live row's start, then its iterate at each power-of-two step; a
+        # copy, since landed rows are written into ``out``.
+        check, seen = min(1, FLOW_MAX_STEPS), out.copy()
         while True:
             # A row stays live until it lands or its gradient is not finite (NaN is neither).
             live = (gn > grad_tol) & (gn < math.inf)
@@ -233,35 +246,26 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
                     error = _flow_error("non-finite", x[j].copy(), gn[j], step, grad_tol)
                     live[j:] = landed[j:] = False
                 out[rows[landed]] = x[landed]
-                rows, x, g, gn = rows[live], x[live], g[live], gn[live]
+                rows, x, g, gn, seen = rows[live], x[live], g[live], gn[live], seen[live]
             if not len(rows):
                 break
             if step == check:
                 if step == FLOW_MAX_STEPS:
                     error = _flow_error("capped", x[0].copy(), gn[0], step, grad_tol)
                     break
-                cycled = (x == seen[rows]).all(axis=1)
-                if cycled.any():
-                    # A cycle: the step map is deterministic, so this row never lands.
-                    j = int(np.argmax(cycled))
-                    error = _flow_error("stalled", x[j].copy(), gn[j], step, grad_tol)
-                    if not j:
-                        break
-                    rows, x, g, gn = rows[:j], x[:j], g[:j], gn[:j]
-                check = min(2 * check, FLOW_MAX_STEPS)
-                seen[rows] = x
+                check, seen = min(2 * check, FLOW_MAX_STEPS), x
             step += 1
             x_new = x - h * g
-            unmoved = x_new == x
-            if unmoved.any():
-                stalled = unmoved.all(axis=1)
-                if stalled.any():
-                    # Steps underflow at this resolution; nothing further can move.
-                    j = int(np.argmax(stalled))
-                    error = _flow_error("stalled", x[j].copy(), gn[j], step, grad_tol)
+            same = x_new == seen
+            if same.any():
+                repeated = same.all(axis=1)
+                if repeated.any():
+                    # A repeat: the step map is deterministic, so this row never lands.
+                    j = int(np.argmax(repeated))
+                    error = _flow_error("stalled", x[j].copy(), gn[j], step, grad_tol, obj.lipschitz_grad_hint)
                     if not j:
                         break
-                    rows, x_new = rows[:j], x_new[:j]
+                    rows, x_new, seen = rows[:j], x_new[:j], seen[:j]
             x = x_new
             g = obj.grad_many(x)
             gn = np.sqrt(np.vecdot(g, g))

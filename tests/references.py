@@ -118,7 +118,7 @@ def two_call_flow(obj, x0: np.ndarray, grad_tol: float) -> np.ndarray:
             x_new = descend(x, g, h)
             if coords(x_new) == coords(x):
                 # Step underflows at this resolution; nothing further can move.
-                raise flow._flow_error("stalled", x, grad_norm(x)[1], step, grad_tol)
+                raise flow._flow_error("stalled", x, grad_norm(x)[1], step, grad_tol, obj.lipschitz_grad_hint)
             x = x_new
             g, q = grad_sq(x)
     return np.asarray(x)

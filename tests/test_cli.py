@@ -458,7 +458,9 @@ class TestCertifyCommand:
         elapsed = time.perf_counter() - start
         assert code == EXIT_NUMERICAL
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("flow failure: flow stalled")
+        assert lines == [
+            "flow failure: flow stalled at grad norm 5.145e-10 > tol 1.000e-13 (rounding floor about 3.1e-10)"
+        ]
         assert elapsed < 1.0
 
     # At 1e200,1e200 the first gradient overflows. At 1e160,1e-160 the start

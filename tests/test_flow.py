@@ -229,6 +229,9 @@ class TestOneCallPerStep:
     # Starts whose solves cycle with period 2, so that every form meets the cycle test.
     @example(unit=(0.0, 0.9375), scale=10.0, grad_tol=2.0**-499, max_steps=20_000)
     @example(unit=(0.99, 0.01), scale=10.0, grad_tol=2.0**-499, max_steps=20_000)
+    # Starts whose reference stalls: at step 635, and at step 17 936, past the last checkpoint below the cap.
+    @example(unit=(0.5, 0.7 / 3.0), scale=3.0, grad_tol=2.0**-499, max_steps=20_000)
+    @example(unit=(0.0, 1e-131), scale=3.0, grad_tol=2.0**-499, max_steps=20_000)
     def test_same_landing_or_error_as_two_call_loop(self, form, unit, scale, grad_tol, max_steps):
         obj = _FORMS[form]
         x0 = scale * np.array(unit)
@@ -236,15 +239,27 @@ class TestOneCallPerStep:
             mp.setattr(flow, "FLOW_MAX_STEPS", max_steps)
             got = _landing_or_error(lambda: gradient_flow_limit(obj, x0, grad_tol).tobytes())
             expected = _landing_or_error(lambda: two_call_flow(obj, x0, grad_tol).tobytes())
-            if _ends(expected, "flow did not converge") and _ends(got, "flow stalled"):
-                # The reference has no cycle test. The iterate at the power-of-two step k
-                # equals the one at k / 2, so the reference, restarted there for k / 2
-                # steps, comes back to it and ends at the cap.
-                steps = got[4]
-                assert steps < max_steps and steps & (steps - 1) == 0
-                mp.setattr(flow, "FLOW_MAX_STEPS", steps // 2)
+            if _ends(expected, "flow stalled"):
+                # The reference stalls at step s, on an iterate that step s - 1 reached and
+                # no later step leaves. The change holds it once a checkpoint P >= s - 1 has
+                # saved it, and sees the repeat at step P + 1, unless the cap comes first.
+                s = expected[4]
+                checkpoint = 0 if s == 1 else 1 << (s - 2).bit_length()
+                if checkpoint < max_steps:
+                    assert got[:4] == expected[:4] and got[4] == checkpoint + 1
+                else:
+                    assert _ends(got, "flow did not converge") and got[2:] == (*expected[2:4], max_steps)
+            elif _ends(expected, "flow did not converge") and _ends(got, "flow stalled"):
+                # The reference has no test for a cycle longer than one step. The new iterate
+                # at step t equals the one saved at the power of two P below t, so the
+                # reference, restarted at the iterate before it for t - P steps, comes back
+                # to that iterate and ends at the cap.
+                t = got[4]
+                checkpoint = 1 << ((t - 1).bit_length() - 1)
+                assert t < max_steps
+                mp.setattr(flow, "FLOW_MAX_STEPS", t - checkpoint)
                 again = _landing_or_error(lambda: two_call_flow(obj, np.frombuffer(got[2]), grad_tol).tobytes())
-                assert _ends(again, "flow did not converge") and again[2:] == (*got[2:4], steps // 2)
+                assert _ends(again, "flow did not converge") and again[2:] == (*got[2:4], t - checkpoint)
             else:
                 assert got == expected
 
@@ -281,12 +296,62 @@ def _ends(outcome, message: str) -> bool:
     return isinstance(outcome, tuple) and outcome[1].startswith(message)
 
 
+def _cycle(period: int) -> Objective:
+    """A d = 2 map whose flow step is exactly 1 and sends each small integer x0 to the next.
+
+    Below ``period`` the next of x0 is ``(x0 + 1) % period``, a cycle; above
+    it x0 steps down to ``period``, a fixed point with gradient 0. The
+    gradient is ``(x0 - next(x0), 0)``, so each step lands on an integer.
+    """
+
+    def successor(x0):
+        return np.where(x0 < period, (x0 + 1) % period, np.maximum(x0 - 1, period))
+
+    def grad_many(X):
+        return np.stack([X[:, 0] - successor(X[:, 0]), np.zeros(len(X))], axis=1)
+
+    return Objective(
+        dim=2,
+        value=lambda x: 0.0,
+        grad=lambda x: grad_many(x[None])[0],
+        hess=lambda x: np.zeros((2, 2)),
+        lipschitz_grad_hint=flow.FLOW_STEP_FRACTION,
+        value_many=lambda X: np.zeros(len(X)),
+        grad_many=grad_many,
+        normalized_trace_grad=lambda x: np.zeros(2),
+        float_value=lambda x0, x1: 0.0,
+        float_grad=lambda x0, x1: (x0 - float(successor(x0)), 0.0),
+    )
+
+
 class TestCyclesStall:
-    """A solve whose iterate at a power-of-two step repeats the one at the previous such step ends "stalled".
+    """A solve whose new iterate repeats the one saved at the last power-of-two step ends "stalled".
 
     The step map is deterministic, so such a solve cycles and never lands;
-    before, it ran all ``FLOW_MAX_STEPS`` steps and ended at the cap.
+    before, a cycle whose period is not a power of two ran all
+    ``FLOW_MAX_STEPS`` steps and ended at the cap. A cycle of period p is
+    seen once a power of two reaches p past its entry: within 3p steps from
+    a start on the cycle.
     """
+
+    @pytest.mark.parametrize("floats", [True, False], ids=["floats", "ndarrays"])
+    @pytest.mark.parametrize("period", [3, 5])
+    def test_any_period(self, monkeypatch, period, floats):
+        # The cap stands in for FLOW_MAX_STEPS, so a loop that misses the cycle fails fast.
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", 100_000)
+        obj = _cycle(period) if floats else without_float_formulas(_cycle(period))
+        got = _landing_or_error(lambda: gradient_flow_limit(obj, np.array([0.0, 0.0])))
+        assert _ends(got, "flow stalled") and got[4] <= 3 * period
+
+    @pytest.mark.parametrize("period", [3, 5])
+    def test_any_period_batched(self, monkeypatch, period):
+        # Row 0 lands on the fixed point at step 3 and leaves the loop; row 1 cycles.
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", 100_000)
+        X = np.array([[period + 3.0, 0.0], [0.0, 0.0]])
+        single = _landing_or_error(lambda: gradient_flow_limit(_cycle(period), X[1]))
+        assert _ends(single, "flow stalled") and single[4] <= 3 * period
+        assert _landing_or_error(lambda: gradient_flow_limits(_cycle(period), X)) == single
+        assert gradient_flow_limit(_cycle(period), X[0]).tolist() == [period, 0.0]
 
     @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
     @pytest.mark.parametrize("form", ["factorization-n4-floats", "factorization-n4-ndarrays"])
@@ -298,6 +363,17 @@ class TestCyclesStall:
         else:
             got = _landing_or_error(lambda: gradient_flow_limit(_FORMS[form], x0, 2.0**-499))
         assert _ends(got, "flow stalled at grad norm 1.262e-14") and got[4] <= 1000
+
+    @pytest.mark.parametrize("offset", [(1e-4, 0.0), (0.0, 1e-4)])
+    def test_message_names_the_rounding_floor(self, offset):
+        # Two of the certifier's probes of the minimum (sqrt(1e3), sqrt(1e3)) stall above
+        # ORACLE_FLOW, at the floor 2**-53 * |x| * lipschitz_grad_hint of u*v = 1e3.
+        obj = build_scalar_factorization([1.0], 1e3).base
+        x0 = np.full(2, math.sqrt(1e3)) + offset
+        got = _landing_or_error(lambda: gradient_flow_limit(obj, x0, ORACLE_FLOW))
+        floor = 2.0**-53 * np.linalg.norm(np.frombuffer(got[2])) * obj.lipschitz_grad_hint
+        assert got[1] == "flow stalled at grad norm 1.017e-11 > tol 1.000e-13 (rounding floor about 1.0e-11)"
+        assert floor / 7 < np.frombuffer(got[3])[0] < 7 * floor
 
     def test_batched_row_stalls_as_its_single_solve(self):
         # On u*v = 1e4 row 0 lands, and row 1 cycles near (100.504, 99.499).
@@ -472,8 +548,8 @@ class TestBatchedLanding:
     @pytest.mark.parametrize(
         "eigenvalues, rows, grad_tol, max_steps, kind, steps",
         [
-            # The stall at step 422 of row 1 wins over row 2's overflow at step 0.
-            (None, [[2.0, 0.5], [2.0, 0.6], [1e200, 1e200]], 1e-30, None, "stalled", 422),
+            # The stall at step 513 of row 1 wins over row 2's overflow at step 0.
+            (None, [[2.0, 0.5], [2.0, 0.6], [1e200, 1e200]], 1e-30, None, "stalled", 513),
             (None, [[2.0, 0.5], [40.0, -40.0], [1e200, 1e200]], DEFAULT_FLOW, None, "non-finite", 4),
             ([1.0, 4.0], [[0.0, 0.0], [3.0, -2.0], [1e200, 1e200]], DEFAULT_FLOW, 3, "did not converge", 3),
         ],
