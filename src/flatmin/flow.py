@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _SQUARE_TOP, _sq2, _square_band, fd_gradient
+from .geometry import _SQUARE_TOP, _sq2, _square_band
 from .objectives import as_start, base_of, normalized_trace, on_floats
 
 
@@ -113,11 +113,12 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     ``grad_tol`` is not positive and finite.
     :func:`gradient_flow_limits` lands many starts at once.
 
-    The iterates are Python floats where
-    :func:`~flatmin.objectives.on_floats` says so, and ndarrays otherwise;
-    each form steps in its own loop: a float pair in the locals ``x0, x1,
-    g0, g1`` with one ``float_grad`` call per step, an ndarray through
-    ``grad``; a solve that lands makes steps + 1 gradient calls.
+    On ndarrays a lone solve is a one-row batch of
+    :func:`gradient_flow_limits`. Where
+    :func:`~flatmin.objectives.on_floats` says so, the iterate is a pair of
+    Python floats, stepped in the locals ``x0, x1, g0, g1`` with one
+    ``float_grad`` call per step; a solve that lands makes steps + 1
+    gradient calls on either form.
 
     One saved iterate catches a solve that cannot land (Brent's cycle
     detection): the start until step 1, then the iterate at each
@@ -128,9 +129,8 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     both m and p. A step that moves no coordinate is a cycle of period 1,
     so it is reported at most about twice as many steps in as it occurred.
 
-    The stopping test is ``sqrt(np.dot(g, g)) <= grad_tol``. On ndarrays
-    the loop takes that exact dot at every step. On floats it compares a
-    square sum ``q`` with the band of
+    The stopping test is ``sqrt(np.dot(g, g)) <= grad_tol``. On floats the
+    loop compares a square sum ``q`` with the band of
     :func:`~flatmin.geometry._square_band` around ``grad_tol**2``: the
     exact dot at the start, and after a step the plain ``g0*g0 + g1*g1``.
     Only a sum inside the band, a non-finite one or a failure takes the
@@ -141,68 +141,45 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     if not 0.0 < grad_tol < math.inf:
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
-    h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
     x = as_start(obj, x0)
+    if not on_floats(obj):
+        return gradient_flow_limits(obj, x[None], grad_tol)[0]
+    h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
     max_steps = FLOW_MAX_STEPS
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, isfinite, grad = math.sqrt, math.isfinite, obj.float_grad
+    lo, hi = _square_band(grad_tol)
 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        if on_floats(obj):
-            grad = obj.float_grad
-            lo, hi = _square_band(grad_tol)
-            x0, x1 = x.tolist()
-            g0, g1 = grad(x0, x1)
-            q = _sq2(g0, g1)
-            step = 0
-            # The start, then the iterate at each power-of-two step.
-            check, s0, s1 = min(1, max_steps), x0, x1
-            while not q < lo:
-                if not hi < q < _SQUARE_TOP:
-                    gn = sqrt(_sq2(g0, g1))
-                    if not isfinite(gn):
-                        raise _flow_error("non-finite", (x0, x1), gn, step, grad_tol)
-                    if gn <= grad_tol:
-                        break
-                if step == check:
-                    if step == max_steps:
-                        raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
-                    check, s0, s1 = min(2 * check, max_steps), x0, x1
-                step += 1
-                y0 = x0 - h * g0
-                y1 = x1 - h * g1
-                if y0 == s0 and y1 == s1:
-                    # A repeat: the step map is deterministic, so this solve never lands.
-                    gn = sqrt(_sq2(g0, g1))
-                    raise _flow_error("stalled", (x0, x1), gn, step, grad_tol, obj.lipschitz_grad_hint)
-                x0, x1 = y0, y1
-                g0, g1 = grad(y0, y1)
-                q = g0 * g0 + g1 * g1
-            return np.array((x0, x1))
-
-        grad = obj.grad
-        g = grad(x)
-        gn = sqrt(np.dot(g, g))
+        x0, x1 = x.tolist()
+        g0, g1 = grad(x0, x1)
+        q = _sq2(g0, g1)
         step = 0
-        check, seen = min(1, max_steps), x.tolist()
-        while not gn <= grad_tol:
-            if not isfinite(gn):
-                raise _flow_error("non-finite", x, gn, step, grad_tol)
+        # The start, then the iterate at each power-of-two step.
+        check, s0, s1 = min(1, max_steps), x0, x1
+        while not q < lo:
+            if not hi < q < _SQUARE_TOP:
+                gn = sqrt(_sq2(g0, g1))
+                if not isfinite(gn):
+                    raise _flow_error("non-finite", (x0, x1), gn, step, grad_tol)
+                if gn <= grad_tol:
+                    break
             if step == check:
                 if step == max_steps:
-                    raise _flow_error("capped", x, gn, step, grad_tol)
-                check, seen = min(2 * check, max_steps), xs
+                    raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+                check, s0, s1 = min(2 * check, max_steps), x0, x1
             step += 1
-            x_new = x - h * g
-            xs = x_new.tolist()
-            if xs == seen:
+            y0 = x0 - h * g0
+            y1 = x1 - h * g1
+            if y0 == s0 and y1 == s1:
                 # A repeat: the step map is deterministic, so this solve never lands.
-                raise _flow_error("stalled", x, gn, step, grad_tol, obj.lipschitz_grad_hint)
-            x = x_new
-            g = grad(x)
-            gn = sqrt(np.dot(g, g))
-    return x
+                gn = sqrt(_sq2(g0, g1))
+                raise _flow_error("stalled", (x0, x1), gn, step, grad_tol, obj.lipschitz_grad_hint)
+            x0, x1 = y0, y1
+            g0, g1 = grad(y0, y1)
+            q = g0 * g0 + g1 * g1
+    return np.array((x0, x1))
 
 
 def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
@@ -282,22 +259,30 @@ def trace_at_flow_limit(obj, x: np.ndarray) -> float:
 def restricted_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
     """Gradient of x -> normalized_trace(flow_limit(x)) at ``x_star``, by central FD.
 
-    The probes step ``TRACE_FD_STEP`` along each axis and land with
-    ``ORACLE_FLOW``. ``x_star`` should already be within gradient tolerance
-    of the minima set; the 2*dim flow probes then stay in the
-    flow-convergent neighborhood. Flow failures at any probe propagate, and
-    a probe trace that overflows raises :class:`FlowConvergenceError` too.
+    The 2*dim probes start at ``x_star + TRACE_FD_STEP * e_j``, then
+    ``x_star - TRACE_FD_STEP * e_j``, for j = 0, 1, ... (the order of
+    :func:`~flatmin.geometry.fd_gradient`, whose differences they give bit
+    for bit), and land with ``ORACLE_FLOW``: on ndarrays in one
+    :func:`gradient_flow_limits` call, on floats one at a time.
+    ``x_star`` should already be within gradient tolerance of the minima
+    set; the probes then stay in the flow-convergent neighborhood. The
+    first failing probe's error propagates, a probe trace that overflows
+    raises :class:`FlowConvergenceError` too, and ``ValueError`` if
+    ``x_star`` is not of shape ``(dim,)``.
     """
     base = base_of(obj)
-    x_star = np.asarray(x_star, dtype=float)
-
-    def probe(p):
-        return normalized_trace(base, gradient_flow_limit(base, p, ORACLE_FLOW))
+    x_star = as_start(base, x_star)
+    starts = [p for e in TRACE_FD_STEP * np.eye(base.dim) for p in (x_star + e, x_star - e)]
 
     # A non-finite probe trace makes the difference non-finite; it is
     # reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = fd_gradient(probe, x_star, TRACE_FD_STEP)
+        if on_floats(base):
+            landings = [gradient_flow_limit(base, p, ORACLE_FLOW) for p in starts]
+        else:
+            landings = gradient_flow_limits(base, starts, ORACLE_FLOW)
+        traces = np.array([normalized_trace(base, p) for p in landings])
+        g = (traces[0::2] - traces[1::2]) / (2.0 * TRACE_FD_STEP)
     if not np.isfinite(g).all():
         raise FlowConvergenceError("non-finite trace at a certifier probe", x_star, math.nan, 0)
     return g
@@ -307,7 +292,9 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
     """Check the two-inequality approximate-flatness condition at ``x``.
 
     Computes the flow landing point, the distance to it, and the norm of the
-    restricted trace gradient there; passes iff both thresholds hold and
+    restricted trace gradient there. On ndarrays that takes two flow calls,
+    the landing (a one-row batch) and one batch of the 2*dim probes; on
+    floats, 1 + 2*dim lone solves. Passes iff both thresholds hold and
     the Hessian at the landing point has no eigenvalue below
     ``-CURVATURE_TOL * lipschitz_grad_hint`` (no saddle).
     ``eps`` and ``eps_prime`` must be positive and finite.

@@ -56,19 +56,21 @@ def count_exact_dots(monkeypatch, *modules) -> list:
     return calls
 
 
-def count_numpy_dots(monkeypatch, module) -> list:
-    """Wrap ``np.dot`` as ``module`` alone sees it, by a stand-in for its ``np``; returns the list its calls append to."""
+def count_numpy_dots(monkeypatch, module, name: str = "dot") -> list:
+    """Wrap ``np.dot``, or the ``np.vecdot`` that ``name`` picks, as ``module`` alone sees it, by a stand-in for its ``np``; returns the list its calls append to."""
     calls = []
 
     class Numpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
+        def __getattr__(self, attr):
+            return getattr(np, attr)
 
-        def dot(self, a, b):
-            calls.append((a, b))
-            return np.dot(a, b)
+    def counted(a, b):
+        calls.append((a, b))
+        return getattr(np, name)(a, b)
 
-    monkeypatch.setattr(module, "np", Numpy())
+    stand_in = Numpy()
+    setattr(stand_in, name, counted)
+    monkeypatch.setattr(module, "np", stand_in)
     return calls
 
 

@@ -124,6 +124,39 @@ def two_call_flow(obj, x0: np.ndarray, grad_tol: float) -> np.ndarray:
     return np.asarray(x)
 
 
+def lone_solve_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
+    """``flow.restricted_trace_gradient`` by ``fd_gradient`` over lone ``two_call_flow`` probes.
+
+    The probes land one at a time in ``fd_gradient``'s order, so the first
+    one that fails raises its error.
+    """
+    base = base_of(obj)
+
+    def probe(p):
+        return normalized_trace(base, two_call_flow(base, p, flow.ORACLE_FLOW))
+
+    return geometry.fd_gradient(probe, x_star, flow.TRACE_FD_STEP)
+
+
+def lone_solve_certificate(obj, x: np.ndarray, eps: float, eps_prime: float) -> flow.FlatnessCertificate:
+    """``flow.certify_flat`` from lone ``two_call_flow`` solves: the landing, then the probes of ``lone_solve_trace_gradient``."""
+    base = base_of(obj)
+    x = np.asarray(x, dtype=float)
+    phi_x = two_call_flow(base, x, flow.DEFAULT_FLOW)
+    dist = float(np.linalg.norm(x - phi_x))
+    flat_grad_norm = float(np.linalg.norm(lone_solve_trace_gradient(base, phi_x)))
+    no_saddle = np.linalg.eigvalsh(base.hess(phi_x))[0] >= -flow.CURVATURE_TOL * base.lipschitz_grad_hint
+    return flow.FlatnessCertificate(
+        x=x.tolist(),
+        phi_x=phi_x.tolist(),
+        dist=dist,
+        flat_grad_norm=flat_grad_norm,
+        eps=float(eps),
+        eps_prime=float(eps_prime),
+        passed=bool(dist <= eps and flat_grad_norm <= eps_prime and no_saddle),
+    )
+
+
 def landing_trace(x, m2: float, c: float) -> float:
     """Normalized Hessian trace where the gradient flow of m2*(u*v - c)^2 from ``x`` lands.
 

@@ -16,6 +16,7 @@ from flatmin import (
     build_convex_quadratic,
     build_landscape,
     build_hyperbola,
+    build_orthogonal_quadratic_model,
     build_scalar_factorization,
     certify_flat,
     estimate_pl_constants,
@@ -43,6 +44,8 @@ from references import (
     fixed_step_flow,
     flat_grad_norm,
     landing_point,
+    lone_solve_certificate,
+    lone_solve_trace_gradient,
     two_call_flow,
 )
 
@@ -268,15 +271,18 @@ class TestOneCallPerStep:
     @pytest.mark.parametrize("x0", [(1.5, 0.7), (-2.0, -0.4), (3.0 + 1e-4, 1.0 / 3.0)])
     def test_one_gradient_per_step(self, monkeypatch, form, x0, grad_tol):
         # A solve evaluates the gradient at its start once and at each point it steps to once: steps + 1 in all.
+        # On ndarrays a lone solve is a one-row batch: its gradients are one-row ``grad_many`` calls.
         obj = _FORMS[form]
         floats = obj.float_grad is not None
-        name, value = ("float_grad", "float_value") if floats else ("grad", "value")
+        name, value = ("float_grad", ["float_value"]) if floats else ("grad_many", ["value", "value_many"])
         dots = count_exact_dots(monkeypatch, flow)
-        norms = count_numpy_dots(monkeypatch, flow)
+        norms = count_numpy_dots(monkeypatch, flow, "dot" if floats else "vecdot")
         counted, calls = count_calls(obj, name)
-        counted, values = count_calls(counted, value)
+        counted, values = count_calls(counted, *value)
         landing = gradient_flow_limit(counted, np.array(x0), grad_tol)
         assert landing.tobytes() == two_call_flow(obj, np.array(x0), grad_tol).tobytes()
+        if not floats:
+            assert all(X.shape == (1, 2) for X, in calls)
         # A step moves the point, so a second evaluation of one point would show as an unmoved pair.
         points = [np.array(a).tobytes() for a in calls]
         steps = sum(p != q for p, q in zip(points, points[1:]))
@@ -287,7 +293,7 @@ class TestOneCallPerStep:
             # One exact square at the start, of its gradient, and at most two exact norms in the band.
             assert dots[0] == obj.float_grad(*calls[0]) and len(dots) <= 3 and not norms
         else:
-            # Every square sum is the exact dot, one per gradient; the band's exact norms are its roots.
+            # Every square sum is the exact row dot, one ``np.vecdot`` per gradient; the norms are its roots.
             assert len(norms) == len(calls) and not dots
 
 
@@ -575,14 +581,23 @@ class TestStartShape:
         ids=["hyperbola-floats", "hyperbola-ndarrays", "quadratic"],
     )
     @pytest.mark.parametrize("x0", [[1.0, 1.0, 1.0], [1.0], 1.0, [[1.0, 1.0]]], ids=["3", "1", "scalar", "1x2"])
-    @pytest.mark.parametrize("entry", ["limit", "certify"])
+    @pytest.mark.parametrize("entry", ["limit", "certify", "trace-gradient"])
     def test_single_start(self, obj, x0, entry):
         shape = np.shape(x0)
         with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (2,), got {shape}")):
             if entry == "limit":
                 gradient_flow_limit(obj, x0)
-            else:
+            elif entry == "certify":
                 certify_flat(obj, x0, eps=0.01, eps_prime=0.1)
+            else:
+                restricted_trace_gradient(obj, x0)
+
+    @pytest.mark.parametrize("x_star", [0.0, [[0.0]], [0.0, 0.0]], ids=["0-d", "1x1", "2"])
+    def test_trace_gradient_in_one_dimension(self, x_star):
+        # The 0-d point of a d = 1 landscape once reached the probes and raised a bare IndexError.
+        shape = np.shape(x_star)
+        with pytest.raises(ValueError, match=re.escape(f"expected a start of shape (1,), got {shape}")):
+            restricted_trace_gradient(build_convex_quadratic([1.0]), x_star)
 
     @pytest.mark.parametrize("obj", [build_hyperbola(), build_convex_quadratic([1.0, 2.0])], ids=["hyperbola", "quadratic"])
     @pytest.mark.parametrize("X", [[[1.0, 1.0, 1.0]], [1.0, 1.0], [[[1.0, 1.0]]], []], ids=["1x3", "2", "1x1x2", "empty"])
@@ -806,6 +821,69 @@ class TestCertificatesEqualAcrossForms:
         if x == [3.0, 1.0 / 3.0]:
             # The sharp escape start lies on the minima set, where the trace gradient is large.
             assert not cert.passed and cert.dist == 0.0
+
+
+def _ndarray_certificate_cases() -> list:
+    """``(obj, x)`` on ndarray landscapes: seeded points on the minima set, and 0.01 off it along a seeded direction.
+
+    The orthogonal model at d = 4 (n = 2), 8 and 12 (n = 4), whose minima
+    set is x_i = ±sqrt(2 y_i) for i < n with a free tail, and the d = 5
+    convex quadratic, whose minimum is the origin.
+    """
+    rng = np.random.default_rng(5)
+    cases = []
+    for d, n in ((4, 2), (8, 4), (12, 4)):
+        y = rng.uniform(0.5, 1.5, n)
+        obj = build_orthogonal_quadratic_model(d, n, y.tolist())
+        on = np.concatenate([rng.choice((-1.0, 1.0), n) * np.sqrt(2.0 * y), rng.uniform(-1.0, 1.0, d - n)])
+        cases.append(pytest.param(obj, on, id=f"orthogonal-d{d}-on"))
+        u = rng.normal(size=d)
+        cases.append(pytest.param(obj, on + 0.01 * u / np.linalg.norm(u), id=f"orthogonal-d{d}-off"))
+    obj = build_convex_quadratic(rng.uniform(0.5, 2.0, 5).tolist())
+    u = rng.normal(size=5)
+    cases.append(pytest.param(obj, np.zeros(5), id="quadratic-d5-on"))
+    cases.append(pytest.param(obj, 0.01 * u / np.linalg.norm(u), id="quadratic-d5-off"))
+    return cases
+
+
+class TestNdarrayCertificatesMatchLoneSolves:
+    """On ndarrays the certifier lands its point, then its 2*d probes in one batch, with the bytes of lone solves."""
+
+    @pytest.mark.parametrize("obj, x", _ndarray_certificate_cases())
+    def test_same_bytes(self, monkeypatch, obj, x):
+        batches = []
+        batched = flow.gradient_flow_limits
+        monkeypatch.setattr(flow, "gradient_flow_limits", lambda o, X, tol: (batches.append(np.shape(X)), batched(o, X, tol))[1])
+        cert = certify_flat(obj, x, 0.05, 0.3)
+        d = len(x)
+        assert batches == [(1, d), (2 * d, d)]
+        assert cert.to_json() == lone_solve_certificate(obj, x, 0.05, 0.3).to_json()
+        assert restricted_trace_gradient(obj, x).tobytes() == lone_solve_trace_gradient(obj, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "obj, x, cap",
+        [
+            # Probes along e_0 land in 249 steps, along e_1 in 410, e_2 in 178 and e_3 in 310.
+            (build_orthogonal_quadratic_model(8, 4, [1.0, 0.6, 1.4, 0.8]), np.sqrt([2.0, 1.2, 2.8, 1.6] + [0.0] * 4), 300),
+            # Probes along the eigenvalue-2 axis land within 100 steps; along 0.5 and 0.3 they do not.
+            (build_convex_quadratic([2.0, 0.5, 1.0, 0.3, 1.5]), np.zeros(5), 100),
+        ],
+        ids=["orthogonal-d8", "quadratic-d5"],
+    )
+    def test_first_failing_probe_raises(self, monkeypatch, obj, x, cap):
+        # The point lands at once and the first probe pair within the cap, so the batch's
+        # lowest failing row is a later probe: the one a loop of lone solves fails at first.
+        monkeypatch.setattr(flow, "FLOW_MAX_STEPS", cap)
+        base = flow.base_of(obj)
+        phi = two_call_flow(base, x, DEFAULT_FLOW)
+        two_call_flow(base, phi + flow.TRACE_FD_STEP * np.eye(len(x))[0], ORACLE_FLOW)
+        with pytest.raises(FlowConvergenceError) as expected:
+            lone_solve_trace_gradient(base, phi)
+        with pytest.raises(FlowConvergenceError) as got:
+            certify_flat(obj, x, 0.05, 0.3)
+        assert str(got.value) == str(expected.value) and expected.value.steps == cap
+        assert got.value.x_last.tobytes() == expected.value.x_last.tobytes()
+        assert (got.value.grad_norm, got.value.steps) == (expected.value.grad_norm, expected.value.steps)
 
 
 class TestTraceAtFlowLimit:
