@@ -14,7 +14,6 @@ and ``argparse`` in ``cli.main``.
 
 from .geometry import (
     RngStream,
-    fd_gradient,
     proj_out,
     sample_sphere,
     sample_sphere_batch,
@@ -59,7 +58,6 @@ from .optimizers import (
 
 __all__ = [
     "RngStream",
-    "fd_gradient",
     "proj_out",
     "sample_sphere",
     "sample_sphere_batch",

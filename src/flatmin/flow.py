@@ -3,8 +3,9 @@
 The limit map sends a point to the landing point of the gradient flow
 x' = -grad f(x). It is discretized as fixed-step gradient descent (the
 landing point, not the path, is the target; local PL geometry makes the
-iteration contract geometrically). A tight-tolerance mode backs the
-certifier's finite-difference probes.
+iteration contract geometrically). :func:`gradient_flow_limits` steps
+every solve; a lone one is a one-row batch. A tight-tolerance mode backs
+the certifier's finite-difference probes.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _flow_error(
 
 
 def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
-    """Landing point of the gradient flow started at ``x0``.
+    """Landing point of the gradient flow started at ``x0``: a one-row :func:`gradient_flow_limits` call.
 
     Takes steps of ``FLOW_STEP_FRACTION / lipschitz_grad_hint`` until the
     gradient norm is at most ``grad_tol``. Raises
@@ -111,17 +112,29 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     the iteration stalls (repeats an iterate) before reaching the
     tolerance, and ``ValueError`` if ``x0`` is not of shape ``(dim,)`` or
     ``grad_tol`` is not positive and finite.
-    :func:`gradient_flow_limits` lands many starts at once.
+    """
+    return _land_rows(obj, as_start(obj, x0)[None], grad_tol)[0]
 
-    On ndarrays a lone solve is a one-row batch of
-    :func:`gradient_flow_limits`. Where
-    :func:`~flatmin.objectives.on_floats` says so, the iterate is a pair of
-    Python floats, stepped in the locals ``x0, x1, g0, g1`` with one
-    ``float_grad`` call per step; a solve that lands makes steps + 1
-    gradient calls on either form.
 
-    One saved iterate catches a solve that cannot land (Brent's cycle
-    detection): the start until step 1, then the iterate at each
+def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
+    """Landing points of the gradient flows started at the rows of the ``(k, d)`` array ``X``.
+
+    The flow's one stepping entry. Row ``j`` of the result equals
+    ``gradient_flow_limit(obj, X[j], grad_tol)`` bit for bit; if any row
+    fails, the :class:`FlowConvergenceError` of the lowest-index failing
+    row is raised. ``ValueError`` if ``X`` is not of shape ``(k, dim)`` or
+    ``grad_tol`` is not positive and finite. The rows land in a copy of
+    ``X``, never in the caller's array.
+
+    Where :func:`~flatmin.objectives.on_floats` says so, the rows land one
+    after another as pairs of Python floats, stepped in the locals ``x0,
+    x1, g0, g1`` with one ``float_grad`` call per step. Elsewhere one loop
+    steps every row that has neither landed nor failed, with one
+    ``grad_many`` call per step, and rows after a failing row stop. A
+    landed row takes steps + 1 gradients on either form.
+
+    One saved iterate per row catches a solve that cannot land (Brent's
+    cycle detection): the start until step 1, then the iterate at each
     power-of-two step count. A new iterate equal to it ends the solve as
     stalled, reporting the iterate before that step: the step map is
     deterministic, so a repeat never lands. A cycle of period p entered at
@@ -129,7 +142,8 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     both m and p. A step that moves no coordinate is a cycle of period 1,
     so it is reported at most about twice as many steps in as it occurred.
 
-    The stopping test is ``sqrt(np.dot(g, g)) <= grad_tol``. On floats the
+    The stopping test is ``sqrt(np.dot(g, g)) <= grad_tol``: on ndarrays
+    the root of each row's ``np.vecdot``, taken every step. On floats the
     loop compares a square sum ``q`` with the band of
     :func:`~flatmin.geometry._square_band` around ``grad_tol**2``: the
     exact dot at the start, and after a step the plain ``g0*g0 + g1*g1``.
@@ -138,74 +152,27 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     The outcome is that of testing the exact norm at every step, bit for
     bit, and every error reports the exact norm.
     """
+    return _land_rows(obj, as_start(obj, X, rows=True), grad_tol)
+
+
+def _land_rows(obj, out: np.ndarray, grad_tol: float) -> np.ndarray:
+    """The body of :func:`gradient_flow_limits`: lands the rows of ``out``, a ``(k, dim)`` float64 array of its caller's own, in place."""
     if not 0.0 < grad_tol < math.inf:
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
-    x = as_start(obj, x0)
-    if not on_floats(obj):
-        return gradient_flow_limits(obj, x[None], grad_tol)[0]
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    max_steps = FLOW_MAX_STEPS
-    sqrt, isfinite, grad = math.sqrt, math.isfinite, obj.float_grad
-    lo, hi = _square_band(grad_tol)
 
     # Overflow, at the start or during a diverging run, is detected and
     # reported; keep it quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        x0, x1 = x.tolist()
-        g0, g1 = grad(x0, x1)
-        q = _sq2(g0, g1)
-        step = 0
-        # The start, then the iterate at each power-of-two step.
-        check, s0, s1 = min(1, max_steps), x0, x1
-        while not q < lo:
-            if not hi < q < _SQUARE_TOP:
-                gn = sqrt(_sq2(g0, g1))
-                if not isfinite(gn):
-                    raise _flow_error("non-finite", (x0, x1), gn, step, grad_tol)
-                if gn <= grad_tol:
-                    break
-            if step == check:
-                if step == max_steps:
-                    raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
-                check, s0, s1 = min(2 * check, max_steps), x0, x1
-            step += 1
-            y0 = x0 - h * g0
-            y1 = x1 - h * g1
-            if y0 == s0 and y1 == s1:
-                # A repeat: the step map is deterministic, so this solve never lands.
-                gn = sqrt(_sq2(g0, g1))
-                raise _flow_error("stalled", (x0, x1), gn, step, grad_tol, obj.lipschitz_grad_hint)
-            x0, x1 = y0, y1
-            g0, g1 = grad(y0, y1)
-            q = g0 * g0 + g1 * g1
-    return np.array((x0, x1))
-
-
-def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
-    """Landing points of the gradient flows started at the rows of the ``(k, d)`` array ``X``.
-
-    One loop steps every row that has neither landed nor failed, with the
-    arithmetic of :func:`gradient_flow_limit` (gradients from ``grad_many``),
-    so row ``j`` of the result equals ``gradient_flow_limit(obj, X[j],
-    grad_tol)`` bit for bit. If any row fails, the
-    :class:`FlowConvergenceError` of the lowest-index failing row is raised:
-    the one a loop over the rows would raise first; a row that repeats an
-    iterate stalls at the step its single solve does, since each live row
-    keeps its own saved iterate. Rows after a failing row
-    stop stepping, since their landing points are never returned.
-    ``ValueError`` if ``X`` is not of shape ``(k, dim)`` or ``grad_tol`` is
-    not positive and finite.
-    """
-    if not 0.0 < grad_tol < math.inf:
-        raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
-    obj = base_of(obj)
-    out = as_start(obj, X, rows=True)
-    rows = np.arange(len(out))
-    x = out
-    error = None
-    h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
-    with np.errstate(over="ignore", invalid="ignore"):
+        if on_floats(obj):
+            band = _square_band(grad_tol)
+            for row in out:
+                row[:] = _float_landing(obj.float_grad, *row.tolist(), h, band, grad_tol, obj.lipschitz_grad_hint)
+            return out
+        rows = np.arange(len(out))
+        x = out
+        error = None
         g = obj.grad_many(x)
         gn = np.sqrt(np.vecdot(g, g))
         step = 0
@@ -251,6 +218,40 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     return out
 
 
+def _float_landing(grad, x0: float, x1: float, h: float, band: tuple, grad_tol: float, hint: float) -> tuple:
+    """Landing point ``(x0, x1)`` of the float flow from ``(x0, x1)``: step ``h``, ``_square_band(grad_tol)`` as ``band``, ``lipschitz_grad_hint`` as ``hint``."""
+    max_steps = FLOW_MAX_STEPS
+    sqrt, isfinite = math.sqrt, math.isfinite
+    lo, hi = band
+    g0, g1 = grad(x0, x1)
+    q = _sq2(g0, g1)
+    step = 0
+    # The start, then the iterate at each power-of-two step.
+    check, s0, s1 = min(1, max_steps), x0, x1
+    while not q < lo:
+        if not hi < q < _SQUARE_TOP:
+            gn = sqrt(_sq2(g0, g1))
+            if not isfinite(gn):
+                raise _flow_error("non-finite", (x0, x1), gn, step, grad_tol)
+            if gn <= grad_tol:
+                break
+        if step == check:
+            if step == max_steps:
+                raise _flow_error("capped", (x0, x1), sqrt(_sq2(g0, g1)), step, grad_tol)
+            check, s0, s1 = min(2 * check, max_steps), x0, x1
+        step += 1
+        y0 = x0 - h * g0
+        y1 = x1 - h * g1
+        if y0 == s0 and y1 == s1:
+            # A repeat: the step map is deterministic, so this solve never lands.
+            gn = sqrt(_sq2(g0, g1))
+            raise _flow_error("stalled", (x0, x1), gn, step, grad_tol, hint)
+        x0, x1 = y0, y1
+        g0, g1 = grad(y0, y1)
+        q = g0 * g0 + g1 * g1
+    return x0, x1
+
+
 def trace_at_flow_limit(obj, x: np.ndarray) -> float:
     """Normalized Hessian trace evaluated at the flow landing point."""
     return normalized_trace(obj, gradient_flow_limit(obj, x))
@@ -260,27 +261,23 @@ def restricted_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
     """Gradient of x -> normalized_trace(flow_limit(x)) at ``x_star``, by central FD.
 
     The 2*dim probes start at ``x_star + TRACE_FD_STEP * e_j``, then
-    ``x_star - TRACE_FD_STEP * e_j``, for j = 0, 1, ... (the order of
-    :func:`~flatmin.geometry.fd_gradient`, whose differences they give bit
-    for bit), and land with ``ORACLE_FLOW``: on ndarrays in one
-    :func:`gradient_flow_limits` call, on floats one at a time.
+    ``x_star - TRACE_FD_STEP * e_j``, for j = 0, 1, ..., and land with
+    ``ORACLE_FLOW`` in one :func:`gradient_flow_limits` call, so the first
+    failing probe in that order raises its error. Component j is the
+    difference of the pair's traces over ``2 * TRACE_FD_STEP``.
     ``x_star`` should already be within gradient tolerance of the minima
-    set; the probes then stay in the flow-convergent neighborhood. The
-    first failing probe's error propagates, a probe trace that overflows
-    raises :class:`FlowConvergenceError` too, and ``ValueError`` if
-    ``x_star`` is not of shape ``(dim,)``.
+    set; the probes then stay in the flow-convergent neighborhood. A probe
+    trace that overflows raises :class:`FlowConvergenceError` too, and
+    ``ValueError`` if ``x_star`` is not of shape ``(dim,)``.
     """
     base = base_of(obj)
     x_star = as_start(base, x_star)
     starts = [p for e in TRACE_FD_STEP * np.eye(base.dim) for p in (x_star + e, x_star - e)]
+    landings = gradient_flow_limits(base, starts, ORACLE_FLOW)
 
     # A non-finite probe trace makes the difference non-finite; it is
     # reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        if on_floats(base):
-            landings = [gradient_flow_limit(base, p, ORACLE_FLOW) for p in starts]
-        else:
-            landings = gradient_flow_limits(base, starts, ORACLE_FLOW)
         traces = np.array([normalized_trace(base, p) for p in landings])
         g = (traces[0::2] - traces[1::2]) / (2.0 * TRACE_FD_STEP)
     if not np.isfinite(g).all():
@@ -292,10 +289,9 @@ def certify_flat(obj, x: np.ndarray, eps: float, eps_prime: float) -> FlatnessCe
     """Check the two-inequality approximate-flatness condition at ``x``.
 
     Computes the flow landing point, the distance to it, and the norm of the
-    restricted trace gradient there. On ndarrays that takes two flow calls,
-    the landing (a one-row batch) and one batch of the 2*dim probes; on
-    floats, 1 + 2*dim lone solves. Passes iff both thresholds hold and
-    the Hessian at the landing point has no eigenvalue below
+    restricted trace gradient there: two flow calls, the landing and one
+    batch of the 2*dim probes. Passes iff both thresholds hold and the
+    Hessian at the landing point has no eigenvalue below
     ``-CURVATURE_TOL * lipschitz_grad_hint`` (no saddle).
     ``eps`` and ``eps_prime`` must be positive and finite.
     """

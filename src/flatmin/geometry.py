@@ -1,10 +1,10 @@
-"""Shared geometric primitives: projection, sphere sampling, exact 2-vector dots, finite differences."""
+"""Shared geometric primitives: projection, sphere sampling, exact 2-vector dots."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -143,7 +143,7 @@ _SQUARE_TOP = 2.0**1023
 def _square_band(tol: float) -> tuple[float, float]:
     """``(lo, hi)``: where a square sum ``q`` of ``(g0, g1)`` decides ``sqrt(_dot2(g0, g1, g0, g1)) <= tol``.
 
-    Only the float loop of ``flow.gradient_flow_limit`` feeds it: ``q`` is
+    Only the float loop of ``flow.gradient_flow_limits`` feeds it: ``q`` is
     the plain ``g0*g0 + g1*g1`` after a step, and the exact dot itself at
     the start. The band holds for ``n*n`` too, the square of the exact norm
     ``n``. ``q < lo`` means the test holds, and ``hi < q < _SQUARE_TOP``
@@ -222,16 +222,3 @@ def sphere_blocks(d: int, radius: float, rng: RngStream) -> Iterator[np.ndarray]
     """Endless ``(SPHERE_BLOCK, d)`` blocks of uniform vectors on the sphere of ``radius`` in R^d."""
     while True:
         yield radius * sample_sphere_batch(d, SPHERE_BLOCK, rng)
-
-
-def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function; the step ``h`` must be positive and finite."""
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step must be positive and finite, got {h!r}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        out[j] = (float(fn(x + e)) - float(fn(x - e))) / (2.0 * h)
-    return out

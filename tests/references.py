@@ -135,7 +135,7 @@ def lone_solve_trace_gradient(obj, x_star: np.ndarray) -> np.ndarray:
     def probe(p):
         return normalized_trace(base, two_call_flow(base, p, flow.ORACLE_FLOW))
 
-    return geometry.fd_gradient(probe, x_star, flow.TRACE_FD_STEP)
+    return fd_gradient(probe, x_star, flow.TRACE_FD_STEP)
 
 
 def lone_solve_certificate(obj, x: np.ndarray, eps: float, eps_prime: float) -> flow.FlatnessCertificate:
@@ -192,6 +192,19 @@ def flat_grad_norm(phi, m2: float, c: float) -> float:
     """
     d = phi[0] * phi[0] - phi[1] * phi[1]
     return 2.0 * m2 * abs(d) * math.hypot(phi[0], phi[1]) / math.sqrt(d * d + 4.0 * c * c)
+
+
+def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function; the step ``h`` must be positive and finite."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h!r}")
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        out[j] = (float(fn(x + e)) - float(fn(x - e))) / (2.0 * h)
+    return out
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:

@@ -512,18 +512,26 @@ def _landing_or_error(fn):
         return (type(err), str(err), err.x_last.tobytes(), np.float64(err.grad_norm).tobytes(), err.steps)
 
 
+_STALL_ROWS = [[2.0, 0.5], [2.0, 0.6], [1e200, 1e200]]
+_DIVERGENCE_ROWS = [[2.0, 0.5], [40.0, -40.0], [1e200, 1e200]]
+
+
 class TestBatchedLanding:
     """``gradient_flow_limits`` against a loop of ``gradient_flow_limit``, bit for bit."""
 
+    # On the d = 2 family the batch lands row after row on the float loop, as
+    # a lone solve does; the "-ndarrays" copies keep the batched numpy loop tested there.
     @pytest.mark.parametrize(
-        "spec",
+        "obj",
         [
-            LandscapeSpec("hyperbola"),
-            LandscapeSpec("scalar_factorization", {"a": [1.0, 0.7, 1.3, 1.6], "c": 1.0}),
-            LandscapeSpec("orthogonal_quadratic_model", {"d": 12, "n": 4, "y": [0.5, 1.0, 1.5, 2.0]}),
-            LandscapeSpec("convex_quadratic", {"eigenvalues": [1.0, 4.0, 0.5]}),
+            base_objective(LandscapeSpec("hyperbola")),
+            without_float_formulas(base_objective(LandscapeSpec("hyperbola"))),
+            base_objective(LandscapeSpec("scalar_factorization", {"a": [1.0, 0.7, 1.3, 1.6], "c": 1.0})),
+            without_float_formulas(base_objective(LandscapeSpec("scalar_factorization", {"a": [1.0, 0.7, 1.3, 1.6], "c": 1.0}))),
+            base_objective(LandscapeSpec("orthogonal_quadratic_model", {"d": 12, "n": 4, "y": [0.5, 1.0, 1.5, 2.0]})),
+            base_objective(LandscapeSpec("convex_quadratic", {"eigenvalues": [1.0, 4.0, 0.5]})),
         ],
-        ids=["hyperbola", "factorization-n4", "orthogonal-d12", "convex-quadratic"],
+        ids=["hyperbola", "hyperbola-ndarrays", "factorization-n4", "factorization-n4-ndarrays", "orthogonal-d12", "convex-quadratic"],
     )
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(
@@ -536,8 +544,7 @@ class TestBatchedLanding:
         max_steps=st.sampled_from([flow.FLOW_MAX_STEPS, 3]),
         data=st.data(),
     )
-    def test_matches_loop_of_single_landings(self, spec, points, failing, grad_tol, max_steps, data):
-        obj = base_objective(spec)
+    def test_matches_loop_of_single_landings(self, obj, points, failing, grad_tol, max_steps, data):
         d = obj.dim
         special = {"overflow": np.full(d, 1e200), "diverge": 40.0 * (-1.0) ** np.arange(d)}
         rows = data.draw(st.permutations([p[:d] for p in points] + [special[f] for f in failing]))
@@ -552,17 +559,22 @@ class TestBatchedLanding:
             assert batched.tobytes() == looped.tobytes()
 
     @pytest.mark.parametrize(
-        "eigenvalues, rows, grad_tol, max_steps, kind, steps",
+        "obj, rows, grad_tol, max_steps, kind, steps",
         [
             # The stall at step 513 of row 1 wins over row 2's overflow at step 0.
-            (None, [[2.0, 0.5], [2.0, 0.6], [1e200, 1e200]], 1e-30, None, "stalled", 513),
-            (None, [[2.0, 0.5], [40.0, -40.0], [1e200, 1e200]], DEFAULT_FLOW, None, "non-finite", 4),
-            ([1.0, 4.0], [[0.0, 0.0], [3.0, -2.0], [1e200, 1e200]], DEFAULT_FLOW, 3, "did not converge", 3),
+            pytest.param(build_hyperbola(), _STALL_ROWS, 1e-30, None, "stalled", 513, id="stall"),
+            pytest.param(without_float_formulas(build_hyperbola()), _STALL_ROWS, 1e-30, None, "stalled", 513, id="stall-ndarrays"),
+            pytest.param(build_hyperbola(), _DIVERGENCE_ROWS, DEFAULT_FLOW, None, "non-finite", 4, id="divergence"),
+            pytest.param(
+                without_float_formulas(build_hyperbola()), _DIVERGENCE_ROWS, DEFAULT_FLOW, None, "non-finite", 4, id="divergence-ndarrays"
+            ),
+            pytest.param(
+                build_convex_quadratic([1.0, 4.0]), [[0.0, 0.0], [3.0, -2.0], [1e200, 1e200]], DEFAULT_FLOW, 3, "did not converge", 3,
+                id="max-steps",
+            ),
         ],
-        ids=["stall", "divergence", "max-steps"],
     )
-    def test_lowest_failing_row_wins(self, monkeypatch, eigenvalues, rows, grad_tol, max_steps, kind, steps):
-        obj = build_hyperbola() if eigenvalues is None else build_convex_quadratic(eigenvalues)
+    def test_lowest_failing_row_wins(self, monkeypatch, obj, rows, grad_tol, max_steps, kind, steps):
         if max_steps is not None:
             monkeypatch.setattr(flow, "FLOW_MAX_STEPS", max_steps)
         X = np.array(rows)
@@ -570,6 +582,60 @@ class TestBatchedLanding:
         looped = _landing_or_error(lambda: [gradient_flow_limit(obj, x, grad_tol) for x in X])
         assert kind in looped[1] and looped[4] == steps
         assert batched == looped
+
+
+def _counted_batch(obj, X) -> tuple:
+    """``(landings, calls)``: ``gradient_flow_limits(obj, X)``, with the arguments of each call of each of ``obj``'s evaluators by name."""
+    names = [n for n in ("value", "grad", "value_many", "grad_many", "float_value", "float_grad") if getattr(obj, n) is not None]
+    calls = {}
+    for name in names:
+        obj, calls[name] = count_calls(obj, name)
+    return gradient_flow_limits(obj, X), calls
+
+
+class TestOneEntryPerForm:
+    """A batch lands its rows on the loop of its iterate form: float pairs through ``float_grad``, or ndarrays through ``grad_many``."""
+
+    # (1, 1) is a minimum and lands at once; the others take 50 steps or more.
+    X = np.array([[1.5, 0.7], [1.0, 1.0], [-2.0, -0.4], [3.0 + 1e-4, 1.0 / 3.0]])
+
+    @pytest.mark.parametrize("landscape", ["hyperbola", "factorization-n4"])
+    def test_gradient_calls(self, landscape):
+        floats, ndarrays = _FORMS[landscape + "-floats"], _FORMS[landscape + "-ndarrays"]
+        landed, calls = _counted_batch(floats, self.X)
+        points = calls.pop("float_grad")
+        assert not any(calls.values())
+        # Row after row: the start, then each step's point x - h*g(x), once each, ending where the row lands.
+        h = flow.FLOW_STEP_FRACTION / floats.lipschitz_grad_hint
+        steps, k = [], 0
+        for x0, phi in zip(self.X, landed):
+            assert points[k] == tuple(x0)
+            first = k
+            while k + 1 < len(points):
+                (p0, p1), (g0, g1) = points[k], floats.float_grad(*points[k])
+                if points[k + 1] != (p0 - h * g0, p1 - h * g1):
+                    break
+                k += 1
+            assert points[k] == tuple(phi)
+            steps.append(k - first)
+            k += 1
+        assert k == len(points) and steps[1] == 0 and min(steps[:1] + steps[2:]) > 50
+        # On ndarrays one grad_many call per step evaluates every row still stepping: steps + 1 per row.
+        landed_ndarrays, calls = _counted_batch(ndarrays, self.X)
+        batches = calls.pop("grad_many")
+        assert not any(calls.values())
+        assert landed_ndarrays.tobytes() == landed.tobytes()
+        assert [len(X) for X, in batches] == [sum(s >= t for s in steps) for t in range(max(steps) + 1)]
+
+    @pytest.mark.parametrize("form", list(_FORMS))
+    def test_caller_arrays_are_not_written(self, form):
+        obj = _FORMS[form]
+        X = self.X.copy()
+        landed = gradient_flow_limits(obj, X)
+        landing = gradient_flow_limit(obj, X[0])
+        assert X.tobytes() == self.X.tobytes()
+        assert not np.shares_memory(landed, X) and not np.shares_memory(landing, X)
+        assert landing.tobytes() == landed[0].tobytes() != X[0].tobytes()
 
 
 class TestStartShape:
@@ -822,6 +888,15 @@ class TestCertificatesEqualAcrossForms:
             # The sharp escape start lies on the minima set, where the trace gradient is large.
             assert not cert.passed and cert.dist == 0.0
 
+    @pytest.mark.parametrize("form", list(_FORMS))
+    def test_two_flow_calls(self, monkeypatch, form):
+        # The landing, then the four probes in one batch, on either form.
+        batches = []
+        batched = flow._land_rows
+        monkeypatch.setattr(flow, "_land_rows", lambda o, X, tol: (batches.append((np.shape(X), tol)), batched(o, X, tol))[1])
+        certify_flat(_FORMS[form], np.array([1.5, 0.7]), 0.05, 0.3)
+        assert batches == [((1, 2), DEFAULT_FLOW), ((4, 2), ORACLE_FLOW)]
+
 
 def _ndarray_certificate_cases() -> list:
     """``(obj, x)`` on ndarray landscapes: seeded points on the minima set, and 0.01 off it along a seeded direction.
@@ -852,8 +927,8 @@ class TestNdarrayCertificatesMatchLoneSolves:
     @pytest.mark.parametrize("obj, x", _ndarray_certificate_cases())
     def test_same_bytes(self, monkeypatch, obj, x):
         batches = []
-        batched = flow.gradient_flow_limits
-        monkeypatch.setattr(flow, "gradient_flow_limits", lambda o, X, tol: (batches.append(np.shape(X)), batched(o, X, tol))[1])
+        batched = flow._land_rows
+        monkeypatch.setattr(flow, "_land_rows", lambda o, X, tol: (batches.append(np.shape(X)), batched(o, X, tol))[1])
         cert = certify_flat(obj, x, 0.05, 0.3)
         d = len(x)
         assert batches == [(1, d), (2 * d, d)]

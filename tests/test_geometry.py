@@ -12,9 +12,6 @@ from flatmin import (
     DEFAULT_FLOW,
     ORACLE_FLOW,
     RngStream,
-    build_hyperbola,
-    fd_gradient,
-    normalized_trace,
     proj_out,
     sample_sphere,
     sample_sphere_batch,
@@ -339,33 +336,3 @@ class TestRngStream:
         a = RngStream(42, stream=0).normal(10)
         b = RngStream(42, stream=1).normal(10)
         assert not np.array_equal(a, b)
-
-
-class TestFdGradient:
-    def test_quadratic_is_exact(self):
-        fn = lambda x: 0.5 * float(x @ x)
-        g = fd_gradient(fn, np.array([3.0, -2.0]), 1e-5)
-        assert np.max(np.abs(g - [3.0, -2.0])) <= 1e-9
-
-    def test_stationary_point(self):
-        obj = build_hyperbola()
-        g = fd_gradient(obj.value, np.array([1.0, 1.0]), 1e-5)
-        assert np.max(np.abs(g)) <= 1e-9
-
-    def test_trace_composition(self):
-        obj = build_hyperbola()
-        g = fd_gradient(lambda p: normalized_trace(obj, p), np.array([2.0, 0.5]), 1e-4)
-        assert np.max(np.abs(g - [4.0, 1.0])) <= 1e-6
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            fd_gradient(lambda x: 0.0, np.zeros(2), 0.0)
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1e-4])
-    def test_step_must_be_positive_and_finite(self, h):
-        # NaN and inf once gave a gradient of NaNs without an error.
-        calls = []
-        with pytest.raises(ValueError, match="step must be positive and finite"):
-            fd_gradient(lambda x: calls.append(x) or 0.0, np.zeros(2), h)
-        assert calls == []
-
