@@ -113,7 +113,7 @@ def gradient_flow_limit(obj, x0: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     tolerance, and ``ValueError`` if ``x0`` is not of shape ``(dim,)`` or
     ``grad_tol`` is not positive and finite.
     """
-    return _land_rows(obj, as_start(obj, x0)[None], grad_tol)[0]
+    return gradient_flow_limits(obj, as_start(obj, x0)[None], grad_tol)[0]
 
 
 def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> np.ndarray:
@@ -152,14 +152,10 @@ def gradient_flow_limits(obj, X: np.ndarray, grad_tol: float = DEFAULT_FLOW) -> 
     The outcome is that of testing the exact norm at every step, bit for
     bit, and every error reports the exact norm.
     """
-    return _land_rows(obj, as_start(obj, X, rows=True), grad_tol)
-
-
-def _land_rows(obj, out: np.ndarray, grad_tol: float) -> np.ndarray:
-    """The body of :func:`gradient_flow_limits`: lands the rows of ``out``, a ``(k, dim)`` float64 array of its caller's own, in place."""
     if not 0.0 < grad_tol < math.inf:
         raise ValueError(f"grad_tol must be positive and finite, got {grad_tol!r}")
     obj = base_of(obj)
+    out = as_start(obj, X, rows=True)
     h = FLOW_STEP_FRACTION / obj.lipschitz_grad_hint
 
     # Overflow, at the start or during a diverging run, is detected and

@@ -519,8 +519,8 @@ _DIVERGENCE_ROWS = [[2.0, 0.5], [40.0, -40.0], [1e200, 1e200]]
 class TestBatchedLanding:
     """``gradient_flow_limits`` against a loop of ``gradient_flow_limit``, bit for bit."""
 
-    # On the d = 2 family the batch lands row after row on the float loop, as
-    # a lone solve does; the "-ndarrays" copies keep the batched numpy loop tested there.
+    # On the d = 2 family the batch lands row after row on the float loop; the
+    # "-ndarrays" copies keep the batched numpy loop tested there.
     @pytest.mark.parametrize(
         "obj",
         [
@@ -549,10 +549,13 @@ class TestBatchedLanding:
         special = {"overflow": np.full(d, 1e200), "diverge": 40.0 * (-1.0) ** np.arange(d)}
         rows = data.draw(st.permutations([p[:d] for p in points] + [special[f] for f in failing]))
         X = np.array(rows)
+        # The lone solves step on ndarrays, so on the d = 2 family the float
+        # loop's batch meets the numpy loop's one-row batches.
+        lone = without_float_formulas(obj)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "FLOW_MAX_STEPS", max_steps)
             batched = _landing_or_error(lambda: gradient_flow_limits(obj, X, grad_tol))
-            looped = _landing_or_error(lambda: np.array([gradient_flow_limit(obj, x, grad_tol) for x in X]))
+            looped = _landing_or_error(lambda: np.array([gradient_flow_limit(lone, x, grad_tol) for x in X]))
         if isinstance(looped, tuple):
             assert batched == looped
         else:
@@ -892,8 +895,8 @@ class TestCertificatesEqualAcrossForms:
     def test_two_flow_calls(self, monkeypatch, form):
         # The landing, then the four probes in one batch, on either form.
         batches = []
-        batched = flow._land_rows
-        monkeypatch.setattr(flow, "_land_rows", lambda o, X, tol: (batches.append((np.shape(X), tol)), batched(o, X, tol))[1])
+        batched = flow.gradient_flow_limits
+        monkeypatch.setattr(flow, "gradient_flow_limits", lambda o, X, tol: (batches.append((np.shape(X), tol)), batched(o, X, tol))[1])
         certify_flat(_FORMS[form], np.array([1.5, 0.7]), 0.05, 0.3)
         assert batches == [((1, 2), DEFAULT_FLOW), ((4, 2), ORACLE_FLOW)]
 
@@ -927,8 +930,8 @@ class TestNdarrayCertificatesMatchLoneSolves:
     @pytest.mark.parametrize("obj, x", _ndarray_certificate_cases())
     def test_same_bytes(self, monkeypatch, obj, x):
         batches = []
-        batched = flow._land_rows
-        monkeypatch.setattr(flow, "_land_rows", lambda o, X, tol: (batches.append(np.shape(X)), batched(o, X, tol))[1])
+        batched = flow.gradient_flow_limits
+        monkeypatch.setattr(flow, "gradient_flow_limits", lambda o, X, tol: (batches.append(np.shape(X)), batched(o, X, tol))[1])
         cert = certify_flat(obj, x, 0.05, 0.3)
         d = len(x)
         assert batches == [(1, d), (2 * d, d)]
