@@ -26,10 +26,9 @@ class RngStream:
     draws repeat byte for byte only on one numpy and BLAS build and CPU
     family (README, Notes). Distinct streams derived from the same seed
     are statistically independent; one stream must never be shared between
-    concurrent consumers. A verification check hands its stream to one
-    helper thread for the length of the check, which draws from it while
-    the caller's thread does not; after a check that raised, the stream's
-    state is unspecified.
+    concurrent consumers. A verification check draws from its stream in the
+    caller's thread; after a check that raised, the stream's state is
+    unspecified.
     """
 
     seed: int

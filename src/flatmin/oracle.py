@@ -17,22 +17,14 @@ BLAS ``V @ uhat`` may round a row by its place in the call, and it carries a
 chunk's sum across the blocks: ``np.add.accumulate`` adds the rows one after
 another, and a block continues the sum by adding it to its first row.
 
-Those two checks draw their sphere blocks on one helper thread,
-``READ_AHEAD`` blocks ahead of the block the caller's thread evaluates
-(numpy's Gaussian draw releases the GIL). One thread draws from the stream,
-in the order of a sequential loop, so the draws and every reduction are
-those of one thread. The helper's thread stops before the check returns or
-raises.
+Those two checks draw each sphere block in the caller's thread when they
+evaluate it, so the draws and every reduction are those of a sequential loop.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -70,47 +62,30 @@ RS_ESTIMATOR_LEAST_N = 2
 SA_DFACTOR_LEAST_N = 1
 
 
-#: Items the read-ahead helper computes beyond the one its caller takes. With
-#: one, the helper idles between finishing a block and the caller taking it.
-READ_AHEAD = 2
-
-
 def _chunks(n: int, size: int) -> Iterator[int]:
     """Sizes of the successive pieces of at most ``size`` that make up ``n`` draws."""
     for done in range(0, n, size):
         yield min(size, n - done)
 
 
-@contextmanager
 def _sphere_blocks(x: np.ndarray, radius: float, n: int, rng: RngStream):
     """``(X, chunks)`` for ``n`` draws on the sphere of ``radius`` at the dimension d of ``x``.
 
     ``chunks`` yields, per chunk of ``CHUNK`` draws, the iterator of its
     blocks of ``max(1, BLOCK // d)`` rows, and ``X`` is ``x`` tiled over the
-    rows of the largest block. The blocks are drawn and scaled in order on
-    one helper thread, ``READ_AHEAD`` blocks ahead of the one the caller
-    takes. A draw's error is raised when the caller takes its block. On
-    leaving the block the queued draws are cancelled and the thread stops.
+    rows of the largest block. Each block is drawn and scaled in the
+    caller's thread when the caller takes it, so the stream is drawn in the
+    order of a sequential loop.
     """
     d = x.size
     rows = min(max(1, BLOCK // d), n)
-    sizes = (b for m in _chunks(n, CHUNK) for b in _chunks(m, rows))
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatmin-read-ahead")
-
-    def draw(b):
-        G = sample_sphere_batch(d, b, rng)
-        return G if radius == 1.0 else np.multiply(radius, G, out=G)
 
     def blocks(m):
-        for _ in _chunks(m, rows):
-            ahead.extend(pool.submit(draw, b) for b in islice(sizes, 1))
-            yield ahead.popleft().result()
+        for b in _chunks(m, rows):
+            G = sample_sphere_batch(d, b, rng)
+            yield G if radius == 1.0 else np.multiply(radius, G, out=G)
 
-    try:
-        ahead = deque(pool.submit(draw, b) for b in islice(sizes, READ_AHEAD))
-        yield np.tile(x, (rows, 1)), (blocks(m) for m in _chunks(n, CHUNK))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    return np.tile(x, (rows, 1)), (blocks(m) for m in _chunks(n, CHUNK))
 
 
 @dataclass(frozen=True)
@@ -207,17 +182,17 @@ def _estimator_means(obj, x, rhos, n_samples: int, rng: RngStream) -> list[tuple
 
     n_pairs = n_samples // 2
     totals = [np.zeros(d) for _ in rhos]
-    with _sphere_blocks(x, 1.0, n_pairs, rng) as (X, chunks):
-        P = np.empty_like(X)
-        for blocks in chunks:
-            sums = [[None, None] for _ in rhos]
-            for G in blocks:
-                for carry, rho in zip(sums, rhos):
-                    carry[0] = shifted_sum(G, rho, np.add, carry[0])
-                    carry[1] = shifted_sum(G, rho, np.subtract, carry[1])
-            for total, (plus, minus) in zip(totals, sums):
-                total += plus
-                total += minus
+    X, chunks = _sphere_blocks(x, 1.0, n_pairs, rng)
+    P = np.empty_like(X)
+    for blocks in chunks:
+        sums = [[None, None] for _ in rhos]
+        for G in blocks:
+            for carry, rho in zip(sums, rhos):
+                carry[0] = shifted_sum(G, rho, np.add, carry[0])
+                carry[1] = shifted_sum(G, rho, np.subtract, carry[1])
+        for total, (plus, minus) in zip(totals, sums):
+            total += plus
+            total += minus
 
     ref_dir = base.normalized_trace_grad(x)
     if uhat is not None:
@@ -277,7 +252,7 @@ def check_rs_decay(obj, x, rho_hi: float, rho_lo: float, n_samples: int, seed: i
     rel_error = DECAY_FACTOR / ratio if ratio > 0 else math.inf
     return OracleReport(
         name="rs-decay",
-        n_samples=n_samples,
+        n_samples=2 * (n_samples // 2),
         measured=ratio,
         reference=(rho_hi / rho_lo) ** 2,
         rel_error=rel_error,
@@ -331,10 +306,10 @@ def check_sa_dfactor(obj: SampleSumObjective, x_star, rho: float, n_samples: int
         return vp - 2.0 * f0 + base.value_many(np.subtract(X[:b], D, out=P[:b]))
 
     total = 0.0
-    with _sphere_blocks(x_star, rho, n_samples, rng) as (X, chunks):
-        P = np.empty_like(X)
-        for shifts in chunks:
-            total += float(np.sum(np.concatenate([second_differences(D) for D in shifts])))
+    X, chunks = _sphere_blocks(x_star, rho, n_samples, rng)
+    P = np.empty_like(X)
+    for shifts in chunks:
+        total += float(np.sum(np.concatenate([second_differences(D) for D in shifts])))
     measured_rs = total / (n_samples * rho**2)
 
     tr_bar = normalized_trace(base, x_star)

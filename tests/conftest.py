@@ -38,8 +38,8 @@ def build_facts() -> str:
 def pytest_report_header(config):
     """The build facts, and the CPUs the process may run on.
 
-    The oracle's helper thread overlaps its draws with evaluation only where
-    two CPUs are usable, so its timings depend on that count.
+    Only the worker processes of ``--threads`` > 1 run side by side, so only
+    their timings depend on that count.
     """
     return f"{build_facts()}, usable CPUs {len(os.sched_getaffinity(0))}"
 

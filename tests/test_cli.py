@@ -735,7 +735,7 @@ class TestConsoleScript:
         assert proc.stderr == "config error: argument --n: invalid int value: 'abc'\n"
 
 
-#: Loaded by no escape or certify path: the oracle and its thread pool, the process pool, argparse.
+#: Loaded by no escape or certify path: the oracle, the process pool and its package, argparse.
 DEFERRED_MODULES = ["flatmin.oracle", "concurrent.futures", "multiprocessing", "argparse"]
 #: Loaded only for a pool of two or more workers.
 POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
@@ -752,6 +752,8 @@ with tempfile.TemporaryDirectory() as d:
     )
 report["after_run"] = [m for m in pool if m in sys.modules]
 report["same_object"] = flatmin.check_sphere_moments is flatmin.oracle.check_sphere_moments
+flatmin.check_rs_estimator(flatmin.build_hyperbola(), [1.2, 1 / 1.2], 0.01, 20, flatmin.RngStream(0))
+report["after_check"] = "concurrent.futures" in sys.modules
 star = {}
 exec("from flatmin import *", star)
 report["unbound"] = [n for n in flatmin.__all__ if n not in star]
@@ -783,6 +785,9 @@ class TestDeferredImports:
     def test_one_worker_run_loads_no_process_pool(self, report):
         assert report["run_code"] == EXIT_OK
         assert report["after_run"] == []
+
+    def test_oracle_check_loads_no_thread_pool(self, report):
+        assert report["after_check"] is False
 
     def test_oracle_names_resolve_on_first_use(self, report):
         assert report["same_object"] is True

@@ -107,6 +107,13 @@ class TestRsDecay:
         with pytest.raises(ValueError):
             check_rs_decay(build_hyperbola(), np.ones(2), 0.01, 0.02, 10**4, seed=0)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reports_the_samples_it_uses(self, n):
+        # An odd n leaves one draw unused: both checks average n // 2 antithetic pairs.
+        obj, x = build_hyperbola(), np.array([1.2, 1 / 1.2])
+        rep = check_rs_decay(obj, x, 0.02, 0.01, n, seed=0)
+        assert rep.n_samples == check_rs_estimator(obj, x, 0.02, n, RngStream(0)).n_samples == n - 1
+
 
 class TestSaDfactor:
     def test_dimension_four(self):
@@ -137,18 +144,21 @@ class TestSaDfactor:
         with pytest.raises(ValueError, match="need at least 1 sample, got 0"):
             check_sa_dfactor(build_landscape(spec), canonical_minimum(spec), 0.01, 0, RngStream(0))
 
-    @pytest.mark.parametrize("d, n", [(16, 4), (64, 16)])
-    def test_peak_memory_does_not_scale_with_chunk(self, d, n):
-        # One (CHUNK, 64) float64 array takes 32 MB; the unblocked loop held up to four at once.
+    @pytest.mark.parametrize(
+        "d, n, chunks", [(16, 4, 2), (64, 16, 2), (64, 16, 8)], ids=["16-4", "64-16", "64-16-8-chunks"]
+    )
+    def test_peak_memory_does_not_scale_with_chunk(self, d, n, chunks):
+        # One (CHUNK, 64) float64 array takes 33.5 MB; the unblocked loop held up to four at
+        # once. Blocks peaked at under 3 MB, at 2 chunks and at 8.
         spec = LandscapeSpec("orthogonal_quadratic_model", {"d": d, "n": n, "y": [0.5] * n})
         obj, x_min = build_landscape(spec), canonical_minimum(spec)
         tracemalloc.start()
         try:
-            check_sa_dfactor(obj, x_min, 0.01, 2 * oracle.CHUNK, RngStream(0))
+            check_sa_dfactor(obj, x_min, 0.01, chunks * oracle.CHUNK, RngStream(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 4e6
 
     def test_vanishing_prediction_gradient_rejected(self):
         from flatmin import SampleSumObjective
@@ -327,12 +337,8 @@ class _FailingStream:
         return self.inner.normal(size)
 
 
-def _helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("flatmin-read-ahead")]
-
-
-def _read_ahead_cases():
-    """Per check that draws on the read-ahead helper, ``(check, reference)``.
+def _block_draw_cases():
+    """Per check that draws its sphere blocks as it evaluates them, ``(check, reference)``.
 
     ``check(rng, wrap)`` runs it with its evaluation callable (``grad_many``
     or ``value_many``) replaced by ``wrap`` of it; ``reference(rng)`` runs the
@@ -378,30 +384,32 @@ def small_blocks():
 
 @pytest.mark.usefixtures("small_blocks")
 class TestReadAhead:
-    """The helper thread draws what a sequential loop draws, raises its errors and stops with its check."""
+    """The checks that draw a sphere block as they evaluate it draw what a sequential loop draws.
 
-    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    They raise their draw and evaluation errors and start no thread.
+    """
+
+    @pytest.mark.parametrize("case", sorted(_block_draw_cases()))
     def test_stream_ends_where_the_sequential_loop_ends(self, case):
-        check, reference = _read_ahead_cases()[case]
+        check, reference = _block_draw_cases()[case]
         rng, ref_rng = RngStream(11), RngStream(11)
         check(rng)
         reference(ref_rng)
         assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
-    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    @pytest.mark.parametrize("case", sorted(_block_draw_cases()))
     @pytest.mark.parametrize("k", [1, 3, 25])
     def test_draw_error_is_raised_and_the_thread_stops(self, case, k):
-        check, _ = _read_ahead_cases()[case]
+        check, _ = _block_draw_cases()[case]
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"draw {k} failed"):
             check(_FailingStream(11, k))
         assert threading.active_count() == before
-        assert not _helper_threads()
 
-    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
+    @pytest.mark.parametrize("case", sorted(_block_draw_cases()))
     def test_evaluation_error_is_raised_and_the_thread_stops(self, case):
         # Each block is evaluated twice per radius (x + D and x - D): the first call of the third block fails.
-        check, _ = _read_ahead_cases()[case]
+        check, _ = _block_draw_cases()[case]
         radii = 2 if case == "two-radii" else 1
         calls = []
 
@@ -418,11 +426,10 @@ class TestReadAhead:
         with pytest.raises(FloatingPointError, match="third block failed"):
             check(RngStream(11), failing)
         assert threading.active_count() == before
-        assert not _helper_threads()
 
-    @pytest.mark.parametrize("case", sorted(_read_ahead_cases()))
-    def test_one_helper_thread_runs_during_evaluation_of_blocks(self, case):
-        check, _ = _read_ahead_cases()[case]
+    @pytest.mark.parametrize("case", sorted(_block_draw_cases()))
+    def test_no_thread_starts_during_a_check(self, case):
+        check, _ = _block_draw_cases()[case]
         before = threading.active_count()
         seen = []
 
@@ -434,7 +441,7 @@ class TestReadAhead:
             return wrapped
 
         check(RngStream(11), counting)
-        assert set(seen) == {before + 1}
+        assert set(seen) == {before}
         assert threading.active_count() == before
 
 
